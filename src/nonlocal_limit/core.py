@@ -276,6 +276,14 @@ def sample_profile(profile: PiecewiseConstantProfile, grid: Grid1D) -> CellField
     return CellField(grid=sampled_grid, values=profile.cell_averages(grid.interfaces))
 
 
+def data_range(q: CellField) -> tuple[float, float]:
+    """[min, max] of the cell values and both far-field states."""
+    grid = q.grid
+    lo = min(float(np.min(q.values)), grid.left_farfield, grid.right_farfield)
+    hi = max(float(np.max(q.values)), grid.left_farfield, grid.right_farfield)
+    return lo, hi
+
+
 def total_mass(q: CellField) -> float:
     """Mass dx * sum(q) inside the truncated window only."""
     return float(q.grid.dx * np.sum(q.values))

@@ -155,10 +155,15 @@ def bump_test_function(
 
 
 def total_variation_of(values: np.ndarray, left_farfield: float,
-                       right_farfield: float) -> float:
-    """Sum of absolute jumps including the seams to the far-field states."""
+                       right_farfield: float, scratch: np.ndarray | None = None) -> float:
+    """Sum of absolute jumps including the seams to the far-field states.
+
+    ``scratch``, one entry shorter than ``values``, receives the jumps
+    instead of a new array.
+    """
+    jumps = np.subtract(values[1:], values[:-1], out=scratch)
     return float(
-        np.sum(np.abs(np.diff(values)))
+        np.abs(jumps, out=jumps).sum()
         + abs(values[0] - left_farfield)
         + abs(values[-1] - right_farfield)
     )

@@ -26,6 +26,7 @@ from .core import (
     PiecewiseConstantProfile,
     VelocityModel,
     constant_velocity,
+    data_range,
     linear_increasing_velocity,
     linear_velocity,
     quadratic_velocity,
@@ -385,21 +386,24 @@ def _restrict_snapshots(report: RunReport, t_lo: float, t_hi: float) -> RunRepor
 
 
 def _write_snapshots_csv(path: Path, report: RunReport):
-    grid = report.grid
-    centers = grid.cell_centers
-    rows = []
-    seen_times = set()
-    for snap in report.snapshots:
-        # requests that rounded to the same step carry identical state
-        if snap.time in seen_times:
-            continue
-        seen_times.add(snap.time)
-        time_s = _fmt(snap.time)
-        w_cells = interface_to_cells(snap.w).values if snap.w is not None else None
-        for i in range(grid.n_cells):
-            w_s = _fmt(w_cells[i]) if w_cells is not None else "nan"
-            rows.append([time_s, str(i), _fmt(centers[i]), _fmt(snap.q.values[i]), w_s])
-    _write_csv(path, ["time", "cell_index", "x_center", "q", "W"], rows)
+    """One row per cell per distinct snapshot time, written a snapshot at a
+    time; the cell_index,x_center columns are formatted once per grid."""
+    cells = [f"{i},{_fmt(x)}" for i, x in enumerate(report.grid.cell_centers.tolist())]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("time,cell_index,x_center,q,W\n")
+        seen_times = set()
+        for snap in report.snapshots:
+            # requests that rounded to the same step carry identical state
+            if snap.time in seen_times:
+                continue
+            seen_times.add(snap.time)
+            time_s = _fmt(snap.time)
+            q = snap.q.values.tolist()
+            w = (interface_to_cells(snap.w).values.tolist() if snap.w is not None
+                 else [float("nan")] * len(q))
+            fh.write("".join([f"{time_s},{cell},{q_i:.17g},{w_i:.17g}\n"
+                              for cell, q_i, w_i in zip(cells, q, w)]))
 
 
 def _write_tv_series_csv(path: Path, report: RunReport):
@@ -417,8 +421,7 @@ def _write_tv_series_csv(path: Path, report: RunReport):
 
 
 def _max_principle_violation(report: RunReport, q0: CellField) -> float:
-    lo = min(float(np.min(q0.values)), q0.grid.left_farfield, q0.grid.right_farfield)
-    hi = max(float(np.max(q0.values)), q0.grid.left_farfield, q0.grid.right_farfield)
+    lo, hi = data_range(q0)
     return max(0.0, report.q_max_overall - hi, lo - report.q_min_overall)
 
 
@@ -471,16 +474,19 @@ def _write_run_files(out_dir: Path, cfg: ExperimentConfig, report: RunReport,
                            _run_diagnostics(cfg, report, q0, eta))
 
 
-def _solve_for_eta(cfg: ExperimentConfig, eta: float, n_cells: int) -> tuple[RunReport, CellField]:
-    grid = cfg.build_grid(n_cells)
-    q0 = sample_profile(cfg.build_profile(), grid)
-    scheme = NonlocalSchemeConfig(
+def _scheme_for_eta(cfg: ExperimentConfig, eta: float) -> NonlocalSchemeConfig:
+    return NonlocalSchemeConfig(
         kernel=cfg.kernel_spec(eta),
         velocity=cfg.build_velocity(),
         cfl=cfg.cfl,
         t_end=cfg.t_end,
         snapshot_times=cfg.merged_snapshot_times(),
     )
+
+
+def _solve_for_eta(cfg: ExperimentConfig, eta: float, n_cells: int) -> tuple[RunReport, CellField]:
+    q0 = sample_profile(cfg.build_profile(), cfg.build_grid(n_cells))
+    scheme = _scheme_for_eta(cfg, eta)
     try:
         return solve_nonlocal(q0, scheme), q0
     except NumericalBlowupError as exc:
@@ -587,7 +593,7 @@ def perturbed_initial_field(q0: CellField, delta: float) -> CellField:
     if delta < 0:
         raise ConfigError(f"delta must be nonnegative, got {delta}")
     grid = q0.grid
-    hi = max(float(np.max(q0.values)), grid.left_farfield, grid.right_farfield)
+    _, hi = data_range(q0)
     if delta == 0.0 or hi == 0.0:
         return q0
     center = 0.5 * (grid.x_min + grid.x_max)
@@ -604,16 +610,8 @@ def run_stability_probe(cfg: ExperimentConfig, delta: float,
     """Rerun the first configured eta with a perturbed datum and report the
     sup-in-time L1 distance to the unperturbed run; writes probe.csv."""
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
-    eta = cfg.eta_list[0]
-    grid = cfg.build_grid(cfg.n_cells)
-    q0 = sample_profile(cfg.build_profile(), grid)
-    scheme = NonlocalSchemeConfig(
-        kernel=cfg.kernel_spec(eta),
-        velocity=cfg.build_velocity(),
-        cfl=cfg.cfl,
-        t_end=cfg.t_end,
-        snapshot_times=cfg.merged_snapshot_times(),
-    )
+    q0 = sample_profile(cfg.build_profile(), cfg.build_grid(cfg.n_cells))
+    scheme = _scheme_for_eta(cfg, cfg.eta_list[0])
     baseline = solve_nonlocal(q0, scheme)
     perturbed = solve_nonlocal(perturbed_initial_field(q0, delta), scheme)
     distance = sup_time_l1(perturbed, baseline, cfg.window(), compare="q")

@@ -9,8 +9,10 @@ Both are evaluated exactly at grid interfaces for piecewise-constant cell
 data extended by the far-field states, in O(n_cells).  The exponential map is
 invertible cell by cell; ``reconstruct_density`` is its exact left inverse.
 
-Upstream orientation (the average looking left instead of right) is obtained
-by mirroring the field, applying the downstream operator and mirroring back.
+Each average is built once per run as an operator on arrays
+(``kernel_operator``); the public functions taking fields wrap it.  Upstream
+orientation (the average looking left instead of right) runs the downstream
+operator on reversed views, which is the same as mirroring the field.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ def _require_positive_eta(eta: float):
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
-def nonlocal_exponential(q: CellField, eta: float) -> InterfaceField:
-    """Downstream exponential average of ``q``, exact at every interface.
+def _exponential_operator(dx: float, n_cells: int, eta: float, farfield: float):
+    """Downstream exponential average, exact at every interface.
 
     For piecewise-constant data the average satisfies the right-to-left
     recursion
@@ -61,55 +63,97 @@ def nonlocal_exponential(q: CellField, eta: float) -> InterfaceField:
         W[n-1/2] = right_farfield
         W[i-1/2] = (1 - alpha) * q_i + alpha * W[i+1/2],  alpha = exp(-dx/eta)
 
-    which this routine runs as a linear recurrence over the reversed cell
-    values.  The seed is exact because the density is constant beyond x_max.
+    which runs as a linear recurrence over the reversed cell values.  The
+    seed is exact because the density is constant beyond x_max.
     """
-    _require_positive_eta(eta)
-    grid = q.grid
-    alpha = float(np.exp(-grid.dx / eta))
-    seed = grid.right_farfield
-    reversed_values = q.values[::-1]
-    filtered, _ = lfilter(
-        [1.0 - alpha], [1.0, -alpha], reversed_values, zi=np.array([alpha * seed])
-    )
-    w = np.empty(grid.n_cells + 1)
-    w[-1] = seed
-    w[:-1] = filtered[::-1]
-    return InterfaceField(grid=grid, values=w)
+    alpha = float(np.exp(-dx / eta))
+    numerator = np.array([1.0 - alpha])
+    denominator = np.array([1.0, -alpha])
+    initial = np.array([alpha * farfield])
+
+    def apply(q: np.ndarray, w: np.ndarray):
+        filtered, _ = lfilter(numerator, denominator, q[::-1], zi=initial)
+        w[-1] = farfield
+        w[:-1] = filtered[::-1]
+
+    return apply
 
 
-def nonlocal_constant(q: CellField, eta: float) -> InterfaceField:
+def _constant_operator(dx: float, n_cells: int, eta: float, farfield: float):
     """Downstream constant-kernel average (1/eta) * integral over [x, x+eta].
 
-    Computed exactly for piecewise-constant data via prefix sums: from each
-    interface the window covers some whole cells plus a fractional piece of
-    one more, weighted by its exact sub-cell overlap.  Cells beyond x_max
-    contribute the right far-field value.
+    Exact for piecewise-constant data via prefix sums: from each interface
+    the window covers some whole cells plus a fractional piece of one more,
+    weighted by its exact sub-cell overlap.  Cells beyond x_max contribute
+    the far-field value.
     """
-    _require_positive_eta(eta)
-    grid = q.grid
-    dx = grid.dx
-    n = grid.n_cells
+    n = n_cells
     m = int(eta // dx)
     remainder = min(max(eta - float(m) * dx, 0.0), dx)
     # indices only matter up to one cell past the grid; the window beyond is
     # pure far-field and is accounted for by length, not by index
     m_eff = min(m, n + 1)
+    # interface j covers the whole cells j .. min(j + m_eff, n) - 1; the first
+    # n + 1 - m_eff windows end inside the grid, and the first n - m_eff of
+    # those end on a fractional piece of cell j + m_eff
+    whole_inside = n + 1 - m_eff
+    fraction_inside = max(n - m_eff, 0) if m == m_eff else 0
+    cells_covered = np.minimum(m_eff, n - np.arange(n + 1))
+    farfield_sum = np.maximum((eta - remainder) - cells_covered * dx, 0.0) * farfield
+    prefix = np.zeros(n + 1)
+    fraction = np.full(n + 1, remainder * farfield)
 
-    prefix = np.concatenate([[0.0], np.cumsum(q.values)])
+    def apply(q: np.ndarray, w: np.ndarray):
+        np.cumsum(q, out=prefix[1:])
+        w[:whole_inside] = prefix[m_eff:]
+        w[whole_inside:] = prefix[n]
+        w -= prefix
+        w *= dx
+        w += farfield_sum
+        np.multiply(q[m_eff:m_eff + fraction_inside], remainder,
+                    out=fraction[:fraction_inside])
+        w += fraction
+        w /= eta
 
-    j = np.arange(n + 1)
-    in_grid_end = np.minimum(j + m_eff, n)
-    whole_sum = dx * (prefix[in_grid_end] - prefix[j])
-    farfield_length = (eta - remainder) - (in_grid_end - j) * dx
-    whole_sum += np.maximum(farfield_length, 0.0) * grid.right_farfield
+    return apply
 
-    fractional_inside = (m == m_eff) & (j + m_eff < n)
-    frac_value = np.where(fractional_inside,
-                          q.values[np.minimum(j + m_eff, n - 1)],
-                          grid.right_farfield)
-    w = (whole_sum + remainder * frac_value) / eta
-    return InterfaceField(grid=grid, values=w)
+
+def kernel_operator(spec: KernelSpec, grid: Grid1D):
+    """The nonlocal average of ``spec`` on ``grid`` as a function of the cell
+    values, built once per run.
+
+    The returned function writes W into one interface buffer it owns and
+    returns that buffer.  Upstream orientation runs the downstream operator
+    on reversed views of the values and of the buffer, seeded by the left
+    far-field state.
+    """
+    downstream = spec.orientation == "downstream"
+    build = _exponential_operator if spec.family == "exponential" else _constant_operator
+    apply = build(grid.dx, grid.n_cells, spec.eta,
+                  grid.right_farfield if downstream else grid.left_farfield)
+    w = np.empty(grid.n_cells + 1)
+    w_view = w if downstream else w[::-1]
+
+    def evaluate(values: np.ndarray) -> np.ndarray:
+        apply(values if downstream else values[::-1], w_view)
+        return w
+
+    return evaluate
+
+
+def nonlocal_term(q: CellField, spec: KernelSpec) -> InterfaceField:
+    """Evaluate the nonlocal average described by ``spec`` on ``q``."""
+    return InterfaceField(grid=q.grid, values=kernel_operator(spec, q.grid)(q.values))
+
+
+def nonlocal_exponential(q: CellField, eta: float) -> InterfaceField:
+    """Downstream exponential average of ``q``, exact at every interface."""
+    return nonlocal_term(q, KernelSpec("exponential", eta))
+
+
+def nonlocal_constant(q: CellField, eta: float) -> InterfaceField:
+    """Downstream constant-kernel average of ``q``, exact at every interface."""
+    return nonlocal_term(q, KernelSpec("constant", eta))
 
 
 def reconstruct_density(w: InterfaceField, eta: float) -> CellField:
@@ -144,16 +188,3 @@ def mirror_field(q: CellField) -> CellField:
         right_farfield=q.grid.left_farfield,
     )
     return CellField(grid=mirrored_grid, values=q.values[::-1])
-
-
-def nonlocal_term(q: CellField, spec: KernelSpec) -> InterfaceField:
-    """Evaluate the nonlocal average described by ``spec`` on ``q``.
-
-    Upstream orientation mirrors the field, applies the downstream operator
-    and mirrors the interface values back onto the original grid.
-    """
-    evaluate = nonlocal_exponential if spec.family == "exponential" else nonlocal_constant
-    if spec.orientation == "downstream":
-        return evaluate(q, spec.eta)
-    mirrored = evaluate(mirror_field(q), spec.eta)
-    return InterfaceField(grid=q.grid, values=mirrored.values[::-1])

@@ -2,7 +2,8 @@
 
 The monotone Godunov flux makes this solver TV-diminishing with an exact
 discrete maximum principle, so it serves as the entropy-solution target that
-the nonlocal runs are measured against on refined grids.
+the nonlocal runs are measured against on refined grids.  The scheme is its
+interface flux; the shared driver in ``stepping`` runs it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CellField, VelocityModel
-from .diagnostics import total_variation_of
-from .errors import NumericalBlowupError
-from .report import RunReport, Snapshot
+from .report import RunReport
+from .stepping import frozen_step, integrate
 
 _GOLDEN_TOL = 1e-12
 _UNIMODAL_SAMPLES = 2001
@@ -90,42 +90,56 @@ class FluxModel:
 
 
 def _check_in_range(values, flux: FluxModel, what: str):
-    s_min, s_max = flux.velocity.admissible_range
-    slack = _RANGE_SLACK * max(1.0, abs(s_min), abs(s_max))
     arr = np.asarray(values, dtype=float)
-    if float(np.min(arr)) < s_min - slack or float(np.max(arr)) > s_max + slack:
+    lo, hi = float(np.min(arr)), float(np.max(arr))
+    if not flux.velocity.covers(lo, hi):
+        s_min, s_max = flux.velocity.admissible_range
         raise ValueError(
-            f"{what} leaves the admissible range [{s_min}, {s_max}]: "
-            f"[{float(np.min(arr)):g}, {float(np.max(arr)):g}]"
+            f"{what} leaves the admissible range [{s_min}, {s_max}]: [{lo:g}, {hi:g}]"
         )
 
 
-def _godunov_values(a, b, flux: FluxModel):
-    f_a = flux.f(a)
-    f_b = flux.f(b)
-    s_star = flux.critical_density
-    f_star = float(flux.f(s_star))
-    decreasing_max = np.where(
-        (np.asarray(b) <= s_star) & (s_star <= np.asarray(a)),
-        f_star,
-        np.maximum(f_a, f_b),
-    )
-    return np.where(np.asarray(a) <= np.asarray(b), np.minimum(f_a, f_b), decreasing_max)
+def _godunov_select(a, b, f_a, f_b, s_star: float, f_star: float, out: np.ndarray):
+    """Godunov flux between states a and b from their flux values.
+
+    Closed form from the critical density: the minimum of a unimodal f over
+    [a, b] sits at an endpoint, the maximum over [b, a] at an endpoint or at
+    the critical density.
+    """
+    np.maximum(f_a, f_b, out=out)
+    np.copyto(out, f_star, where=(b <= s_star) & (s_star <= a))
+    np.copyto(out, np.minimum(f_a, f_b), where=a <= b)
+    return out
 
 
 def godunov_flux(a, b, flux: FluxModel):
     """Entropy-consistent interface flux between left state a and right state b.
 
-    Closed form from the critical density: the minimum of a unimodal f over
-    [a, b] sits at an endpoint, the maximum over [b, a] at an endpoint or at
-    the critical density.  Accepts scalars or arrays.
+    Accepts scalars or arrays.
     """
     _check_in_range(a, flux, "left state")
     _check_in_range(b, flux, "right state")
-    result = _godunov_values(a, b, flux)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    s_star = flux.critical_density
+    result = _godunov_select(a, b, flux.f(a), flux.f(b), s_star, float(flux.f(s_star)),
+                             np.empty(np.broadcast(a, b).shape))
     if np.ndim(result) == 0:
         return float(result)
     return result
+
+
+def _godunov_interface_flux(flux: FluxModel):
+    """The Godunov scheme as an interface flux: f is evaluated once per step
+    on the padded states, f(s*) once per run."""
+    s_star = flux.critical_density
+    f_star = float(flux.f(s_star))
+
+    def interface_flux(states: np.ndarray, w, out: np.ndarray):
+        f_states = flux.f(states)
+        _godunov_select(states[:-1], states[1:], f_states[:-1], f_states[1:],
+                        s_star, f_star, out)
+
+    return interface_flux
 
 
 def solve_local(q0: CellField, flux: FluxModel, cfl: float, t_end: float,
@@ -140,59 +154,6 @@ def solve_local(q0: CellField, flux: FluxModel, cfl: float, t_end: float,
     _check_in_range(q0.values, flux, "initial data")
     _check_in_range([grid.left_farfield, grid.right_farfield], flux, "far-field state")
 
-    wave_speed = flux.max_wave_speed()
-    if wave_speed == 0.0:
-        dt = t_end
-    else:
-        dt = cfl * grid.dx / wave_speed
-        dt = t_end / max(1, int(np.ceil(t_end / dt - 1e-9)))
+    dt = frozen_step(cfl, grid.dx, flux.max_wave_speed(), t_end)
     n_steps = max(1, int(round(t_end / dt)))
-    lam = dt / grid.dx
-
-    times = np.array(snapshot_times, dtype=float)
-    if times.size == 0:
-        wanted = np.array([n_steps], dtype=int)
-    else:
-        wanted = np.clip(np.rint(times / dt).astype(int), 0, n_steps)
-
-    snapshots: list[Snapshot] = []
-    tv_q = np.empty(n_steps + 1)
-    mass = np.empty(n_steps + 1)
-    boundary_flux = 0.0
-    q_min = np.inf
-    q_max = -np.inf
-
-    values = q0.values.copy()
-    for step in range(n_steps + 1):
-        tv_q[step] = total_variation_of(values, grid.left_farfield, grid.right_farfield)
-        mass[step] = grid.dx * float(np.sum(values))
-        q_min = min(q_min, float(np.min(values)))
-        q_max = max(q_max, float(np.max(values)))
-        for _ in range(int(np.sum(wanted == step))):
-            snapshots.append(
-                Snapshot(time=step * dt, q=CellField(grid=grid, values=values), w=None)
-            )
-        if step == n_steps:
-            break
-        left_states = np.concatenate([[grid.left_farfield], values])
-        right_states = np.concatenate([values, [grid.right_farfield]])
-        fluxes = _godunov_values(left_states, right_states, flux)
-        boundary_flux += dt * (fluxes[-1] - fluxes[0])
-        values = values - lam * np.diff(fluxes)
-        if not np.all(np.isfinite(values)):
-            raise NumericalBlowupError(
-                f"non-finite density after step {step + 1} (t = {(step + 1) * dt:g})",
-                step=step + 1,
-            )
-
-    return RunReport(
-        dt_used=dt,
-        n_steps=n_steps,
-        snapshots=tuple(snapshots),
-        tv_q_series=tv_q,
-        tv_w_series=None,
-        mass_series=mass,
-        boundary_flux_integral=boundary_flux,
-        q_min_overall=q_min,
-        q_max_overall=q_max,
-    )
+    return integrate(q0, _godunov_interface_flux(flux), dt, n_steps, snapshot_times)

@@ -1,10 +1,11 @@
 """First-order upwind finite-volume integration of the nonlocal law.
 
-The flux velocity at each interface is the kernel average of the current
-density, so the update is conservative by construction and mass change equals
-the boundary-flux integral exactly (up to rounding).  A run uses one frozen
-time step: the velocity range over the run is contained in the velocity range
-over the initial data, so a single bound suffices.
+The scheme is its interface flux: the flux velocity at each interface is the
+kernel average of the current density, times the upwind cell value.  The
+shared driver in ``stepping`` applies it conservatively, so mass change
+equals the boundary-flux integral exactly (up to rounding).  A run uses one
+frozen time step: the velocity range over the run is contained in the
+velocity range over the initial data, so a single bound suffices.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CellField, VelocityModel
-from .diagnostics import total_variation_of
-from .errors import ModeViolationError, NumericalBlowupError
-from .kernels import KernelSpec, nonlocal_term
-from .report import RunReport, Snapshot
+from .core import CellField, VelocityModel, data_range
+from .errors import ModeViolationError
+from .kernels import KernelSpec, kernel_operator
+from .report import RunReport
+from .stepping import frozen_step, integrate
 
 # Rounding-level negative velocities are admitted; anything beyond this slack
 # (relative to the velocity scale) signals a mispaired orientation.
@@ -54,78 +55,59 @@ class NonlocalSchemeConfig:
             )
 
 
-def _check_range_covers(q0: CellField, velocity: VelocityModel):
-    lo = min(float(np.min(q0.values)), q0.grid.left_farfield, q0.grid.right_farfield)
-    hi = max(float(np.max(q0.values)), q0.grid.left_farfield, q0.grid.right_farfield)
-    if not velocity.covers(lo, hi):
-        raise ValueError(
-            f"initial data range [{lo:g}, {hi:g}] exceeds the velocity model's "
-            f"admissible range {velocity.admissible_range}"
-        )
-    return lo, hi
-
-
 def cfl_dt(q0: CellField, cfg: NonlocalSchemeConfig) -> float:
     """Frozen time step cfl * dx / max|V|, shrunk so t_end is a whole number
     of steps.  A velocity bound of zero means stasis: dt = t_end."""
-    _check_range_covers(q0, cfg.velocity)
-    v_max = cfg.velocity.max_abs_speed()
-    if v_max == 0.0:
-        return cfg.t_end
-    dt = cfg.cfl * q0.grid.dx / v_max
-    n_steps = max(1, int(np.ceil(cfg.t_end / dt - 1e-9)))
-    return cfg.t_end / n_steps
+    lo, hi = data_range(q0)
+    if not cfg.velocity.covers(lo, hi):
+        raise ValueError(
+            f"initial data range [{lo:g}, {hi:g}] exceeds the velocity model's "
+            f"admissible range {cfg.velocity.admissible_range}"
+        )
+    return frozen_step(cfg.cfl, q0.grid.dx, cfg.velocity.max_abs_speed(), cfg.t_end)
 
 
 def _interface_speeds(w_values: np.ndarray, cfg: NonlocalSchemeConfig,
                       slack: float) -> np.ndarray:
     speeds = np.asarray(cfg.velocity.eval(w_values), dtype=float)
     if cfg.kernel.orientation == "downstream":
-        if float(np.min(speeds)) < -slack:
+        if float(speeds.min()) < -slack:
             raise ModeViolationError(
-                f"flux velocity fell to {float(np.min(speeds)):g} < 0 in "
+                f"flux velocity fell to {float(speeds.min()):g} < 0 in "
                 "downstream mode; kernel orientation and velocity model are "
                 "mispaired"
             )
     else:
-        if float(np.max(speeds)) > slack:
+        if float(speeds.max()) > slack:
             raise ModeViolationError(
-                f"flux velocity rose to {float(np.max(speeds)):g} > 0 in "
+                f"flux velocity rose to {float(speeds.max()):g} > 0 in "
                 "upstream mode; kernel orientation and velocity model are "
                 "mispaired"
             )
     return speeds
 
 
-def _interface_fluxes(q_values: np.ndarray, speeds: np.ndarray,
-                      grid, orientation: str) -> np.ndarray:
-    if orientation == "downstream":
-        upwind = np.concatenate([[grid.left_farfield], q_values])
-    else:
-        upwind = np.concatenate([q_values, [grid.right_farfield]])
-    return speeds * upwind
-
-
-def step_upwind(q: CellField, cfg: NonlocalSchemeConfig, dt: float) -> CellField:
-    """One conservative upwind step of size ``dt``.
+def _upwind_flux(cfg: NonlocalSchemeConfig):
+    """Interface flux V(W) * q, with q taken from the upwind cell.
 
     Downstream mode upwinds from the left (the flux velocity is nonnegative
     there); upstream mode mirrors this.  Inflow at the upwind boundary uses
-    the far-field state.
+    the far-field state.  Every call checks the sign of V(W).
     """
-    w = nonlocal_term(q, cfg.kernel)
     slack = _SIGN_SLACK * max(1.0, cfg.velocity.max_abs_speed())
-    speeds = _interface_speeds(w.values, cfg, slack)
-    fluxes = _interface_fluxes(q.values, speeds, q.grid, cfg.kernel.orientation)
-    lam = dt / q.grid.dx
-    return CellField(grid=q.grid, values=q.values - lam * np.diff(fluxes))
+    downstream = cfg.kernel.orientation == "downstream"
+
+    def interface_flux(states: np.ndarray, w: np.ndarray, out: np.ndarray):
+        speeds = _interface_speeds(w, cfg, slack)
+        np.multiply(speeds, states[:-1] if downstream else states[1:], out=out)
+
+    return interface_flux
 
 
-def _snapshot_steps(times: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """Map each requested time to the nearest completed step."""
-    if times.size == 0:
-        return np.array([n_steps], dtype=int)
-    return np.clip(np.rint(times / dt).astype(int), 0, n_steps)
+def step_upwind(q: CellField, cfg: NonlocalSchemeConfig, dt: float) -> CellField:
+    """One conservative upwind step of size ``dt``."""
+    return integrate(q, _upwind_flux(cfg), dt, 1,
+                     nonlocal_term=kernel_operator(cfg.kernel, q.grid)).final_q()
 
 
 def solve_nonlocal(q0: CellField, cfg: NonlocalSchemeConfig) -> RunReport:
@@ -135,56 +117,10 @@ def solve_nonlocal(q0: CellField, cfg: NonlocalSchemeConfig) -> RunReport:
     Requires nonnegative initial data (far-fields included), matching the
     admissibility assumptions behind the declared orientation pairing.
     """
-    grid = q0.grid
-    floor = min(float(np.min(q0.values)), grid.left_farfield, grid.right_farfield)
+    floor, _ = data_range(q0)
     if floor < -1e-12 * max(1.0, float(np.max(np.abs(q0.values)))):
         raise ValueError("initial data must be nonnegative")
     dt = cfl_dt(q0, cfg)
     n_steps = max(1, int(round(cfg.t_end / dt)))
-    lam = dt / grid.dx
-
-    wanted = _snapshot_steps(cfg.snapshot_times, dt, n_steps)
-    sign_slack = _SIGN_SLACK * max(1.0, cfg.velocity.max_abs_speed())
-    snapshots: list[Snapshot] = []
-    tv_q = np.empty(n_steps + 1)
-    tv_w = np.empty(n_steps + 1)
-    mass = np.empty(n_steps + 1)
-    boundary_flux = 0.0
-    q_min = np.inf
-    q_max = -np.inf
-
-    values = q0.values.copy()
-    for step in range(n_steps + 1):
-        w = nonlocal_term(CellField(grid=grid, values=values), cfg.kernel)
-        tv_q[step] = total_variation_of(values, grid.left_farfield, grid.right_farfield)
-        tv_w[step] = total_variation_of(w.values, grid.left_farfield, grid.right_farfield)
-        mass[step] = grid.dx * float(np.sum(values))
-        q_min = min(q_min, float(np.min(values)))
-        q_max = max(q_max, float(np.max(values)))
-        for _ in range(int(np.sum(wanted == step))):
-            snapshots.append(
-                Snapshot(time=step * dt, q=CellField(grid=grid, values=values), w=w)
-            )
-        if step == n_steps:
-            break
-        speeds = _interface_speeds(w.values, cfg, sign_slack)
-        fluxes = _interface_fluxes(values, speeds, grid, cfg.kernel.orientation)
-        boundary_flux += dt * (fluxes[-1] - fluxes[0])
-        values = values - lam * np.diff(fluxes)
-        if not np.all(np.isfinite(values)):
-            raise NumericalBlowupError(
-                f"non-finite density after step {step + 1} (t = {(step + 1) * dt:g})",
-                step=step + 1,
-            )
-
-    return RunReport(
-        dt_used=dt,
-        n_steps=n_steps,
-        snapshots=tuple(snapshots),
-        tv_q_series=tv_q,
-        tv_w_series=tv_w,
-        mass_series=mass,
-        boundary_flux_integral=boundary_flux,
-        q_min_overall=q_min,
-        q_max_overall=q_max,
-    )
+    return integrate(q0, _upwind_flux(cfg), dt, n_steps, cfg.snapshot_times,
+                     nonlocal_term=kernel_operator(cfg.kernel, q0.grid))

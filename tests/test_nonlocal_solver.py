@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +202,38 @@ class TestSolveNonlocal:
         q0 = sample_profile(datum_profile, grid)
         report = solve_nonlocal(q0, make_config(eta=0.05, t_end=1.5))
         assert float(np.max(report.tv_q_series)) <= 2.0 + 2.0 * 1.0
+
+    def test_concurrent_runs_match_serial_runs(self, datum_profile):
+        # per-run buffers: runs sharing a kernel path must not share state
+        grid = Grid1D(-1.0, 2.0, 512)
+        q0 = sample_profile(datum_profile, grid)
+        configs = [
+            make_config(eta=0.05, t_end=0.5, snapshot_times=[0.0, 0.25, 0.5]),
+            make_config(eta=0.02, t_end=0.5, snapshot_times=[0.25, 0.5]),
+            make_config(eta=0.05, t_end=0.5, family="constant"),
+            make_config(eta=0.05, t_end=0.5, orientation="upstream",
+                        velocity=linear_increasing_velocity()),
+        ]
+        serial = [solve_nonlocal(q0, cfg) for cfg in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(solve_nonlocal, q0, cfg) for cfg in configs * 2]
+                concurrent = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for expected, got in zip(serial * 2, concurrent):
+            for name in ("tv_q_series", "tv_w_series", "mass_series"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name))
+            for name in ("dt_used", "n_steps", "boundary_flux_integral",
+                         "q_min_overall", "q_max_overall"):
+                assert getattr(got, name) == getattr(expected, name)
+            assert len(got.snapshots) == len(expected.snapshots)
+            for a, b in zip(got.snapshots, expected.snapshots):
+                assert a.time == b.time
+                assert np.array_equal(a.q.values, b.q.values)
+                assert np.array_equal(a.w.values, b.w.values)
 
     def test_upstream_run_mirrors_downstream(self, datum_profile):
         grid = Grid1D(-1.0, 2.0, 128)
