@@ -207,10 +207,17 @@ class VelocityModel:
         s = np.linspace(*self.admissible_range, MODE_CHECK_SAMPLES)
         return float(np.max(np.abs(self.eval(s))))
 
-    def covers(self, lo: float, hi: float) -> bool:
+    def check_admissible(self, values, what: str):
+        """Raise ValueError unless every entry of ``values`` lies in the
+        admissible range, up to a rounding-level slack (NaN never does);
+        ``what`` names the values in the message."""
+        lo, hi = float(np.min(values)), float(np.max(values))
         s_min, s_max = self.admissible_range
         slack = 1e-12 * max(1.0, abs(s_min), abs(s_max))
-        return s_min - slack <= lo and hi <= s_max + slack
+        if not (s_min - slack <= lo and hi <= s_max + slack):
+            raise ValueError(
+                f"{what} [{lo:g}, {hi:g}] leaves the admissible range [{s_min}, {s_max}]"
+            )
 
 
 def linear_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:

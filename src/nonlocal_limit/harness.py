@@ -44,10 +44,11 @@ from .diagnostics import (
     wq_identity_gap,
 )
 from .errors import ConfigError, NumericalBlowupError
-from .kernels import KERNEL_FAMILIES, ORIENTATIONS, KernelSpec
+from .kernels import KERNEL_FAMILIES, ORIENTATIONS, KernelSpec, check_pairing
 from .local_reference import FluxModel, solve_local
 from .nonlocal_solver import NonlocalSchemeConfig, solve_nonlocal
 from .report import RunReport
+from .stepping import check_time_settings
 
 PLOT_SCRIPT_NAME = "plot_results.py"
 
@@ -86,7 +87,7 @@ def _reject_unknown(mapping: dict, allowed, path: str):
 
 
 def _get_number(mapping: dict, key: str, default, path: str, *,
-                positive=False, nonnegative=False) -> float:
+                positive=False) -> float:
     raw = mapping.get(key, default)
     if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not np.isfinite(raw):
         raise ConfigError(f"{path}.{key} must be a finite number" if path
@@ -95,8 +96,6 @@ def _get_number(mapping: dict, key: str, default, path: str, *,
     where = f"{path}.{key}" if path else key
     if positive and value <= 0:
         raise ConfigError(f"{where} must be positive, got {value}")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{where} must be nonnegative, got {value}")
     return value
 
 
@@ -164,7 +163,7 @@ class ExperimentConfig:
     def window(self) -> Window:
         return Window(self.window_lo, self.window_hi)
 
-    def residual_test_function(self, amplitude: float = 1.0) -> TestFunction | None:
+    def residual_test_function(self) -> TestFunction | None:
         """Default space-time bump for the residual diagnostics.
 
         Its time radius is at least _RESIDUAL_MIN_RADIUS_STEPS estimated
@@ -187,7 +186,6 @@ class ExperimentConfig:
             t_radius=t_radius,
             x_center=0.5 * (self.x_min + self.x_max),
             x_radius=0.25 * (self.x_max - self.x_min),
-            amplitude=amplitude,
         )
 
     def merged_snapshot_times(self) -> np.ndarray:
@@ -210,7 +208,7 @@ class ExperimentConfig:
 
 def _default_snapshot_times(t_end: float) -> list[float]:
     times = list(np.round(np.arange(0.0, t_end + 1e-9, _DEFAULT_SNAPSHOT_SPACING), 12))
-    if times[-1] < t_end - 1e-12:
+    if not times or times[-1] < t_end - 1e-12:
         times.append(t_end)
     return [float(t) for t in times]
 
@@ -277,6 +275,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(
             f"kernel.orientation must be one of {ORIENTATIONS}, got {orientation!r}"
         )
+    check_pairing(orientation, _VELOCITY_BUILDERS[name](**dict(params)).mode)
 
     eta_list = _number_list(doc.get("eta_list", [0.1, 0.01, 0.001]), "eta_list")
     if not eta_list:
@@ -288,22 +287,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if b >= a:
             raise ConfigError(f"eta_list[{i + 1}] must be strictly smaller than eta_list[{i}]")
 
-    cfl = _get_number(doc, "cfl", 0.5, "", positive=True)
-    if cfl > 1.0:
-        raise ConfigError(f"cfl must lie in (0, 1], got {cfl}")
-    t_end = _get_number(doc, "t_end", 1.5, "", positive=True)
-
+    cfl = _get_number(doc, "cfl", 0.5, "")
+    t_end = _get_number(doc, "t_end", 1.5, "")
     snapshot_times = _number_list(
         doc.get("snapshot_times", _default_snapshot_times(t_end)), "snapshot_times"
     )
-    if any(t < 0 for t in snapshot_times):
-        raise ConfigError("snapshot_times must be nonnegative")
+    check_time_settings(cfl, t_end, snapshot_times)
     if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ConfigError("snapshot_times must be strictly increasing")
-    if snapshot_times and snapshot_times[-1] > t_end + 1e-12:
-        raise ConfigError(
-            f"snapshot_times[{len(snapshot_times) - 1}] exceeds t_end = {t_end}"
-        )
 
     window = _expect_mapping(doc.get("window", {}), "window")
     _reject_unknown(window, ("lo", "hi"), "window")
@@ -468,10 +459,11 @@ def _write_diagnostics_csv(path: Path, values: dict[str, float]):
 
 def _write_run_files(out_dir: Path, cfg: ExperimentConfig, report: RunReport,
                      q0: CellField, eta: float):
+    # diagnostics first: if they fail, no file of the run exists
+    diagnostics = _run_diagnostics(cfg, report, q0, eta)
     _write_snapshots_csv(out_dir / "snapshots.csv", report)
     _write_tv_series_csv(out_dir / "tv_series.csv", report)
-    _write_diagnostics_csv(out_dir / "diagnostics.csv",
-                           _run_diagnostics(cfg, report, q0, eta))
+    _write_diagnostics_csv(out_dir / "diagnostics.csv", diagnostics)
 
 
 def _scheme_for_eta(cfg: ExperimentConfig, eta: float) -> NonlocalSchemeConfig:
@@ -484,13 +476,14 @@ def _scheme_for_eta(cfg: ExperimentConfig, eta: float) -> NonlocalSchemeConfig:
     )
 
 
-def _solve_for_eta(cfg: ExperimentConfig, eta: float, n_cells: int) -> tuple[RunReport, CellField]:
+def _solve_for_eta(cfg: ExperimentConfig, scheme: NonlocalSchemeConfig,
+                   n_cells: int) -> tuple[RunReport, CellField]:
     q0 = sample_profile(cfg.build_profile(), cfg.build_grid(n_cells))
-    scheme = _scheme_for_eta(cfg, eta)
     try:
         return solve_nonlocal(q0, scheme), q0
     except NumericalBlowupError as exc:
-        raise NumericalBlowupError(f"eta = {eta!r}: {exc}", step=exc.step) from exc
+        raise NumericalBlowupError(f"eta = {scheme.kernel.eta!r}: {exc}",
+                                   step=exc.step) from exc
 
 
 def run_single(cfg: ExperimentConfig, eta: float, output_dir=None) -> RunReport:
@@ -500,7 +493,7 @@ def run_single(cfg: ExperimentConfig, eta: float, output_dir=None) -> RunReport:
     if not matched:
         raise ConfigError(f"eta = {eta!r} is not in the configured eta_list")
     eta = matched[0]
-    report, q0 = _solve_for_eta(cfg, eta, cfg.n_cells)
+    report, q0 = _solve_for_eta(cfg, _scheme_for_eta(cfg, eta), cfg.n_cells)
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     _write_run_files(out / eta_dirname(eta), cfg, report, q0, eta)
     return report
@@ -542,11 +535,14 @@ def sweep_cells_for_eta(cfg: ExperimentConfig, eta: float) -> int:
 def run_sweep(cfg: ExperimentConfig, output_dir=None) -> SweepResult:
     """Compare every configured eta against one fine-grid local reference.
 
-    Writes per-eta run files, the reference series and sweep.csv.
+    Writes per-eta run files, the reference series and sweep.csv.  Every
+    eta's grid and scheme are checked before the first solve.
     """
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     window = cfg.window()
     schedule = cfg.merged_snapshot_times()
+    runs = [(sweep_cells_for_eta(cfg, eta), _scheme_for_eta(cfg, eta))
+            for eta in cfg.eta_list]
 
     ref_grid = cfg.build_grid(cfg.n_cells * cfg.reference_refinement)
     ref_q0 = sample_profile(cfg.build_profile(), ref_grid)
@@ -558,9 +554,9 @@ def run_sweep(cfg: ExperimentConfig, output_dir=None) -> SweepResult:
 
     rows = []
     reports = []
-    for eta in cfg.eta_list:
-        n_eta = sweep_cells_for_eta(cfg, eta)
-        report, q0 = _solve_for_eta(cfg, eta, n_eta)
+    for n_eta, scheme in runs:
+        eta = scheme.kernel.eta
+        report, q0 = _solve_for_eta(cfg, scheme, n_eta)
         _write_run_files(out / eta_dirname(eta), cfg, report, q0, eta)
         final = report.snapshots[-1]
         rows.append({
@@ -612,8 +608,9 @@ def run_stability_probe(cfg: ExperimentConfig, delta: float,
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     q0 = sample_profile(cfg.build_profile(), cfg.build_grid(cfg.n_cells))
     scheme = _scheme_for_eta(cfg, cfg.eta_list[0])
+    perturbed_q0 = perturbed_initial_field(q0, delta)
     baseline = solve_nonlocal(q0, scheme)
-    perturbed = solve_nonlocal(perturbed_initial_field(q0, delta), scheme)
+    perturbed = solve_nonlocal(perturbed_q0, scheme)
     distance = sup_time_l1(perturbed, baseline, cfg.window(), compare="q")
     _write_csv(out / "probe.csv", ["delta", "sup_time_l1"],
                [[_fmt(delta), _fmt(distance)]])

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .core import CellField, Grid1D, InterfaceField
+from .errors import ConfigError
 
 KERNEL_FAMILIES = ("exponential", "constant")
 ORIENTATIONS = ("downstream", "upstream")
@@ -33,8 +34,8 @@ class KernelSpec:
     """Kernel family, length scale and orientation.
 
     Downstream (the average looks right) pairs with a decreasing velocity
-    model, upstream (looks left) with an increasing one; the pairing is
-    enforced where kernel and velocity meet, in the scheme configuration.
+    model, upstream (looks left) with an increasing one; ``check_pairing``
+    enforces this wherever kernel and velocity meet.
     """
 
     family: str
@@ -47,6 +48,16 @@ class KernelSpec:
         if self.orientation not in ORIENTATIONS:
             raise ValueError(f"unknown kernel orientation {self.orientation!r}")
         _require_positive_eta(self.eta)
+
+
+def check_pairing(orientation: str, velocity_mode: str):
+    """Require the velocity monotonicity that the kernel orientation pairs with."""
+    wanted = {"downstream": "decreasing", "upstream": "increasing"}[orientation]
+    if velocity_mode != wanted:
+        raise ConfigError(
+            f"kernel.orientation {orientation!r} requires velocity mode "
+            f"{wanted!r}, got {velocity_mode!r}"
+        )
 
 
 def _require_positive_eta(eta: float):

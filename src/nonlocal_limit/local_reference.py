@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellField, VelocityModel
+from .core import CellField, VelocityModel, data_range
 from .report import RunReport
-from .stepping import frozen_step, integrate
+from .stepping import check_time_settings, frozen_step, integrate
 
 _GOLDEN_TOL = 1e-12
 _UNIMODAL_SAMPLES = 2001
@@ -50,19 +50,21 @@ def _validate_unimodal(f, s_range: tuple[float, float], s_star: float):
     if np.any(diffs[rising] < -slack) or np.any(diffs[~rising] > slack):
         raise ValueError(
             "flux is not unimodal on the admissible range; only velocity "
-            "models with single-peaked flux s -> V(s)*s are supported"
+            "models whose flux s -> V(s)*s has a single extremum are supported"
         )
 
 
 def critical_density(velocity: VelocityModel) -> float:
-    """Density maximizing the flux V(s)*s on the admissible range.
+    """Density at the extremum of the flux V(s)*s on the admissible range:
+    its maximum for a decreasing V, its minimum for an increasing V.
 
-    Golden-section search to 1e-12 absolute; validates unimodality of the
-    flux by sampling and raises on failure.
+    Golden-section search to 1e-12 absolute; validates by sampling that the
+    flux has a single extremum and raises on failure.
     """
+    sign = 1.0 if velocity.mode == "decreasing" else -1.0  # sign * flux has a maximum
 
     def f(s):
-        return velocity.eval(s) * np.asarray(s, dtype=float)
+        return sign * velocity.eval(s) * np.asarray(s, dtype=float)
 
     s_star = _golden_section_max(f, *velocity.admissible_range)
     _validate_unimodal(f, velocity.admissible_range, s_star)
@@ -89,18 +91,9 @@ class FluxModel:
         return float(np.max(np.abs(f_prime)))
 
 
-def _check_in_range(values, flux: FluxModel, what: str):
-    arr = np.asarray(values, dtype=float)
-    lo, hi = float(np.min(arr)), float(np.max(arr))
-    if not flux.velocity.covers(lo, hi):
-        s_min, s_max = flux.velocity.admissible_range
-        raise ValueError(
-            f"{what} leaves the admissible range [{s_min}, {s_max}]: [{lo:g}, {hi:g}]"
-        )
-
-
 def _godunov_select(a, b, f_a, f_b, s_star: float, f_star: float, out: np.ndarray):
-    """Godunov flux between states a and b from their flux values.
+    """Godunov flux between states a and b from their flux values, for a flux
+    whose extremum at the critical density is a maximum.
 
     Closed form from the critical density: the minimum of a unimodal f over
     [a, b] sits at an endpoint, the maximum over [b, a] at an endpoint or at
@@ -112,17 +105,26 @@ def _godunov_select(a, b, f_a, f_b, s_star: float, f_star: float, out: np.ndarra
     return out
 
 
+def _godunov(a, b, f_a, f_b, flux: FluxModel, f_star: float, out: np.ndarray):
+    """Godunov flux for either flux shape: a flux with a minimum (increasing V)
+    is the mirror image F_f(a, b) = -F_{-f}(b, a) of one with a maximum."""
+    s_star = flux.critical_density
+    if flux.velocity.mode == "decreasing":
+        return _godunov_select(a, b, f_a, f_b, s_star, f_star, out)
+    _godunov_select(b, a, -f_b, -f_a, s_star, -f_star, out)
+    return np.negative(out, out=out)
+
+
 def godunov_flux(a, b, flux: FluxModel):
     """Entropy-consistent interface flux between left state a and right state b.
 
     Accepts scalars or arrays.
     """
-    _check_in_range(a, flux, "left state")
-    _check_in_range(b, flux, "right state")
+    flux.velocity.check_admissible(a, "left state")
+    flux.velocity.check_admissible(b, "right state")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    s_star = flux.critical_density
-    result = _godunov_select(a, b, flux.f(a), flux.f(b), s_star, float(flux.f(s_star)),
-                             np.empty(np.broadcast(a, b).shape))
+    result = _godunov(a, b, flux.f(a), flux.f(b), flux, float(flux.f(flux.critical_density)),
+                      np.empty(np.broadcast(a, b).shape))
     if np.ndim(result) == 0:
         return float(result)
     return result
@@ -131,13 +133,11 @@ def godunov_flux(a, b, flux: FluxModel):
 def _godunov_interface_flux(flux: FluxModel):
     """The Godunov scheme as an interface flux: f is evaluated once per step
     on the padded states, f(s*) once per run."""
-    s_star = flux.critical_density
-    f_star = float(flux.f(s_star))
+    f_star = float(flux.f(flux.critical_density))
 
     def interface_flux(states: np.ndarray, w, out: np.ndarray):
         f_states = flux.f(states)
-        _godunov_select(states[:-1], states[1:], f_states[:-1], f_states[1:],
-                        s_star, f_star, out)
+        _godunov(states[:-1], states[1:], f_states[:-1], f_states[1:], flux, f_star, out)
 
     return interface_flux
 
@@ -146,14 +146,8 @@ def solve_local(q0: CellField, flux: FluxModel, cfl: float, t_end: float,
                 snapshot_times=()) -> RunReport:
     """Godunov integration of the local law; same report contract as the
     nonlocal solver with the nonlocal-term fields omitted."""
-    if not (0.0 < cfl <= 1.0):
-        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    grid = q0.grid
-    _check_in_range(q0.values, flux, "initial data")
-    _check_in_range([grid.left_farfield, grid.right_farfield], flux, "far-field state")
-
-    dt = frozen_step(cfl, grid.dx, flux.max_wave_speed(), t_end)
+    times = check_time_settings(cfl, t_end, snapshot_times)
+    flux.velocity.check_admissible(data_range(q0), "initial data")
+    dt = frozen_step(cfl, q0.grid.dx, flux.max_wave_speed(), t_end)
     n_steps = max(1, int(round(t_end / dt)))
-    return integrate(q0, _godunov_interface_flux(flux), dt, n_steps, snapshot_times)
+    return integrate(q0, _godunov_interface_flux(flux), dt, n_steps, times)

@@ -16,9 +16,9 @@ import numpy as np
 
 from .core import CellField, VelocityModel, data_range
 from .errors import ModeViolationError
-from .kernels import KernelSpec, kernel_operator
+from .kernels import KernelSpec, check_pairing, kernel_operator
 from .report import RunReport
-from .stepping import frozen_step, integrate
+from .stepping import check_time_settings, frozen_step, integrate
 
 # Rounding-level negative velocities are admitted; anything beyond this slack
 # (relative to the velocity scale) signals a mispaired orientation.
@@ -36,34 +36,16 @@ class NonlocalSchemeConfig:
     snapshot_times: np.ndarray = field(default_factory=lambda: np.array([]))
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not (np.isfinite(self.t_end) and self.t_end > 0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        times = np.array(self.snapshot_times, dtype=float, copy=True)
-        if times.size and (np.any(np.diff(times) < 0) or times[0] < 0
-                           or times[-1] > self.t_end + 1e-12):
-            raise ValueError("snapshot_times must ascend within [0, t_end]")
+        times = check_time_settings(self.cfl, self.t_end, self.snapshot_times)
         times.setflags(write=False)
         object.__setattr__(self, "snapshot_times", times)
-        pairing = {"downstream": "decreasing", "upstream": "increasing"}
-        wanted = pairing[self.kernel.orientation]
-        if self.velocity.mode != wanted:
-            raise ValueError(
-                f"{self.kernel.orientation} orientation requires a {wanted} "
-                f"velocity model, got {self.velocity.mode}"
-            )
+        check_pairing(self.kernel.orientation, self.velocity.mode)
 
 
 def cfl_dt(q0: CellField, cfg: NonlocalSchemeConfig) -> float:
     """Frozen time step cfl * dx / max|V|, shrunk so t_end is a whole number
     of steps.  A velocity bound of zero means stasis: dt = t_end."""
-    lo, hi = data_range(q0)
-    if not cfg.velocity.covers(lo, hi):
-        raise ValueError(
-            f"initial data range [{lo:g}, {hi:g}] exceeds the velocity model's "
-            f"admissible range {cfg.velocity.admissible_range}"
-        )
+    cfg.velocity.check_admissible(data_range(q0), "initial data")
     return frozen_step(cfg.cfl, q0.grid.dx, cfg.velocity.max_abs_speed(), cfg.t_end)
 
 

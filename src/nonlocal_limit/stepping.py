@@ -16,8 +16,22 @@ import numpy as np
 
 from .core import CellField, InterfaceField
 from .diagnostics import total_variation_of
-from .errors import NumericalBlowupError
+from .errors import ConfigError, NumericalBlowupError
 from .report import RunReport, Snapshot
+
+
+def check_time_settings(cfl: float, t_end: float, snapshot_times=()) -> np.ndarray:
+    """Require cfl in (0, 1], a positive t_end and snapshot times ascending
+    within [0, t_end]; return the times as a new float array."""
+    if not (0.0 < cfl <= 1.0):
+        raise ConfigError(f"cfl must lie in (0, 1], got {cfl}")
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise ConfigError(f"t_end must be positive, got {t_end}")
+    times = np.array(snapshot_times, dtype=float)
+    if times.size and (np.any(np.diff(times) < 0) or times[0] < 0
+                       or times[-1] > t_end + 1e-12):
+        raise ConfigError("snapshot_times must ascend within [0, t_end]")
+    return times
 
 
 def frozen_step(cfl: float, dx: float, speed: float, t_end: float) -> float:

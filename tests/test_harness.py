@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nonlocal_limit.cli as cli
+import nonlocal_limit.harness as harness
 from nonlocal_limit import (
     ConfigError,
     FluxModel,
@@ -100,6 +101,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cfl"):
             parse_config(json.dumps({"cfl": 1.5}))
 
+    @pytest.mark.parametrize("doc", [
+        {"kernel": {"orientation": "upstream"}},
+        {"velocity": {"name": "linear_increasing"}},
+    ])
+    def test_mispaired_orientation_rejected(self, doc):
+        with pytest.raises(ConfigError, match="kernel.orientation"):
+            parse_config(json.dumps(doc))
+
     def test_reference_refinement_minimum(self):
         with pytest.raises(ConfigError, match="reference_refinement"):
             parse_config(json.dumps({"reference_refinement": 2}))
@@ -185,6 +194,32 @@ class TestRunSweep:
         cfg = small_config(eta_list=[0.3, 0.02])
         with pytest.raises(ConfigError, match="reference_refinement"):
             sweep_cells_for_eta(cfg, 0.02)
+
+    def test_upstream_sweep_mirrors_downstream_sweep(self, tmp_path):
+        # x -> -x maps the downstream law with V = 1 - s on [-1, 2] onto the
+        # upstream law with V = s - 1 on [-2, 1], Godunov reference included.
+        # The W columns are left out: W is restricted to each cell's left
+        # interface, which the mirror does not preserve.
+        down = small_config(eta_list=[0.3, 0.15], t_end=0.5)
+        up = small_config(
+            eta_list=[0.3, 0.15], t_end=0.5,
+            grid={"x_min": -2.0, "x_max": 1.0, "n_cells": 256},
+            profile={"breakpoints": [-2.0 / 3.0, -1.0 / 3.0, 0.0],
+                     "levels": [1.0, 0.0, 0.5, 0.0]},
+            velocity={"name": "linear_increasing"},
+            kernel={"orientation": "upstream"},
+        )
+        down_result = run_sweep(down, output_dir=tmp_path / "down")
+        up_result = run_sweep(up, output_dir=tmp_path / "up")
+        for down_row, up_row in zip(down_result.rows, up_result.rows, strict=True):
+            for column in ("sup_time_l1_q_vs_ref", "tv_W_max", "tv_q_final"):
+                assert up_row[column] == pytest.approx(down_row[column], abs=1e-12)
+        down_snaps = down_result.reference.snapshots
+        up_snaps = up_result.reference.snapshots
+        assert len(up_snaps) == len(down_snaps)
+        for down_snap, up_snap in zip(down_snaps, up_snaps):
+            np.testing.assert_allclose(up_snap.q.values, down_snap.q.values[::-1],
+                                       rtol=0.0, atol=1e-12)
 
     def test_single_entry_sweep_matches_manual_composition(self, tmp_path):
         cfg = small_config()
@@ -311,6 +346,30 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert "eta_list[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {**SMALL_DOC, "eta_list": [0.3, 0.02]},  # no integer reference refinement
+        {**SMALL_DOC, "kernel": {"orientation": "upstream"}},  # mispaired
+    ])
+    def test_failed_sweep_check_writes_nothing(self, tmp_path, capsys, doc):
+        config = self.write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_run_diagnostics_write_nothing(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("synthetic diagnostics failure")
+
+        monkeypatch.setattr(harness, "_run_diagnostics", fail)
+        config = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", str(config), "--eta", "0.3",
+                         "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),

@@ -8,6 +8,7 @@ from nonlocal_limit import (
     constant_velocity,
     critical_density,
     godunov_flux,
+    linear_increasing_velocity,
     linear_velocity,
     quadratic_velocity,
     sample_profile,
@@ -41,6 +42,10 @@ class TestCriticalDensity:
         s_star = critical_density(velocity)
         assert s_star == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-7)
         assert s_star == pytest.approx(grid_search_argmax(velocity), abs=2e-6)
+
+    def test_increasing_velocity_takes_the_flux_minimum(self):
+        # f(s) = s(s - 1) is convex with its minimum at 1/2
+        assert critical_density(linear_increasing_velocity()) == pytest.approx(0.5, abs=1e-7)
 
     def test_bimodal_flux_rejected(self):
         # decreasing velocity whose flux s*V(s) has two humps
@@ -82,6 +87,14 @@ class TestGodunovFlux:
             godunov_flux(-0.2, 0.5, flux)
         with pytest.raises(ValueError, match="admissible"):
             godunov_flux(0.5, 1.2, flux)
+
+    def test_convex_flux_mirrors_concave_flux(self, flux):
+        # s(s - 1) = -s(1 - s), so F(a, b) = -F_concave(b, a) exactly
+        convex = FluxModel(velocity=linear_increasing_velocity())
+        s = np.linspace(0.0, 1.0, 41)
+        a, b = np.meshgrid(s, s, indexing="ij")
+        assert np.array_equal(godunov_flux(a, b, convex), -godunov_flux(b, a, flux))
+        assert godunov_flux(0.0, 1.0, convex) == pytest.approx(-0.25, rel=1e-10)
 
     def test_monotone_in_both_arguments(self, flux):
         s = np.linspace(0.0, 1.0, 100)

@@ -45,20 +45,36 @@ def make_config(eta=0.05, velocity=None, cfl=0.5, t_end=0.5, snapshot_times=(),
     )
 
 
+def local_run(cfl=0.5, t_end=0.5, snapshot_times=()):
+    """solve_local on a small grid with make_config's time settings."""
+    q0 = sample_profile(constant_profile(0.5), Grid1D(0.0, 1.0, 16))
+    return solve_local(q0, FluxModel(velocity=linear_velocity()), cfl=cfl,
+                       t_end=t_end, snapshot_times=snapshot_times)
+
+
+# both entry points that take time settings must reject the same ones
+TIME_SETTINGS_ENTRY_POINTS = (make_config, local_run)
+
+
 class TestConfig:
     def test_rejects_bad_cfl(self):
-        with pytest.raises(ValueError):
-            make_config(cfl=0.0)
-        with pytest.raises(ValueError):
-            make_config(cfl=1.5)
+        for entry in TIME_SETTINGS_ENTRY_POINTS:
+            with pytest.raises(ValueError, match="cfl"):
+                entry(cfl=0.0)
+            with pytest.raises(ValueError, match="cfl"):
+                entry(cfl=1.5)
 
     def test_rejects_unsorted_snapshots(self):
-        with pytest.raises(ValueError):
-            make_config(snapshot_times=[0.3, 0.1])
+        for entry in TIME_SETTINGS_ENTRY_POINTS:
+            with pytest.raises(ValueError, match="snapshot_times"):
+                entry(snapshot_times=[0.3, 0.1])
 
     def test_rejects_snapshots_past_t_end(self):
-        with pytest.raises(ValueError):
-            make_config(t_end=1.0, snapshot_times=[0.5, 1.2])
+        for entry in TIME_SETTINGS_ENTRY_POINTS:
+            with pytest.raises(ValueError, match="snapshot_times"):
+                entry(t_end=1.0, snapshot_times=[0.5, 1.2])
+            with pytest.raises(ValueError, match="snapshot_times"):
+                entry(t_end=1.0, snapshot_times=[-1.0, 0.2])
 
     def test_orientation_velocity_pairing_enforced(self):
         with pytest.raises(ValueError, match="downstream"):
