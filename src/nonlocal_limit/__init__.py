@@ -33,7 +33,6 @@ from .diagnostics import (
 from .errors import ConfigError, ModeViolationError, NumericalBlowupError
 from .kernels import (
     KernelSpec,
-    mirror_field,
     nonlocal_constant,
     nonlocal_exponential,
     nonlocal_term,
@@ -69,7 +68,6 @@ __all__ = [
     "l1_distance",
     "linear_increasing_velocity",
     "linear_velocity",
-    "mirror_field",
     "nonlocal_constant",
     "nonlocal_exponential",
     "nonlocal_term",

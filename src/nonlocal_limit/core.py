@@ -231,12 +231,13 @@ def linear_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
 
 
 def constant_velocity(value: float, s_max: float = 1.0) -> VelocityModel:
-    """V identically ``value``; the nonlocal coupling is inert."""
+    """V identically ``value``; the nonlocal coupling is inert.  The mode
+    follows the sign of ``value``: a negative one pairs with upstream kernels."""
     return VelocityModel(
         eval=lambda s: np.full_like(np.asarray(s, dtype=float), value),
         deriv=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         admissible_range=(0.0, s_max),
-        mode="decreasing",
+        mode="decreasing" if value >= 0 else "increasing",
     )
 
 

@@ -1,11 +1,8 @@
 """Configuration parsing, experiment orchestration and CSV emission.
 
-Configs are JSON documents with the keys of ExperimentConfig; unknown keys
-are rejected with their key path.  Every omitted key falls back to the
-default experiment: domain [-1, 2] with 4096 cells, the three-jump reference
-datum, V(s) = 1 - s, exponential downstream kernel, eta list
-[0.1, 0.01, 0.001], cfl 0.5, horizon 1.5 with snapshots every 0.05, window
-[-1, 2], reference refinement 8.
+Configs are JSON documents.  ExperimentConfig declares each key once, with
+its check and default; unknown keys are rejected with their key path, and
+the defaults reproduce the reference experiment.
 
 All CSV output is deterministic: floats carry 17 significant digits, rows are
 ordered, and nothing time- or host-dependent is written.
@@ -27,6 +24,7 @@ from .core import (
     VelocityModel,
     constant_velocity,
     data_range,
+    default_datum_profile,
     linear_increasing_velocity,
     linear_velocity,
     quadratic_velocity,
@@ -61,88 +59,157 @@ _RESIDUAL_BAND_INTERVALS = 75
 _RESIDUAL_MIN_RADIUS_STEPS = 76.0
 _ENTROPY_LEVEL_FRACTIONS = (0.25, 0.5, 0.75)
 
-_VELOCITY_BUILDERS = {
-    "linear": linear_velocity,
-    "constant": constant_velocity,
-    "quadratic": quadratic_velocity,
-    "linear_increasing": linear_increasing_velocity,
-}
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _expect_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
+# Checks of single config keys: each takes the raw value and its key path and
+# returns the value the config holds, or raises ConfigError naming the path.
+
+def _object(raw, path: str) -> dict:
+    if not isinstance(raw, dict):
         raise ConfigError(f"{path} must be an object")
-    return value
-
-
-def _reject_unknown(mapping: dict, allowed, path: str):
-    for key in mapping:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown key {where}")
-
-
-def _get_number(mapping: dict, key: str, default, path: str, *,
-                positive=False) -> float:
-    raw = mapping.get(key, default)
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not np.isfinite(raw):
-        raise ConfigError(f"{path}.{key} must be a finite number" if path
-                          else f"{key} must be a finite number")
-    value = float(raw)
-    where = f"{path}.{key}" if path else key
-    if positive and value <= 0:
-        raise ConfigError(f"{where} must be positive, got {value}")
-    return value
-
-
-def _get_int(mapping: dict, key: str, default, path: str, *, minimum=None) -> int:
-    raw = mapping.get(key, default)
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"{where} must be an integer")
-    if minimum is not None and raw < minimum:
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"{where} must be >= {minimum}, got {raw}")
     return raw
 
 
-def _number_list(raw, path: str) -> list[float]:
-    if not isinstance(raw, list):
-        raise ConfigError(f"{path} must be a list of numbers")
-    values = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, (int, float)) or isinstance(entry, bool) \
-                or not np.isfinite(entry):
-            raise ConfigError(f"{path}[{i}] must be a finite number")
-        values.append(float(entry))
-    return values
+def _finite(raw, path: str) -> float:
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not np.isfinite(raw):
+        raise ConfigError(f"{path} must be a finite number")
+    return float(raw)
+
+
+def _positive(raw, path: str) -> float:
+    value = _finite(raw, path)
+    if value <= 0:
+        raise ConfigError(f"{path} must be positive, got {value}")
+    return value
+
+
+def _integer(minimum: int):
+    def check(raw, path: str) -> int:
+        if not isinstance(raw, int) or isinstance(raw, bool):
+            raise ConfigError(f"{path} must be an integer")
+        if raw < minimum:
+            raise ConfigError(f"{path} must be >= {minimum}, got {raw}")
+        return raw
+    return check
+
+
+def _nonnegative(raw, path: str) -> float:
+    value = _finite(raw, path)
+    if value < 0:
+        raise ConfigError(f"{path} must be nonnegative, got {value}")
+    return value
+
+
+def _numbers(entry=_finite, rule=None):
+    """A list of numbers, each passing ``entry``, held as a tuple;
+    ``rule(values, path)`` checks the list as a whole."""
+    def check(raw, path: str) -> tuple:
+        if not isinstance(raw, list):
+            raise ConfigError(f"{path} must be a list of numbers")
+        values = tuple(entry(value, f"{path}[{i}]") for i, value in enumerate(raw))
+        if rule is not None:
+            rule(values, path)
+        return values
+    return check
+
+
+def _one_of(options):
+    def check(raw, path: str):
+        if raw not in options:
+            raise ConfigError(f"{path} must be one of {options}, got {raw!r}")
+        return raw
+    return check
+
+
+def _nonempty_string(raw, path: str) -> str:
+    if not isinstance(raw, str) or not raw:
+        raise ConfigError(f"{path} must be a nonempty string")
+    return raw
+
+
+def _strictly_increasing(values: tuple, path: str):
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{path} must be strictly increasing")
+
+
+def _nonempty_decreasing(values: tuple, path: str):
+    if not values:
+        raise ConfigError(f"{path} must not be empty")
+    for i, (a, b) in enumerate(zip(values, values[1:])):
+        if b >= a:
+            raise ConfigError(f"{path}[{i + 1}] must be strictly smaller than {path}[{i}]")
+
+
+def _default_snapshot_times(t_end: float) -> list[float]:
+    times = list(np.round(np.arange(0.0, t_end + 1e-9, _DEFAULT_SNAPSHOT_SPACING), 12))
+    if not times or times[-1] < t_end - 1e-12:
+        times.append(t_end)
+    return [float(t) for t in times]
+
+
+def _key(path: str, check=None, default=None, variants=None):
+    """Declare the config key ``path`` ("section.key", or "key" at the top).
+
+    ``check(raw, path)`` returns the value the config holds for a given raw
+    value; ``default`` stands in for a missing one, and a callable default
+    is called with the values resolved so far and the key's section (None
+    when the document has none).  With ``variants``, ``path`` is a section
+    whose further keys ``variants(values)`` lists as (key, check, default);
+    the field holds them as (key, value) pairs.
+    """
+    section, _, key = (path, None, None) if variants else path.rpartition(".")
+    return dataclasses.field(metadata={"section": section, "key": key, "check": check,
+                                       "default": default, "variants": variants})
+
+
+_S_MAX = ("s_max", _positive, 1.0)
+_V_MAX = ("v_max", _positive, 1.0)
+# velocity.name -> the model's builder and its parameter keys
+_VELOCITIES = {
+    "linear": (linear_velocity, (_V_MAX, _S_MAX)),
+    "constant": (constant_velocity, (("value", _finite, 1.0), _S_MAX)),
+    "quadratic": (quadratic_velocity, (_V_MAX, _S_MAX)),
+    "linear_increasing": (linear_increasing_velocity, (_V_MAX, _S_MAX)),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description.
 
-    x_min: float
-    x_max: float
-    n_cells: int
-    breakpoints: tuple
-    levels: tuple
-    velocity_name: str
-    velocity_params: tuple
-    kernel_family: str
-    kernel_orientation: str
-    eta_list: tuple
-    cfl: float
-    t_end: float
-    snapshot_times: tuple
-    window_lo: float
-    window_hi: float
-    reference_refinement: int
-    output_dir: str
+    Each field declares the config key it is read from, with the key's
+    check and default (see ``_key``); ``config_from_dict`` and
+    ``serialize_config`` walk these declarations.
+    """
+
+    x_min: float = _key("grid.x_min", _finite, -1.0)
+    x_max: float = _key("grid.x_max", _finite, 2.0)
+    n_cells: int = _key("grid.n_cells", _integer(2), 4096)
+    # no profile section: the three-jump datum; a partial one: no jumps, level 0
+    breakpoints: tuple = _key(
+        "profile.breakpoints", _numbers(rule=_strictly_increasing),
+        lambda _, given: [] if given is not None else default_datum_profile().breakpoints.tolist())
+    levels: tuple = _key(
+        "profile.levels", _numbers(_nonnegative),
+        lambda _, given: [0.0] if given is not None else default_datum_profile().levels.tolist())
+    velocity_name: str = _key("velocity.name", _one_of(sorted(_VELOCITIES)), "linear")
+    velocity_params: tuple = _key(
+        "velocity", variants=lambda values: _VELOCITIES[values["velocity_name"]][1])
+    kernel_family: str = _key("kernel.family", _one_of(KERNEL_FAMILIES), "exponential")
+    kernel_orientation: str = _key("kernel.orientation", _one_of(ORIENTATIONS), "downstream")
+    eta_list: tuple = _key("eta_list", _numbers(_positive, _nonempty_decreasing),
+                           [0.1, 0.01, 0.001])
+    cfl: float = _key("cfl", _finite, 0.5)
+    t_end: float = _key("t_end", _finite, 1.5)
+    snapshot_times: tuple = _key("snapshot_times", _numbers(rule=_strictly_increasing),
+                                 lambda values, _: _default_snapshot_times(values["t_end"]))
+    window_lo: float = _key("window.lo", _finite, lambda values, _: values["x_min"])
+    window_hi: float = _key("window.hi", _finite, lambda values, _: values["x_max"])
+    reference_refinement: int = _key("reference_refinement", _integer(4), 8)
+    output_dir: str = _key("output_dir", _nonempty_string, "out")
 
     def build_grid(self, n_cells: int | None = None) -> Grid1D:
         return Grid1D(x_min=self.x_min, x_max=self.x_max,
@@ -154,7 +221,8 @@ class ExperimentConfig:
         )
 
     def build_velocity(self) -> VelocityModel:
-        return _VELOCITY_BUILDERS[self.velocity_name](**dict(self.velocity_params))
+        build, _ = _VELOCITIES[self.velocity_name]
+        return build(**dict(self.velocity_params))
 
     def kernel_spec(self, eta: float) -> KernelSpec:
         return KernelSpec(family=self.kernel_family, eta=eta,
@@ -206,130 +274,51 @@ class ExperimentConfig:
         return merged[(merged >= 0.0) & (merged <= self.t_end + 1e-12)]
 
 
-def _default_snapshot_times(t_end: float) -> list[float]:
-    times = list(np.round(np.arange(0.0, t_end + 1e-9, _DEFAULT_SNAPSHOT_SPACING), 12))
-    if not times or times[-1] < t_end - 1e-12:
-        times.append(t_end)
-    return [float(t) for t in times]
-
-
-_TOP_LEVEL_KEYS = (
-    "grid", "profile", "velocity", "kernel", "eta_list", "cfl", "t_end",
-    "snapshot_times", "window", "reference_refinement", "output_dir",
-)
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    _expect_mapping(doc, "config")
-    _reject_unknown(doc, _TOP_LEVEL_KEYS, "")
+    """Resolve a config document against the keys declared on
+    ExperimentConfig, then check the rules that join several keys."""
+    given = {"": dict(_object(doc, "config"))}  # emptied as keys resolve
+    values = {}
 
-    grid = _expect_mapping(doc.get("grid", {}), "grid")
-    _reject_unknown(grid, ("x_min", "x_max", "n_cells"), "grid")
-    x_min = _get_number(grid, "x_min", -1.0, "grid")
-    x_max = _get_number(grid, "x_max", 2.0, "grid")
-    if x_min >= x_max:
-        raise ConfigError(f"grid.x_min must be < grid.x_max, got [{x_min}, {x_max}]")
-    n_cells = _get_int(grid, "n_cells", 4096, "grid", minimum=2)
+    def resolve(section: str, key: str, check, default):
+        mapping = given[section]
+        if mapping is not None and key in mapping:
+            raw = mapping.pop(key)
+        else:
+            raw = default(values, mapping) if callable(default) else default
+        return check(raw, f"{section}.{key}" if section else key)
 
-    profile = _expect_mapping(
-        doc.get("profile", {"breakpoints": [0.0, 1.0 / 3.0, 2.0 / 3.0],
-                            "levels": [0.0, 0.5, 0.0, 1.0]}),
-        "profile",
-    )
-    _reject_unknown(profile, ("breakpoints", "levels"), "profile")
-    breakpoints = _number_list(profile.get("breakpoints", []), "profile.breakpoints")
-    levels = _number_list(profile.get("levels", [0.0]), "profile.levels")
-    if len(levels) != len(breakpoints) + 1:
+    for field in dataclasses.fields(ExperimentConfig):
+        meta = field.metadata
+        section, key = meta["section"], meta["key"]
+        if section not in given:
+            given[section] = (dict(_object(given[""].pop(section), section))
+                              if section in given[""] else None)
+        if key is None:
+            values[field.name] = tuple((name, resolve(section, name, check, default))
+                                       for name, check, default in meta["variants"](values))
+        else:
+            values[field.name] = resolve(section, key, meta["check"], meta["default"])
+    for section, mapping in given.items():
+        for key in mapping or ():
+            raise ConfigError(f"unknown key {section + '.' if section else ''}{key}")
+
+    cfg = ExperimentConfig(**values)
+    if cfg.x_min >= cfg.x_max:
+        raise ConfigError(f"grid.x_min must be < grid.x_max, got [{cfg.x_min}, {cfg.x_max}]")
+    if len(cfg.levels) != len(cfg.breakpoints) + 1:
         raise ConfigError(
-            f"profile.levels needs {len(breakpoints) + 1} entries (one more than "
-            f"breakpoints), got {len(levels)}"
+            f"profile.levels needs {len(cfg.breakpoints) + 1} entries (one more than "
+            f"breakpoints), got {len(cfg.levels)}"
         )
-    if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
-        raise ConfigError("profile.breakpoints must be strictly increasing")
-    for i, level in enumerate(levels):
-        if level < 0:
-            raise ConfigError(f"profile.levels[{i}] must be nonnegative, got {level}")
-
-    velocity = _expect_mapping(doc.get("velocity", {}), "velocity")
-    name = velocity.get("name", "linear")
-    if name not in _VELOCITY_BUILDERS:
+    check_pairing(cfg.kernel_orientation, cfg.build_velocity().mode)
+    check_time_settings(cfg.cfl, cfg.t_end, cfg.snapshot_times)
+    if not (cfg.x_min - 1e-12 <= cfg.window_lo < cfg.window_hi <= cfg.x_max + 1e-12):
         raise ConfigError(
-            f"velocity.name must be one of {sorted(_VELOCITY_BUILDERS)}, got {name!r}"
+            f"window [{cfg.window_lo}, {cfg.window_hi}] must sit inside the grid domain "
+            f"[{cfg.x_min}, {cfg.x_max}]"
         )
-    if name == "constant":
-        _reject_unknown(velocity, ("name", "value", "s_max"), "velocity")
-        params = (("value", _get_number(velocity, "value", 1.0, "velocity")),
-                  ("s_max", _get_number(velocity, "s_max", 1.0, "velocity", positive=True)))
-    else:
-        _reject_unknown(velocity, ("name", "v_max", "s_max"), "velocity")
-        params = (("v_max", _get_number(velocity, "v_max", 1.0, "velocity", positive=True)),
-                  ("s_max", _get_number(velocity, "s_max", 1.0, "velocity", positive=True)))
-
-    kernel = _expect_mapping(doc.get("kernel", {}), "kernel")
-    _reject_unknown(kernel, ("family", "orientation"), "kernel")
-    family = kernel.get("family", "exponential")
-    if family not in KERNEL_FAMILIES:
-        raise ConfigError(f"kernel.family must be one of {KERNEL_FAMILIES}, got {family!r}")
-    orientation = kernel.get("orientation", "downstream")
-    if orientation not in ORIENTATIONS:
-        raise ConfigError(
-            f"kernel.orientation must be one of {ORIENTATIONS}, got {orientation!r}"
-        )
-    check_pairing(orientation, _VELOCITY_BUILDERS[name](**dict(params)).mode)
-
-    eta_list = _number_list(doc.get("eta_list", [0.1, 0.01, 0.001]), "eta_list")
-    if not eta_list:
-        raise ConfigError("eta_list must not be empty")
-    for i, eta in enumerate(eta_list):
-        if eta <= 0:
-            raise ConfigError(f"eta_list[{i}] must be positive, got {eta}")
-    for i, (a, b) in enumerate(zip(eta_list, eta_list[1:])):
-        if b >= a:
-            raise ConfigError(f"eta_list[{i + 1}] must be strictly smaller than eta_list[{i}]")
-
-    cfl = _get_number(doc, "cfl", 0.5, "")
-    t_end = _get_number(doc, "t_end", 1.5, "")
-    snapshot_times = _number_list(
-        doc.get("snapshot_times", _default_snapshot_times(t_end)), "snapshot_times"
-    )
-    check_time_settings(cfl, t_end, snapshot_times)
-    if any(b <= a for a, b in zip(snapshot_times, snapshot_times[1:])):
-        raise ConfigError("snapshot_times must be strictly increasing")
-
-    window = _expect_mapping(doc.get("window", {}), "window")
-    _reject_unknown(window, ("lo", "hi"), "window")
-    window_lo = _get_number(window, "lo", x_min, "window")
-    window_hi = _get_number(window, "hi", x_max, "window")
-    if not (x_min - 1e-12 <= window_lo < window_hi <= x_max + 1e-12):
-        raise ConfigError(
-            f"window [{window_lo}, {window_hi}] must sit inside the grid domain "
-            f"[{x_min}, {x_max}]"
-        )
-
-    reference_refinement = _get_int(doc, "reference_refinement", 8, "", minimum=4)
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir must be a nonempty string")
-
-    return ExperimentConfig(
-        x_min=x_min,
-        x_max=x_max,
-        n_cells=n_cells,
-        breakpoints=tuple(breakpoints),
-        levels=tuple(levels),
-        velocity_name=name,
-        velocity_params=params,
-        kernel_family=family,
-        kernel_orientation=orientation,
-        eta_list=tuple(eta_list),
-        cfl=cfl,
-        t_end=t_end,
-        snapshot_times=tuple(snapshot_times),
-        window_lo=window_lo,
-        window_hi=window_hi,
-        reference_refinement=reference_refinement,
-        output_dir=output_dir,
-    )
+    return cfg
 
 
 def parse_config(document: str) -> ExperimentConfig:
@@ -343,19 +332,15 @@ def parse_config(document: str) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit the fully resolved config; parse(serialize(cfg)) == cfg."""
-    doc = {
-        "grid": {"x_min": cfg.x_min, "x_max": cfg.x_max, "n_cells": cfg.n_cells},
-        "profile": {"breakpoints": list(cfg.breakpoints), "levels": list(cfg.levels)},
-        "velocity": {"name": cfg.velocity_name, **dict(cfg.velocity_params)},
-        "kernel": {"family": cfg.kernel_family, "orientation": cfg.kernel_orientation},
-        "eta_list": list(cfg.eta_list),
-        "cfl": cfg.cfl,
-        "t_end": cfg.t_end,
-        "snapshot_times": list(cfg.snapshot_times),
-        "window": {"lo": cfg.window_lo, "hi": cfg.window_hi},
-        "reference_refinement": cfg.reference_refinement,
-        "output_dir": cfg.output_dir,
-    }
+    doc = {}
+    for field in dataclasses.fields(cfg):
+        section, key = field.metadata["section"], field.metadata["key"]
+        target = doc.setdefault(section, {}) if section else doc
+        value = getattr(cfg, field.name)
+        if key is None:
+            target.update(value)
+        else:
+            target[key] = list(value) if isinstance(value, tuple) else value
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import CellField, Grid1D, InterfaceField
 from .errors import ConfigError
@@ -77,6 +76,7 @@ def _exponential_operator(dx: float, n_cells: int, eta: float, farfield: float):
     which runs as a linear recurrence over the reversed cell values.  The
     seed is exact because the density is constant beyond x_max.
     """
+    from scipy.signal import lfilter  # imported here: it costs ~1 s and ~75 MB
     alpha = float(np.exp(-dx / eta))
     numerator = np.array([1.0 - alpha])
     denominator = np.array([1.0, -alpha])
@@ -187,15 +187,3 @@ def reconstruct_density(w: InterfaceField, eta: float) -> CellField:
         )
     values = (w.values[:-1] - alpha * w.values[1:]) / (1.0 - alpha)
     return CellField(grid=grid, values=values)
-
-
-def mirror_field(q: CellField) -> CellField:
-    """Reflect a cell field through the origin (grid, values and far-fields)."""
-    mirrored_grid = Grid1D(
-        x_min=-q.grid.x_max,
-        x_max=-q.grid.x_min,
-        n_cells=q.grid.n_cells,
-        left_farfield=q.grid.right_farfield,
-        right_farfield=q.grid.left_farfield,
-    )
-    return CellField(grid=mirrored_grid, values=q.values[::-1])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nonlocal_limit import (
+    CellField,
     Grid1D,
     PiecewiseConstantProfile,
     linear_velocity,
@@ -36,3 +37,15 @@ def step_profile(position=0.0, left=0.0, right=1.0):
     return PiecewiseConstantProfile(
         breakpoints=np.array([position]), levels=np.array([left, right])
     )
+
+
+def mirror_field(q):
+    """Reflect a cell field through the origin (grid, values and far-fields)."""
+    mirrored_grid = Grid1D(
+        x_min=-q.grid.x_max,
+        x_max=-q.grid.x_min,
+        n_cells=q.grid.n_cells,
+        left_farfield=q.grid.right_farfield,
+        right_farfield=q.grid.left_farfield,
+    )
+    return CellField(grid=mirrored_grid, values=q.values[::-1])

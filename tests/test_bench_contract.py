@@ -1,0 +1,52 @@
+"""The package surface the benchmark in ``perfbench/`` uses.
+
+The benchmark reads config and report attributes by name, so a rename in
+the package makes it crash while every other test passes.  These tests
+drive the benchmark's own set-up, gate and gate self-test (imported, not
+copied) on a small scale.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gate
+    import run
+    import workloads
+
+    nl, _ = run.import_package()
+    run_sweep = nl.cli.run_sweep
+    try:
+        yield nl, workloads, gate
+    finally:
+        nl.cli.run_sweep = run_sweep  # the SweepCli constructor replaces it
+        for name in ("gate", "run", "workloads"):
+            sys.modules.pop(name, None)
+
+
+def test_every_workload_sets_up(bench, tmp_path):
+    nl, workloads, _ = bench
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload(nl, 1, workdir).setup()
+
+
+def test_nonlocal_mix_unit_passes_the_gate(bench, tmp_path):
+    nl, workloads, gate = bench
+    workload = workloads.NonlocalMix(nl, 1, tmp_path)
+    workload.setup()
+    datum_max = max(workloads.seeded_profile(1)["levels"])
+    assert gate.check_unit(nl, workload.unit(tmp_path), datum_max, None) == []
+
+
+def test_gate_self_test(bench):
+    nl, workloads, gate = bench
+    assert gate.self_test(nl, workloads.seeded_profile(1)) == []

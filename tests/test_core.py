@@ -136,6 +136,8 @@ class TestVelocityModel:
         assert constant_velocity(2.0).mode == "decreasing"
         assert quadratic_velocity().mode == "decreasing"
         assert linear_increasing_velocity().mode == "increasing"
+        assert constant_velocity(0.0).mode == "decreasing"
+        assert constant_velocity(-1.0).mode == "increasing"
 
     def test_lipschitz_constant_recorded(self):
         assert linear_velocity().lipschitz_constant == pytest.approx(1.0)

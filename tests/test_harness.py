@@ -64,6 +64,47 @@ class TestParseConfig:
         cfg = parse_config(json.dumps({"eta_list": [0.1, 0.01, 0.001]}))
         assert parse_config(serialize_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("family", ["exponential", "constant"])
+    @pytest.mark.parametrize("velocity, orientation", [
+        ({"name": "linear", "v_max": 2.0}, "downstream"),
+        ({"name": "quadratic", "s_max": 3.0}, "downstream"),
+        ({"name": "constant", "value": 0.5}, "downstream"),
+        ({"name": "constant", "value": -0.5}, "upstream"),
+        ({"name": "linear_increasing"}, "upstream"),
+    ])
+    def test_round_trip_every_velocity_and_kernel(self, velocity, orientation, family):
+        cfg = config_from_dict({"velocity": velocity,
+                                "kernel": {"family": family, "orientation": orientation}})
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "config must be an object"),
+        ({"grid": 3}, "grid must be an object"),
+        ({"grid": {"n_cells": 1}}, "grid.n_cells must be >= 2, got 1"),
+        ({"grid": {"n_cells": 2.5}}, "grid.n_cells must be an integer"),
+        ({"cfl": True}, "cfl must be a finite number"),
+        ({"profile": {"levels": "a"}}, "profile.levels must be a list of numbers"),
+        ({"eta_list": []}, "eta_list must not be empty"),
+        ({"kernel": {"family": "gauss"}},
+         "kernel.family must be one of ('exponential', 'constant'), got 'gauss'"),
+        ({"velocity": {"name": "constant", "v_max": 1}}, "unknown key velocity.v_max"),
+        ({"velocity": {"name": "linear", "value": 1}}, "unknown key velocity.value"),
+        ({"output_dir": ""}, "output_dir must be a nonempty string"),
+    ])
+    def test_single_fault_message(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == message
+
+    def test_partial_profile_is_filled_in(self):
+        cfg = config_from_dict({"profile": {"levels": [0.3]}})
+        assert (cfg.breakpoints, cfg.levels) == ((), (0.3,))
+        cfg = config_from_dict({"profile": {}})
+        assert (cfg.breakpoints, cfg.levels) == ((), (0.0,))
+        cfg = config_from_dict({})
+        assert cfg.breakpoints == (0.0, 1.0 / 3.0, 2.0 / 3.0)
+        assert cfg.levels == (0.0, 0.5, 0.0, 1.0)
+
     def test_nonpositive_eta_named_by_index(self):
         with pytest.raises(ConfigError, match=r"eta_list\[2\]"):
             parse_config(json.dumps({"eta_list": [0.1, 0.01, -0.001]}))
@@ -96,6 +137,11 @@ class TestParseConfig:
     def test_bad_velocity_name(self):
         with pytest.raises(ConfigError, match="velocity.name"):
             parse_config(json.dumps({"velocity": {"name": "sigmoid"}}))
+
+    @pytest.mark.parametrize("name", [[], {}])
+    def test_unhashable_velocity_name_rejected(self, name):
+        with pytest.raises(ConfigError, match="velocity.name"):
+            parse_config(json.dumps({"velocity": {"name": name}}))
 
     def test_cfl_bounds(self):
         with pytest.raises(ConfigError, match="cfl"):
@@ -370,6 +416,35 @@ class TestCli:
                          "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    def test_negative_constant_velocity_pairs_with_upstream(self, tmp_path, capsys):
+        velocity = {"name": "constant", "value": -1.0}
+        config = self.write_config(tmp_path, {**SMALL_DOC, "velocity": velocity})
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", str(config), "--eta", "0.3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: kernel.orientation 'downstream' requires velocity mode "
+            "'decreasing', got 'increasing'\n")
+        assert not out.exists()
+
+        config = self.write_config(tmp_path, {**SMALL_DOC, "velocity": velocity,
+                                              "kernel": {"orientation": "upstream"}})
+        code = cli.main(["sweep", "--config", str(config), "--out", str(out)])
+        assert code == 0
+        assert (out / "sweep.csv").is_file()
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, nonlocal_limit.cli; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "False"
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),

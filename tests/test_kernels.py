@@ -12,7 +12,6 @@ from nonlocal_limit import (
     Grid1D,
     KernelSpec,
     interface_to_cells,
-    mirror_field,
     nonlocal_constant,
     nonlocal_exponential,
     nonlocal_term,
@@ -21,7 +20,7 @@ from nonlocal_limit import (
     total_variation,
 )
 
-from conftest import constant_profile, step_profile
+from conftest import constant_profile, mirror_field, step_profile
 
 
 def exp_average_quadrature(q, x, eta):

@@ -22,7 +22,6 @@ from nonlocal_limit import (
     constant_velocity,
     linear_increasing_velocity,
     linear_velocity,
-    mirror_field,
     sample_profile,
     solve_local,
     solve_nonlocal,
@@ -31,7 +30,7 @@ from nonlocal_limit import (
     total_mass,
 )
 
-from conftest import constant_profile, step_profile
+from conftest import constant_profile, mirror_field, step_profile
 
 
 def make_config(eta=0.05, velocity=None, cfl=0.5, t_end=0.5, snapshot_times=(),
