@@ -35,7 +35,6 @@ from .diagnostics import (
     Window,
     bump_test_function,
     entropy_residual,
-    interface_to_cells,
     sup_time_l1,
     transport_residual_w,
     weak_residual,
@@ -257,14 +256,15 @@ class ExperimentConfig:
         )
 
     def merged_snapshot_times(self) -> np.ndarray:
-        """Configured snapshot times plus a dense band across the residual
-        test function's time support (when one fits).
+        """Configured snapshot times plus 0 and t_end, the initial state the
+        weak residual needs and the final state, and a dense band across the
+        residual test function's time support (when one fits).
 
         The band reaches two spacings past the support so that snapshot
         requests rounded onto solver steps stay dense over the whole support.
         """
         phi = self.residual_test_function()
-        merged = np.round(np.asarray(self.snapshot_times, dtype=float), 12)
+        merged = np.unique(np.round(np.append(self.snapshot_times, (0.0, self.t_end)), 12))
         if phi is not None:
             t_lo, t_hi = max(phi.support[0], 0.0), min(phi.support[1], self.t_end)
             pad = 2.0 * (t_hi - t_lo) / _RESIDUAL_BAND_INTERVALS
@@ -361,25 +361,30 @@ def _restrict_snapshots(report: RunReport, t_lo: float, t_hi: float) -> RunRepor
     return dataclasses.replace(report, snapshots=kept)
 
 
-def _write_snapshots_csv(path: Path, report: RunReport):
-    """One row per cell per distinct snapshot time, written a snapshot at a
-    time; the cell_index,x_center columns are formatted once per grid."""
-    cells = [f"{i},{_fmt(x)}" for i, x in enumerate(report.grid.cell_centers.tolist())]
+def _configured_snapshots(cfg: ExperimentConfig, report: RunReport) -> tuple:
+    """The distinct snapshots answering configured snapshot_times requests.
+    The driver emits one snapshot per request of cfg.merged_snapshot_times(),
+    in step order; requests that land on one step share its snapshot."""
+    configured = np.isin(cfg.merged_snapshot_times(), np.round(cfg.snapshot_times, 12))
+    kept = (snap for snap, keep in zip(report.snapshots, configured, strict=True) if keep)
+    return tuple({snap.time: snap for snap in kept}.values())
+
+
+def _write_snapshots_csv(path: Path, snapshots):
+    """One block of rows, one per cell, per snapshot (none: a header-only
+    file); the cell_index,x_center columns are formatted once per grid."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,cell_index,x_center,q,W\n")
-        seen_times = set()
-        for snap in report.snapshots:
-            # requests that rounded to the same step carry identical state
-            if snap.time in seen_times:
-                continue
-            seen_times.add(snap.time)
-            time_s = _fmt(snap.time)
-            q = snap.q.values.tolist()
-            w = (interface_to_cells(snap.w).values.tolist() if snap.w is not None
-                 else [float("nan")] * len(q))
-            fh.write("".join([f"{time_s},{cell},{q_i:.17g},{w_i:.17g}\n"
-                              for cell, q_i, w_i in zip(cells, q, w)]))
+        centers = snapshots[0].q.grid.cell_centers.tolist() if snapshots else []
+        fields = [None] * (3 * len(centers))
+        fields[0::3] = [f"{i},{_fmt(x)}" for i, x in enumerate(centers)]
+        for snap in snapshots:
+            fields[1::3] = snap.q.values.tolist()
+            # W at each cell's left interface; '%.17g' formats as _fmt does
+            fields[2::3] = (snap.w.values[:-1].tolist() if snap.w is not None
+                            else [float("nan")] * len(centers))
+            fh.write(f"{_fmt(snap.time)},%s,%.17g,%.17g\n" * len(centers) % tuple(fields))
 
 
 def _write_tv_series_csv(path: Path, report: RunReport):
@@ -446,7 +451,7 @@ def _write_run_files(out_dir: Path, cfg: ExperimentConfig, report: RunReport,
                      q0: CellField, eta: float):
     # diagnostics first: if they fail, no file of the run exists
     diagnostics = _run_diagnostics(cfg, report, q0, eta)
-    _write_snapshots_csv(out_dir / "snapshots.csv", report)
+    _write_snapshots_csv(out_dir / "snapshots.csv", _configured_snapshots(cfg, report))
     _write_tv_series_csv(out_dir / "tv_series.csv", report)
     _write_diagnostics_csv(out_dir / "diagnostics.csv", diagnostics)
 
@@ -534,7 +539,8 @@ def run_sweep(cfg: ExperimentConfig, output_dir=None) -> SweepResult:
     flux = FluxModel(velocity=cfg.build_velocity())
     reference = solve_local(ref_q0, flux, cfl=cfg.cfl, t_end=cfg.t_end,
                             snapshot_times=schedule)
-    _write_snapshots_csv(out / "reference" / "snapshots.csv", reference)
+    _write_snapshots_csv(out / "reference" / "snapshots.csv",
+                         _configured_snapshots(cfg, reference))
     _write_tv_series_csv(out / "reference" / "tv_series.csv", reference)
 
     rows = []
@@ -669,6 +675,8 @@ def read_snapshots(rel):
 def plot_heatmap(label, rel):
     data = read_snapshots(rel)
     times = list(data)
+    if not times:  # no snapshot_times configured: a header-only file
+        return data
     x = data[times[0]]["x"]
     grid = [data[t]["q"] for t in times]
     fig, ax = plt.subplots(figsize=(6, 4))
@@ -692,9 +700,10 @@ def main():
     tv_fig, tv_ax = plt.subplots(figsize=(7, 4))
     for label, snapshots_rel, tv_rel, diagnostics_rel in RUNS:
         data = plot_heatmap(label, snapshots_rel)
-        t_show = nearest_time(data, PROFILE_TIME)
-        profile_ax.plot(data[t_show]["x"], data[t_show]["q"], label=f"q, {{label}}")
-        profile_ax.plot(data[t_show]["x"], data[t_show]["W"], "--", label=f"W, {{label}}")
+        if data:
+            t_show = nearest_time(data, PROFILE_TIME)
+            profile_ax.plot(data[t_show]["x"], data[t_show]["q"], label=f"q, {{label}}")
+            profile_ax.plot(data[t_show]["x"], data[t_show]["W"], "--", label=f"W, {{label}}")
         tv_rows = read_csv(tv_rel)
         times = [float(r["time"]) for r in tv_rows]
         tv_ax.plot(times, [float(r["tv_q"]) for r in tv_rows], label=f"TV(q), {{label}}")
@@ -707,8 +716,8 @@ def main():
         tv_ax.plot([float(r["time"]) for r in ref_rows],
                    [float(r["tv_q"]) for r in ref_rows],
                    "k-.", label="TV(q), local reference")
-    if REFERENCE_SNAPSHOTS is not None:
-        ref_data = read_snapshots(REFERENCE_SNAPSHOTS)
+    ref_data = read_snapshots(REFERENCE_SNAPSHOTS) if REFERENCE_SNAPSHOTS is not None else {{}}
+    if ref_data:
         t_show = nearest_time(ref_data, PROFILE_TIME)
         profile_ax.plot(ref_data[t_show]["x"], ref_data[t_show]["q"],
                         "k-.", label="q, local reference")

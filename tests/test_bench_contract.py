@@ -50,3 +50,18 @@ def test_nonlocal_mix_unit_passes_the_gate(bench, tmp_path):
 def test_gate_self_test(bench):
     nl, workloads, gate = bench
     assert gate.self_test(nl, workloads.seeded_profile(1)) == []
+
+
+def test_sweep_cli_units_pass_the_gate(bench, tmp_path):
+    # the CLI path: exit code, one sweep.csv row per eta, and the second
+    # unit's compared CSVs byte-identical to the first's
+    nl, workloads, gate = bench
+    workload = workloads.SweepCli(nl, 1, tmp_path)
+    workload.setup()
+    datum_max = max(workloads.seeded_profile(1)["levels"])
+    first = workload.unit(tmp_path / "unit_0")
+    assert gate.check_unit(nl, first, datum_max, None) == []
+    digest = gate.output_digest(first)
+    assert "sweep.csv" in digest
+    second = workload.unit(tmp_path / "unit_1")
+    assert gate.check_unit(nl, second, datum_max, digest) == []

@@ -8,11 +8,14 @@ import nonlocal_limit.harness as harness
 from nonlocal_limit import (
     ConfigError,
     FluxModel,
+    NonlocalSchemeConfig,
     NumericalBlowupError,
     Window,
     sample_profile,
     solve_local,
+    solve_nonlocal,
     sup_time_l1,
+    wq_identity_gap,
 )
 from nonlocal_limit.harness import (
     PLOT_SCRIPT_NAME,
@@ -281,6 +284,106 @@ class TestRunSweep:
         expected = sup_time_l1(result.reports[0], reference,
                                Window(cfg.window_lo, cfg.window_hi))
         assert row["sup_time_l1_q_vs_ref"] == pytest.approx(expected, rel=1e-12)
+
+
+def snapshot_blocks(path):
+    """(time, row count) of each run of equal-time rows in a snapshots.csv."""
+    blocks = []
+    for row in read_csv(path)[1]:
+        if blocks and blocks[-1][0] == row[0]:
+            blocks[-1][1] += 1
+        else:
+            blocks.append([row[0], 1])
+    return blocks
+
+
+def landed_times(requests, report):
+    """The distinct times, as written, of the solver steps the requests land on."""
+    steps = np.clip(np.rint(np.asarray(requests) / report.dt_used).astype(int),
+                    0, report.n_steps)
+    return [format(step * report.dt_used, ".17g") for step in sorted(set(steps.tolist()))]
+
+
+# t_end is not configured; 0.4 and 0.4001 land on one step of every grid
+# below, and the 256-cell runs are fine enough for the residual band
+SNAPSHOT_DOC = {"grid": {"n_cells": 256}, "eta_list": [0.3, 0.15], "reference_refinement": 4,
+                "snapshot_times": [0.0, 0.4, 0.4001, 0.75]}
+HEADER = "time,cell_index,x_center,q,W\n"
+
+
+class TestSnapshotsCsv:
+    """snapshots.csv holds one block per configured snapshot step; the
+    residual band stays in the in-memory report."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_only_configured_times_are_written(self, tmp_path, command):
+        cfg = config_from_dict(SNAPSHOT_DOC)
+        if command == "run":
+            reports = {eta_dirname(0.3): run_single(cfg, 0.3, output_dir=tmp_path)}
+        else:
+            result = run_sweep(cfg, output_dir=tmp_path)
+            reports = {"reference": result.reference,
+                       **{eta_dirname(eta): report
+                          for eta, report in zip(cfg.eta_list, result.reports)}}
+        for name, report in reports.items():
+            blocks = snapshot_blocks(tmp_path / name / "snapshots.csv")
+            assert [time for time, _ in blocks] == landed_times(cfg.snapshot_times, report)
+            assert len(blocks) == len(cfg.snapshot_times) - 1
+            assert all(rows == report.grid.n_cells for _, rows in blocks)
+            assert len({snap.time for snap in report.snapshots}) > len(blocks) + 1
+
+    def test_empty_snapshot_times_write_header_only_files(self, tmp_path):
+        cfg = config_from_dict({**SNAPSHOT_DOC, "snapshot_times": []})
+        result = run_sweep(cfg, output_dir=tmp_path)
+        for name in ("reference", eta_dirname(0.3), eta_dirname(0.15)):
+            assert (tmp_path / name / "snapshots.csv").read_text(encoding="utf-8") == HEADER
+        assert all(np.isfinite(row["wq_identity_gap"]) for row in result.rows)
+        emit_plot_script(cfg, output_dir=tmp_path)
+
+    @pytest.mark.parametrize("x", [
+        float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
+        2.225073858507201e-308, 2.2250738585072014e-308, 1e16, 1e17, 0.1, 1.0 / 3.0,
+    ])
+    def test_row_template_formats_as_fmt(self, x):
+        assert "%s,%.17g,%.17g\n" % ("7,0.5", x, -x) == f"7,0.5,{harness._fmt(x)},{harness._fmt(-x)}\n"
+
+    def test_row_template_formats_random_bit_patterns_as_fmt(self):
+        bits = np.random.default_rng(20261018).integers(0, 2**64, size=20000, dtype=np.uint64)
+        values = bits.view(np.float64).tolist()
+        assert ("%.17g\n" * len(values) % tuple(values)
+                == "".join(f"{harness._fmt(x)}\n" for x in values))
+
+
+class TestFinalSnapshot:
+    """The last snapshot is the state at t_end even when snapshot_times
+    stops short of it."""
+
+    DOC = {"grid": {"n_cells": 64}, "eta_list": [0.3], "snapshot_times": [0.0, 0.5]}
+
+    def final_state(self, cfg, n_cells):
+        q0 = sample_profile(cfg.build_profile(), cfg.build_grid(n_cells))
+        scheme = NonlocalSchemeConfig(kernel=cfg.kernel_spec(0.3), velocity=cfg.build_velocity(),
+                                      cfl=cfg.cfl, t_end=cfg.t_end, snapshot_times=[cfg.t_end])
+        final = solve_nonlocal(q0, scheme).snapshots[-1]
+        assert final.time == cfg.t_end == 1.5
+        return final
+
+    def test_run_diagnostics_describe_t_end(self, tmp_path):
+        cfg = config_from_dict(self.DOC)
+        report = run_single(cfg, 0.3, output_dir=tmp_path)
+        assert report.snapshots[-1].time == cfg.t_end
+        final = self.final_state(cfg, cfg.n_cells)
+        values = dict(read_csv(tmp_path / eta_dirname(0.3) / "diagnostics.csv")[1])
+        assert values["wq_identity_gap"] == harness._fmt(wq_identity_gap(final.q, final.w, 0.3))
+        # t_end is not configured, so it is not written
+        assert [time for time, _ in snapshot_blocks(
+            tmp_path / eta_dirname(0.3) / "snapshots.csv")] == landed_times([0.0, 0.5], report)
+
+    def test_sweep_row_describes_t_end(self, tmp_path):
+        cfg = config_from_dict(self.DOC)
+        row = run_sweep(cfg, output_dir=tmp_path).rows[0]
+        final = self.final_state(cfg, sweep_cells_for_eta(cfg, 0.3))
+        assert row["wq_identity_gap"] == wq_identity_gap(final.q, final.w, 0.3)
 
 
 class TestStabilityProbe:
