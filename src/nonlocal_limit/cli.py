@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on validation errors (bad config, bad arguments,
-missing files), 2 on numerical blowup inside a solver.
+missing files), 2 when a solver blows up or meets a wrong-signed flux velocity.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, NumericalBlowupError
+from .errors import ConfigError, ModeViolationError, NumericalBlowupError
 from .harness import (
     emit_plot_script,
     parse_config,
@@ -70,6 +70,10 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
     except NumericalBlowupError as exc:
         print(f"numerical blowup: {exc}", file=sys.stderr)
+        return 2
+    except ModeViolationError as exc:
+        print(f"mode violation: {exc}, or the density left the velocity model's "
+              "admissible range", file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,10 +59,6 @@ _RESIDUAL_MIN_RADIUS_STEPS = 76.0
 _ENTROPY_LEVEL_FRACTIONS = (0.25, 0.5, 0.75)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # Checks of single config keys: each takes the raw value and its key path and
 # returns the value the config holds, or raises ConfigError naming the path.
 
@@ -121,12 +117,6 @@ def _one_of(options):
             raise ConfigError(f"{path} must be one of {options}, got {raw!r}")
         return raw
     return check
-
-
-def _nonempty_string(raw, path: str) -> str:
-    if not isinstance(raw, str) or not raw:
-        raise ConfigError(f"{path} must be a nonempty string")
-    return raw
 
 
 def _strictly_increasing(values: tuple, path: str):
@@ -208,7 +198,6 @@ class ExperimentConfig:
     window_lo: float = _key("window.lo", _finite, lambda values, _: values["x_min"])
     window_hi: float = _key("window.hi", _finite, lambda values, _: values["x_max"])
     reference_refinement: int = _key("reference_refinement", _integer(4), 8)
-    output_dir: str = _key("output_dir", _nonempty_string, "out")
 
     def build_grid(self, n_cells: int | None = None) -> Grid1D:
         return Grid1D(x_min=self.x_min, x_max=self.x_max,
@@ -344,12 +333,20 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _write_csv(path: Path, header: list[str], rows):
+def _rows(template: str, *columns) -> str:
+    """One row of ``template`` per entry of the equal-length ``columns``.
+    Floats go through '%.17g', which formats as format(x, '.17g')."""
+    fields = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        fields[i::len(columns)] = column
+    return (template + "\n") * len(columns[0]) % tuple(fields)
+
+
+def _write_csv(path: Path, header: tuple, blocks):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(blocks)
 
 
 def eta_dirname(eta: float) -> str:
@@ -373,32 +370,24 @@ def _configured_snapshots(cfg: ExperimentConfig, report: RunReport) -> tuple:
 def _write_snapshots_csv(path: Path, snapshots):
     """One block of rows, one per cell, per snapshot (none: a header-only
     file); the cell_index,x_center columns are formatted once per grid."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time,cell_index,x_center,q,W\n")
-        centers = snapshots[0].q.grid.cell_centers.tolist() if snapshots else []
-        fields = [None] * (3 * len(centers))
-        fields[0::3] = [f"{i},{_fmt(x)}" for i, x in enumerate(centers)]
-        for snap in snapshots:
-            fields[1::3] = snap.q.values.tolist()
-            # W at each cell's left interface; '%.17g' formats as _fmt does
-            fields[2::3] = (snap.w.values[:-1].tolist() if snap.w is not None
-                            else [float("nan")] * len(centers))
-            fh.write(f"{_fmt(snap.time)},%s,%.17g,%.17g\n" * len(centers) % tuple(fields))
+    centers = snapshots[0].q.grid.cell_centers.tolist() if snapshots else []
+    prefixes = ["%d,%.17g" % cell for cell in enumerate(centers)]
+    # W at each cell's left interface
+    blocks = (_rows("%.17g" % snap.time + ",%s,%.17g,%.17g", prefixes, snap.q.values.tolist(),
+                    snap.w.values[:-1].tolist() if snap.w is not None
+                    else [float("nan")] * len(centers))
+              for snap in snapshots)
+    _write_csv(path, ("time", "cell_index", "x_center", "q", "W"), blocks)
 
 
 def _write_tv_series_csv(path: Path, report: RunReport):
-    rows = []
-    for step in range(report.n_steps + 1):
-        tv_w = report.tv_w_series[step] if report.tv_w_series is not None else float("nan")
-        rows.append([
-            str(step),
-            _fmt(step * report.dt_used),
-            _fmt(report.tv_q_series[step]),
-            _fmt(tv_w),
-            _fmt(report.mass_series[step]),
-        ])
-    _write_csv(path, ["step", "time", "tv_q", "tv_W", "mass"], rows)
+    steps = range(report.n_steps + 1)
+    tv_w = (report.tv_w_series.tolist() if report.tv_w_series is not None
+            else [float("nan")] * len(steps))
+    times = [step * report.dt_used for step in steps]
+    block = _rows("%d,%.17g,%.17g,%.17g,%.17g", steps, times,
+                  report.tv_q_series.tolist(), tv_w, report.mass_series.tolist())
+    _write_csv(path, ("step", "time", "tv_q", "tv_W", "mass"), [block])
 
 
 def _max_principle_violation(report: RunReport, q0: CellField) -> float:
@@ -442,20 +431,6 @@ _DIAGNOSTIC_ROWS = (
 )
 
 
-def _write_diagnostics_csv(path: Path, values: dict[str, float]):
-    rows = [[name, _fmt(values[name])] for name in _DIAGNOSTIC_ROWS]
-    _write_csv(path, ["name", "value"], rows)
-
-
-def _write_run_files(out_dir: Path, cfg: ExperimentConfig, report: RunReport,
-                     q0: CellField, eta: float):
-    # diagnostics first: if they fail, no file of the run exists
-    diagnostics = _run_diagnostics(cfg, report, q0, eta)
-    _write_snapshots_csv(out_dir / "snapshots.csv", _configured_snapshots(cfg, report))
-    _write_tv_series_csv(out_dir / "tv_series.csv", report)
-    _write_diagnostics_csv(out_dir / "diagnostics.csv", diagnostics)
-
-
 def _scheme_for_eta(cfg: ExperimentConfig, eta: float) -> NonlocalSchemeConfig:
     return NonlocalSchemeConfig(
         kernel=cfg.kernel_spec(eta),
@@ -466,36 +441,41 @@ def _scheme_for_eta(cfg: ExperimentConfig, eta: float) -> NonlocalSchemeConfig:
     )
 
 
-def _solve_for_eta(cfg: ExperimentConfig, scheme: NonlocalSchemeConfig,
-                   n_cells: int) -> tuple[RunReport, CellField]:
+def _run_eta(cfg: ExperimentConfig, scheme: NonlocalSchemeConfig, n_cells: int,
+             out: Path) -> tuple[RunReport, dict[str, float]]:
+    """Solve at the scheme's eta on ``n_cells`` cells and write the run's
+    three files under out/eta_<eta>; returns the report and its diagnostics."""
+    eta = scheme.kernel.eta
     q0 = sample_profile(cfg.build_profile(), cfg.build_grid(n_cells))
     try:
-        return solve_nonlocal(q0, scheme), q0
+        report = solve_nonlocal(q0, scheme)
     except NumericalBlowupError as exc:
-        raise NumericalBlowupError(f"eta = {scheme.kernel.eta!r}: {exc}",
-                                   step=exc.step) from exc
+        raise NumericalBlowupError(f"eta = {eta!r}: {exc}", step=exc.step) from exc
+    # diagnostics first: if they fail, no file of the run exists
+    diagnostics = _run_diagnostics(cfg, report, q0, eta)
+    run_dir = out / eta_dirname(eta)
+    _write_snapshots_csv(run_dir / "snapshots.csv", _configured_snapshots(cfg, report))
+    _write_tv_series_csv(run_dir / "tv_series.csv", report)
+    _write_csv(run_dir / "diagnostics.csv", ("name", "value"), [_rows(
+        "%s,%.17g", _DIAGNOSTIC_ROWS, [diagnostics[name] for name in _DIAGNOSTIC_ROWS])])
+    return report, diagnostics
 
 
-def run_single(cfg: ExperimentConfig, eta: float, output_dir=None) -> RunReport:
+def run_single(cfg: ExperimentConfig, eta: float, output_dir) -> RunReport:
     """Run one nonlocal solve at ``eta`` and write its CSV files."""
     matched = [candidate for candidate in cfg.eta_list
                if np.isclose(eta, candidate, rtol=1e-12, atol=0.0)]
     if not matched:
         raise ConfigError(f"eta = {eta!r} is not in the configured eta_list")
-    eta = matched[0]
-    report, q0 = _solve_for_eta(cfg, _scheme_for_eta(cfg, eta), cfg.n_cells)
-    out = Path(output_dir if output_dir is not None else cfg.output_dir)
-    _write_run_files(out / eta_dirname(eta), cfg, report, q0, eta)
+    report, _ = _run_eta(cfg, _scheme_for_eta(cfg, matched[0]), cfg.n_cells, Path(output_dir))
     return report
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Sweep rows plus run accounting (the reference is computed exactly once)."""
+    """Sweep rows, the one local reference and the per-eta reports."""
 
     rows: tuple
-    reference_runs: int
-    nonlocal_runs: int
     reference: RunReport
     reports: tuple
 
@@ -522,13 +502,13 @@ def sweep_cells_for_eta(cfg: ExperimentConfig, eta: float) -> int:
     return n
 
 
-def run_sweep(cfg: ExperimentConfig, output_dir=None) -> SweepResult:
+def run_sweep(cfg: ExperimentConfig, output_dir) -> SweepResult:
     """Compare every configured eta against one fine-grid local reference.
 
     Writes per-eta run files, the reference series and sweep.csv.  Every
     eta's grid and scheme are checked before the first solve.
     """
-    out = Path(output_dir if output_dir is not None else cfg.output_dir)
+    out = Path(output_dir)
     window = cfg.window()
     schedule = cfg.merged_snapshot_times()
     runs = [(sweep_cells_for_eta(cfg, eta), _scheme_for_eta(cfg, eta))
@@ -546,32 +526,21 @@ def run_sweep(cfg: ExperimentConfig, output_dir=None) -> SweepResult:
     rows = []
     reports = []
     for n_eta, scheme in runs:
-        eta = scheme.kernel.eta
-        report, q0 = _solve_for_eta(cfg, scheme, n_eta)
-        _write_run_files(out / eta_dirname(eta), cfg, report, q0, eta)
-        final = report.snapshots[-1]
+        report, diagnostics = _run_eta(cfg, scheme, n_eta, out)
         rows.append({
-            "eta": eta,
+            "eta": scheme.kernel.eta,
             "sup_time_l1_q_vs_ref": sup_time_l1(report, reference, window, compare="q"),
             "sup_time_l1_W_vs_ref": sup_time_l1(report, reference, window, compare="w"),
             "tv_W_max": float(np.max(report.tv_w_series)),
             "tv_q_final": float(report.tv_q_series[-1]),
-            "wq_identity_gap": wq_identity_gap(final.q, final.w, eta),
+            "wq_identity_gap": diagnostics["wq_identity_gap"],
         })
         reports.append(report)
 
-    _write_csv(
-        out / "sweep.csv",
-        list(SWEEP_COLUMNS),
-        [[_fmt(row[col]) for col in SWEEP_COLUMNS] for row in rows],
-    )
-    return SweepResult(
-        rows=tuple(rows),
-        reference_runs=1,
-        nonlocal_runs=len(reports),
-        reference=reference,
-        reports=tuple(reports),
-    )
+    columns = ([row[col] for row in rows] for col in SWEEP_COLUMNS)
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS,
+               [_rows(",".join(["%.17g"] * len(SWEEP_COLUMNS)), *columns)])
+    return SweepResult(rows=tuple(rows), reference=reference, reports=tuple(reports))
 
 
 def perturbed_initial_field(q0: CellField, delta: float) -> CellField:
@@ -592,19 +561,17 @@ def perturbed_initial_field(q0: CellField, delta: float) -> CellField:
     return CellField(grid=grid, values=np.clip(q0.values + bump, 0.0, hi))
 
 
-def run_stability_probe(cfg: ExperimentConfig, delta: float,
-                        output_dir=None) -> float:
+def run_stability_probe(cfg: ExperimentConfig, delta: float, output_dir) -> float:
     """Rerun the first configured eta with a perturbed datum and report the
     sup-in-time L1 distance to the unperturbed run; writes probe.csv."""
-    out = Path(output_dir if output_dir is not None else cfg.output_dir)
     q0 = sample_profile(cfg.build_profile(), cfg.build_grid(cfg.n_cells))
     scheme = _scheme_for_eta(cfg, cfg.eta_list[0])
     perturbed_q0 = perturbed_initial_field(q0, delta)
     baseline = solve_nonlocal(q0, scheme)
     perturbed = solve_nonlocal(perturbed_q0, scheme)
     distance = sup_time_l1(perturbed, baseline, cfg.window(), compare="q")
-    _write_csv(out / "probe.csv", ["delta", "sup_time_l1"],
-               [[_fmt(delta), _fmt(distance)]])
+    _write_csv(Path(output_dir) / "probe.csv", ("delta", "sup_time_l1"),
+               [_rows("%.17g,%.17g", [delta], [distance])])
     return distance
 
 
@@ -620,17 +587,18 @@ def _discover_csvs(out: Path, cfg: ExperimentConfig):
                        if not (d / name).is_file()]
             if missing:
                 raise ConfigError(f"missing CSV files: {', '.join(missing)}")
-            eta_dirs.append((eta, d.name))
+            eta_dirs.append(d.name)
     if not eta_dirs:
         raise ConfigError(
             f"no per-eta CSV files found under {out}; run or sweep first"
         )
-    reference_tv = (out / "reference" / "tv_series.csv").is_file()
-    reference_snapshots = (out / "reference" / "snapshots.csv").is_file()
-    sweep = (out / "sweep.csv").is_file()
-    probe = (out / "probe.csv").is_file()
-    return eta_dirs, reference_tv, reference_snapshots, sweep, probe
+    return eta_dirs
 
+
+# plot template field -> the CSV it reads when present, relative to the output directory
+_OPTIONAL_CSVS = {"reference_tv": "reference/tv_series.csv",
+                  "reference_snapshots": "reference/snapshots.csv",
+                  "sweep": "sweep.csv", "probe": "probe.csv"}
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
 """Render heatmaps, profiles and total-variation curves from the run CSVs.
@@ -764,26 +732,22 @@ if __name__ == "__main__":
 '''
 
 
-def emit_plot_script(cfg: ExperimentConfig, output_dir=None) -> Path:
+def emit_plot_script(cfg: ExperimentConfig, output_dir) -> Path:
     """Write a self-contained matplotlib script rendering the emitted CSVs.
 
     Regeneration is byte-for-byte deterministic; every discovered CSV is
     referenced exactly once in the script.
     """
-    out = Path(output_dir if output_dir is not None else cfg.output_dir)
-    eta_dirs, ref_tv, ref_snaps, sweep, probe = _discover_csvs(out, cfg)
+    out = Path(output_dir)
     runs_block = "\n".join(
         f'    ("{name}", "{name}/snapshots.csv", "{name}/tv_series.csv", '
         f'"{name}/diagnostics.csv"),'
-        for _, name in eta_dirs
+        for name in _discover_csvs(out, cfg)
     )
     script = _PLOT_TEMPLATE.format(
         runs_block=runs_block,
-        reference_tv="reference/tv_series.csv" if ref_tv else None,
-        reference_snapshots="reference/snapshots.csv" if ref_snaps else None,
-        sweep="sweep.csv" if sweep else None,
-        probe="probe.csv" if probe else None,
         profile_time=min(0.5, cfg.t_end),
+        **{field: rel if (out / rel).is_file() else None for field, rel in _OPTIONAL_CSVS.items()},
     )
     path = out / PLOT_SCRIPT_NAME
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -8,11 +8,10 @@ solvers, the diagnostics or the CSV writers that alters a single float shows
 up here.  The digests depend on the floating-point behaviour of numpy and
 scipy (recorded with numpy 2.4, scipy 1.17 on x86-64).
 
-The upstream case pins only the nonlocal solve the sweep runs at each eta,
-through the snapshot and TV files the harness writers make of it, after the
-same snapshot selection as ``sweep``; the upstream sweep as a whole is
-checked against the downstream one by mirror symmetry in
-``tests/test_harness.py``.
+The upstream case first pinned only its per-eta snapshot and TV files.
+Its five other digests (reference, diagnostics, sweep.csv) were added
+later, recorded from ``sweep`` at a commit whose upstream output matched
+the four digests already pinned.
 
 The ``snapshots.csv`` digests were derived when the file was cut down to
 the configured snapshot times, from the files the package wrote before that
@@ -20,8 +19,8 @@ change (which also held the residual band): for each run, take the times of
 the snapshots that answer a configured ``snapshot_times`` request (snapshot
 i of the report answers request i of ``merged_snapshot_times()``), keep the
 header and the rows whose time column is one of those times, and hash that.
-No digest was taken from the new writer's output; every other digest is
-unchanged.
+Apart from those five later upstream digests, no digest was taken from
+the new writer's output; every other digest is unchanged.
 """
 
 import hashlib
@@ -30,7 +29,6 @@ import json
 import pytest
 
 import nonlocal_limit.cli as cli
-from nonlocal_limit import harness
 
 BASE_DOC = {"grid": {"n_cells": 64}, "eta_list": [0.5, 0.3], "t_end": 4.0,
             "reference_refinement": 4}
@@ -69,29 +67,23 @@ GOLDEN = {
         "sweep.csv": "17252de1a2fb3e9a94a588053ba4b8a191ee472af70c14d53132d502ef188298",
     },
     "exp_up": {
+        "eta_0.3/diagnostics.csv": "daf5e4eedfa6116cee24046c900f824d2a8620628da46da0131b5370bd65438b",
         "eta_0.3/snapshots.csv": "214ceb50b3abd1e5655bba662ef7944b5adc4ba682094e41730c19f2e07da9b8",
         "eta_0.3/tv_series.csv": "eaab317eb6d851305d3c8e3009925e35b08aa6afdf6377456a67b6025dc62ed6",
+        "eta_0.5/diagnostics.csv": "86e01d168711f14e1005e45bbcd418323d9ebeaf72311e66ee014208d287819c",
         "eta_0.5/snapshots.csv": "9e36300b8c7d0435e024ff70bd10b288783ddff38323a32db3ac2a739ada6c7a",
         "eta_0.5/tv_series.csv": "ef915080b90aea6179aca0c094a023043c34f5ec0e1cf50a1b388f87002fcb06",
+        "reference/snapshots.csv": "21984a78f20c9a61b23d6d22273234f3f1be5a5c535608e7a0bb023710e8dfe6",
+        "reference/tv_series.csv": "b11bde6f800edf0a71076a6bf8d8ad841a17a38b60ba7dd975f88d240b08e97c",
+        "sweep.csv": "341c2014598097be3a852d76899b05856b21faa016f8a64103700726fad195bd",
     },
 }
 
 
 def _write_case(name, tmp_path):
-    doc = {**BASE_DOC, **CASES[name]}
-    out = tmp_path / "out"
-    if name == "exp_up":
-        cfg = harness.config_from_dict(doc)
-        for eta in cfg.eta_list:
-            scheme = harness._scheme_for_eta(cfg, eta)
-            report, _ = harness._solve_for_eta(cfg, scheme, harness.sweep_cells_for_eta(cfg, eta))
-            run_dir = out / harness.eta_dirname(eta)
-            harness._write_snapshots_csv(run_dir / "snapshots.csv",
-                                         harness._configured_snapshots(cfg, report))
-            harness._write_tv_series_csv(run_dir / "tv_series.csv", report)
-        return out
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc), encoding="utf-8")
+    config.write_text(json.dumps({**BASE_DOC, **CASES[name]}), encoding="utf-8")
+    out = tmp_path / "out"
     assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     return out
 

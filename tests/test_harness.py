@@ -5,6 +5,7 @@ import pytest
 
 import nonlocal_limit.cli as cli
 import nonlocal_limit.harness as harness
+import nonlocal_limit.nonlocal_solver as nonlocal_solver
 from nonlocal_limit import (
     ConfigError,
     FluxModel,
@@ -92,12 +93,23 @@ class TestParseConfig:
          "kernel.family must be one of ('exponential', 'constant'), got 'gauss'"),
         ({"velocity": {"name": "constant", "v_max": 1}}, "unknown key velocity.v_max"),
         ({"velocity": {"name": "linear", "value": 1}}, "unknown key velocity.value"),
-        ({"output_dir": ""}, "output_dir must be a nonempty string"),
+        # --out names the output directory; the config has no output_dir key
+        ({"output_dir": "out"}, "unknown key output_dir"),
+        ({"grid": {"x_min": 2.0, "x_max": -1.0}},
+         "grid.x_min must be < grid.x_max, got [2.0, -1.0]"),
+        ({"profile": {"breakpoints": [], "levels": [-0.5]}},
+         "profile.levels[0] must be nonnegative, got -0.5"),
+        ({"profile": {"breakpoints": [0.5, 0.2], "levels": [0.0, 1.0, 0.0]}},
+         "profile.breakpoints must be strictly increasing"),
+        ({"snapshot_times": [0.5, 0.5]}, "snapshot_times must be strictly increasing"),
     ])
     def test_single_fault_message(self, doc, message):
         with pytest.raises(ConfigError) as info:
             config_from_dict(doc)
         assert str(info.value) == message
+
+    def test_default_snapshot_times_end_at_t_end(self):
+        assert config_from_dict({"t_end": 0.12}).snapshot_times == (0.0, 0.05, 0.1, 0.12)
 
     def test_partial_profile_is_filled_in(self):
         cfg = config_from_dict({"profile": {"levels": [0.3]}})
@@ -194,6 +206,14 @@ class TestRunSingle:
         assert values["transport_residual_W"] == "nan"
         assert float(values["max_principle_violation"]) <= 1e-12
 
+    def test_stasis_run_writes_nan_residuals(self, tmp_path):
+        # with V = 0 no residual test function fits, so the residual rows are nan
+        run_single(small_config(velocity={"name": "constant", "value": 0.0}), 0.3,
+                   output_dir=tmp_path)
+        values = dict(read_csv(tmp_path / eta_dirname(0.3) / "diagnostics.csv")[1])
+        for name in ("weak_residual", "transport_residual_W", "entropy_residual_min"):
+            assert values[name] == "nan"
+
     def test_zero_profile_run_is_silent(self, tmp_path):
         cfg = small_config(profile={"breakpoints": [], "levels": [0.0]})
         report = run_single(cfg, 0.3, output_dir=tmp_path)
@@ -217,11 +237,18 @@ class TestRunSingle:
 
 
 class TestRunSweep:
-    def test_sweep_writes_rows_and_reference_once(self, tmp_path):
+    def test_sweep_writes_rows_and_reference_once(self, tmp_path, monkeypatch):
+        local_solves = []
+
+        def counted(*args, **kwargs):
+            local_solves.append(args)
+            return solve_local(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_local", counted)
         cfg = small_config(eta_list=[0.3, 0.15])
         result = run_sweep(cfg, output_dir=tmp_path)
-        assert result.reference_runs == 1
-        assert result.nonlocal_runs == 2
+        assert len(local_solves) == 1
+        assert len(result.reports) == 2
         header, rows = read_csv(tmp_path / "sweep.csv")
         assert header == list(SWEEP_COLUMNS)
         assert len(rows) == 2
@@ -345,13 +372,13 @@ class TestSnapshotsCsv:
         2.225073858507201e-308, 2.2250738585072014e-308, 1e16, 1e17, 0.1, 1.0 / 3.0,
     ])
     def test_row_template_formats_as_fmt(self, x):
-        assert "%s,%.17g,%.17g\n" % ("7,0.5", x, -x) == f"7,0.5,{harness._fmt(x)},{harness._fmt(-x)}\n"
+        assert "%s,%.17g,%.17g\n" % ("7,0.5", x, -x) == f"7,0.5,{x:.17g},{-x:.17g}\n"
 
     def test_row_template_formats_random_bit_patterns_as_fmt(self):
         bits = np.random.default_rng(20261018).integers(0, 2**64, size=20000, dtype=np.uint64)
         values = bits.view(np.float64).tolist()
         assert ("%.17g\n" * len(values) % tuple(values)
-                == "".join(f"{harness._fmt(x)}\n" for x in values))
+                == "".join(f"{x:.17g}\n" for x in values))
 
 
 class TestFinalSnapshot:
@@ -374,7 +401,7 @@ class TestFinalSnapshot:
         assert report.snapshots[-1].time == cfg.t_end
         final = self.final_state(cfg, cfg.n_cells)
         values = dict(read_csv(tmp_path / eta_dirname(0.3) / "diagnostics.csv")[1])
-        assert values["wq_identity_gap"] == harness._fmt(wq_identity_gap(final.q, final.w, 0.3))
+        assert values["wq_identity_gap"] == format(wq_identity_gap(final.q, final.w, 0.3), ".17g")
         # t_end is not configured, so it is not written
         assert [time for time, _ in snapshot_blocks(
             tmp_path / eta_dirname(0.3) / "snapshots.csv")] == landed_times([0.0, 0.5], report)
@@ -553,6 +580,34 @@ class TestCli:
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
                          "--eta", "0.3", "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_wrong_signed_velocity_exits_two(self, tmp_path, capsys):
+        # the dt rule bounds |V| by 1 but the quadratic flux has |f'| up to 2,
+        # so q overshoots s_max and V(W) turns negative
+        config = self.write_config(tmp_path, {"grid": {"n_cells": 256}, "eta_list": [0.0001],
+                                              "cfl": 0.6, "velocity": {"name": "quadratic"}})
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", str(config), "--eta", "0.0001", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mode violation: flux velocity fell to ")
+        assert "mispaired, or the density left" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run", "--eta", "0.3"], ["sweep"]])
+    def test_solver_blowup_names_eta(self, tmp_path, monkeypatch, capsys, command):
+        # a step far past the CFL limit makes the upwind oscillation overflow;
+        # 128 cells and cfl 1 keep the sweep's Godunov reference cheap
+        monkeypatch.setattr(nonlocal_solver, "cfl_dt", lambda q, cfg: cfg.t_end / 400)
+        config = self.write_config(tmp_path, {**SMALL_DOC, "grid": {"n_cells": 128}, "cfl": 1.0,
+                                              "velocity": {"name": "constant", "value": 1.0},
+                                              "t_end": 200.0})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main([command[0], "--config", str(config), "--out", str(tmp_path / "out"),
+                             *command[1:]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical blowup: eta = 0.3: ")
 
     def test_blowup_exits_two(self, tmp_path, monkeypatch, capsys):
         config = self.write_config(tmp_path)
