@@ -358,11 +358,13 @@ def _restrict_snapshots(report: RunReport, t_lo: float, t_hi: float) -> RunRepor
     return dataclasses.replace(report, snapshots=kept)
 
 
-def _configured_snapshots(cfg: ExperimentConfig, report: RunReport) -> tuple:
+def _configured_snapshots(cfg: ExperimentConfig, schedule: np.ndarray,
+                          report: RunReport) -> tuple:
     """The distinct snapshots answering configured snapshot_times requests.
-    The driver emits one snapshot per request of cfg.merged_snapshot_times(),
-    in step order; requests that land on one step share its snapshot."""
-    configured = np.isin(cfg.merged_snapshot_times(), np.round(cfg.snapshot_times, 12))
+    The driver emits one snapshot per request of ``schedule``, the
+    cfg.merged_snapshot_times() the run was solved with, in step order;
+    requests that land on one step share its snapshot."""
+    configured = np.isin(schedule, np.round(cfg.snapshot_times, 12))
     kept = (snap for snap, keep in zip(report.snapshots, configured, strict=True) if keep)
     return tuple({snap.time: snap for snap in kept}.values())
 
@@ -431,14 +433,27 @@ _DIAGNOSTIC_ROWS = (
 )
 
 
-def _scheme_for_eta(cfg: ExperimentConfig, eta: float) -> NonlocalSchemeConfig:
+def _scheme_for_eta(cfg: ExperimentConfig, eta: float,
+                    schedule: np.ndarray) -> NonlocalSchemeConfig:
+    """The scheme at ``eta`` snapshotting at ``schedule``, which is
+    cfg.merged_snapshot_times(); callers build that once per command, since
+    each build validates a test function."""
     return NonlocalSchemeConfig(
         kernel=cfg.kernel_spec(eta),
         velocity=cfg.build_velocity(),
         cfl=cfg.cfl,
         t_end=cfg.t_end,
-        snapshot_times=cfg.merged_snapshot_times(),
+        snapshot_times=schedule,
     )
+
+
+def _solve_named(q0: CellField, scheme: NonlocalSchemeConfig, label: str = "") -> RunReport:
+    """solve_nonlocal, with a blowup message that names the eta and ``label``."""
+    try:
+        return solve_nonlocal(q0, scheme)
+    except NumericalBlowupError as exc:
+        raise NumericalBlowupError(f"eta = {scheme.kernel.eta!r}: {label}{exc}",
+                                   step=exc.step) from exc
 
 
 def _run_eta(cfg: ExperimentConfig, scheme: NonlocalSchemeConfig, n_cells: int,
@@ -447,14 +462,12 @@ def _run_eta(cfg: ExperimentConfig, scheme: NonlocalSchemeConfig, n_cells: int,
     three files under out/eta_<eta>; returns the report and its diagnostics."""
     eta = scheme.kernel.eta
     q0 = sample_profile(cfg.build_profile(), cfg.build_grid(n_cells))
-    try:
-        report = solve_nonlocal(q0, scheme)
-    except NumericalBlowupError as exc:
-        raise NumericalBlowupError(f"eta = {eta!r}: {exc}", step=exc.step) from exc
+    report = _solve_named(q0, scheme)
     # diagnostics first: if they fail, no file of the run exists
     diagnostics = _run_diagnostics(cfg, report, q0, eta)
     run_dir = out / eta_dirname(eta)
-    _write_snapshots_csv(run_dir / "snapshots.csv", _configured_snapshots(cfg, report))
+    _write_snapshots_csv(run_dir / "snapshots.csv",
+                         _configured_snapshots(cfg, scheme.snapshot_times, report))
     _write_tv_series_csv(run_dir / "tv_series.csv", report)
     _write_csv(run_dir / "diagnostics.csv", ("name", "value"), [_rows(
         "%s,%.17g", _DIAGNOSTIC_ROWS, [diagnostics[name] for name in _DIAGNOSTIC_ROWS])])
@@ -467,7 +480,8 @@ def run_single(cfg: ExperimentConfig, eta: float, output_dir) -> RunReport:
                if np.isclose(eta, candidate, rtol=1e-12, atol=0.0)]
     if not matched:
         raise ConfigError(f"eta = {eta!r} is not in the configured eta_list")
-    report, _ = _run_eta(cfg, _scheme_for_eta(cfg, matched[0]), cfg.n_cells, Path(output_dir))
+    scheme = _scheme_for_eta(cfg, matched[0], cfg.merged_snapshot_times())
+    report, _ = _run_eta(cfg, scheme, cfg.n_cells, Path(output_dir))
     return report
 
 
@@ -511,7 +525,7 @@ def run_sweep(cfg: ExperimentConfig, output_dir) -> SweepResult:
     out = Path(output_dir)
     window = cfg.window()
     schedule = cfg.merged_snapshot_times()
-    runs = [(sweep_cells_for_eta(cfg, eta), _scheme_for_eta(cfg, eta))
+    runs = [(sweep_cells_for_eta(cfg, eta), _scheme_for_eta(cfg, eta, schedule))
             for eta in cfg.eta_list]
 
     ref_grid = cfg.build_grid(cfg.n_cells * cfg.reference_refinement)
@@ -520,7 +534,7 @@ def run_sweep(cfg: ExperimentConfig, output_dir) -> SweepResult:
     reference = solve_local(ref_q0, flux, cfl=cfg.cfl, t_end=cfg.t_end,
                             snapshot_times=schedule)
     _write_snapshots_csv(out / "reference" / "snapshots.csv",
-                         _configured_snapshots(cfg, reference))
+                         _configured_snapshots(cfg, schedule, reference))
     _write_tv_series_csv(out / "reference" / "tv_series.csv", reference)
 
     rows = []
@@ -565,10 +579,10 @@ def run_stability_probe(cfg: ExperimentConfig, delta: float, output_dir) -> floa
     """Rerun the first configured eta with a perturbed datum and report the
     sup-in-time L1 distance to the unperturbed run; writes probe.csv."""
     q0 = sample_profile(cfg.build_profile(), cfg.build_grid(cfg.n_cells))
-    scheme = _scheme_for_eta(cfg, cfg.eta_list[0])
+    scheme = _scheme_for_eta(cfg, cfg.eta_list[0], cfg.merged_snapshot_times())
     perturbed_q0 = perturbed_initial_field(q0, delta)
-    baseline = solve_nonlocal(q0, scheme)
-    perturbed = solve_nonlocal(perturbed_q0, scheme)
+    baseline = _solve_named(q0, scheme, "baseline run: ")
+    perturbed = _solve_named(perturbed_q0, scheme, "perturbed run: ")
     distance = sup_time_l1(perturbed, baseline, cfg.window(), compare="q")
     _write_csv(Path(output_dir) / "probe.csv", ("delta", "sup_time_l1"),
                [_rows("%.17g,%.17g", [delta], [distance])])

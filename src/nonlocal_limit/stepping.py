@@ -76,33 +76,36 @@ def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
     q_max = -np.inf
     total = values.sum()
 
-    for step in range(n_steps + 1):
-        w = nonlocal_term(values) if nonlocal_term is not None else None
-        tv_q[step] = total_variation_of(values, left, right, scratch[:n - 1])
-        if w is not None:
-            tv_w[step] = total_variation_of(w, left, right, scratch)
-        mass[step] = grid.dx * float(total)
-        q_min = min(q_min, float(values.min()))
-        q_max = max(q_max, float(values.max()))
-        if wanted[step]:
-            snap = Snapshot(time=step * dt, q=CellField(grid=grid, values=values),
-                            w=None if w is None else InterfaceField(grid=grid, values=w))
-            snapshots.extend([snap] * wanted[step])
-        if step == n_steps:
-            break
-        interface_flux(states, w, fluxes)
-        boundary_flux += dt * (fluxes[-1] - fluxes[0])
-        jumps = np.subtract(fluxes[1:], fluxes[:-1], out=scratch)
-        jumps *= lam
-        values -= jumps
-        # a finite sum proves every entry finite; only a non-finite one
-        # needs the full scan (the sum can overflow on finite entries)
-        total = values.sum()
-        if not np.isfinite(total) and not np.all(np.isfinite(values)):
-            raise NumericalBlowupError(
-                f"non-finite density after step {step + 1} (t = {(step + 1) * dt:g})",
-                step=step + 1,
-            )
+    # overflow on the way to a blowup is expected: the finiteness check
+    # below reports it once, with its step, instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps + 1):
+            w = nonlocal_term(values) if nonlocal_term is not None else None
+            tv_q[step] = total_variation_of(values, left, right, scratch[:n - 1])
+            if w is not None:
+                tv_w[step] = total_variation_of(w, left, right, scratch)
+            mass[step] = grid.dx * float(total)
+            q_min = min(q_min, float(values.min()))
+            q_max = max(q_max, float(values.max()))
+            if wanted[step]:
+                snap = Snapshot(time=step * dt, q=CellField(grid=grid, values=values),
+                                w=None if w is None else InterfaceField(grid=grid, values=w))
+                snapshots.extend([snap] * wanted[step])
+            if step == n_steps:
+                break
+            interface_flux(states, w, fluxes)
+            boundary_flux += dt * (fluxes[-1] - fluxes[0])
+            jumps = np.subtract(fluxes[1:], fluxes[:-1], out=scratch)
+            jumps *= lam
+            values -= jumps
+            # a finite sum proves every entry finite; only a non-finite one
+            # needs the full scan (the sum can overflow on finite entries)
+            total = values.sum()
+            if not np.isfinite(total) and not np.all(np.isfinite(values)):
+                raise NumericalBlowupError(
+                    f"non-finite density after step {step + 1} (t = {(step + 1) * dt:g})",
+                    step=step + 1,
+                )
 
     return RunReport(
         dt_used=dt,

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from nonlocal_limit import (
     nonlocal_exponential,
     default_datum_profile,
     sample_profile,
+    solve_local,
     solve_nonlocal,
     sup_time_l1,
     total_variation,
@@ -253,6 +255,116 @@ class TestTestFunction:
                 dx_eval=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
                 support=(0.0, 1.0, 0.0, 1.0),
             )
+
+
+BUMP_ARGS = (0.5, 0.4, 0.0, 0.75)
+
+
+def bump_bytes(phi, t, x):
+    """dtype, shape and raw bytes of phi's three evaluations at (t, x)."""
+    return [(r.dtype, r.shape, r.tobytes())
+            for r in (np.asarray(f(t, x)) for f in (phi.eval, phi.dt_eval, phi.dx_eval))]
+
+
+class TestBumpSpatialMemo:
+    """A bump remembers its spatial factor for the last x it saw; every
+    evaluation must still match a freshly built bump byte for byte."""
+
+    def assert_matches_fresh(self, phi, t, x):
+        expected = bump_bytes(bump_test_function(*BUMP_ARGS), t, x)
+        assert bump_bytes(phi, t, x) == expected
+
+    def test_scalar_1d_and_meshgrid_inputs(self):
+        phi = bump_test_function(*BUMP_ARGS)
+        x = np.linspace(-1.0, 1.0, 257)
+        tt, xx = np.meshgrid(np.linspace(0.1, 0.9, 7), np.linspace(-0.8, 0.8, 5))
+        for t, xs in [(0.5, 0.25), (0.5, 0.25), (0.3, x), (0.6, x), (tt, xx), (tt, xx),
+                      (0.45, 0.25), (0.7, x)]:
+            self.assert_matches_fresh(phi, t, xs)
+
+    def test_alternating_inputs(self):
+        phi = bump_test_function(*BUMP_ARGS)
+        a, b = np.linspace(-1.0, 1.0, 64), np.linspace(-0.5, 0.7, 64)
+        for i, t in enumerate(np.linspace(0.2, 0.8, 8)):
+            self.assert_matches_fresh(phi, t, a if i % 2 else b)
+
+    def test_input_mutated_in_place_is_not_served_stale(self):
+        phi = bump_test_function(*BUMP_ARGS)
+        x = np.linspace(-1.0, 1.0, 64)
+        self.assert_matches_fresh(phi, 0.5, x)
+        x += 0.125
+        self.assert_matches_fresh(phi, 0.5, x)
+        x[3] = 0.0
+        self.assert_matches_fresh(phi, 0.5, x)
+
+    def test_signed_zero_is_a_different_input(self):
+        # at x = x_center the slope factor is -6 u (1 - u^2)^2: its zero
+        # carries the sign of u, so -0.0 and 0.0 give different bytes
+        phi = bump_test_function(*BUMP_ARGS)
+        self.assert_matches_fresh(phi, 0.5, np.array([0.0, 0.5]))
+        self.assert_matches_fresh(phi, 0.5, np.array([-0.0, 0.5]))
+        assert np.signbit(phi.dx_eval(0.5, np.array([-0.0]))) != np.signbit(
+            phi.dx_eval(0.5, np.array([0.0])))
+
+    def test_two_threads_sharing_one_bump(self):
+        phi = bump_test_function(*BUMP_ARGS)
+        fresh = bump_test_function(*BUMP_ARGS)
+        inputs = (np.linspace(-1.0, 1.0, 512), np.linspace(-0.6, 0.9, 300))
+        times = np.linspace(0.15, 0.85, 50)
+        expected = [[bump_bytes(fresh, t, x) for t in times] for x in inputs]
+        start = threading.Barrier(2)
+        mismatches = []
+
+        def evaluate(k):
+            start.wait()
+            for _ in range(10):
+                for t, want in zip(times, expected[k]):
+                    if bump_bytes(phi, t, inputs[k]) != want:
+                        mismatches.append((k, t))
+
+        threads = [threading.Thread(target=evaluate, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert mismatches == []
+
+
+class TestResidualBitPins:
+    """Local-mode residuals and sup_time_l1 on a fixed Godunov run, pinned as
+    float.hex; the golden CSV digests cover only the nonlocal-mode ones."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, datum_profile, default_velocity):
+        times = np.round(np.linspace(0.0, 1.0, 101), 12)
+        flux = FluxModel(velocity=default_velocity)
+        local = solve_local(sample_profile(datum_profile, Grid1D(-1.0, 2.0, 256)), flux,
+                            cfl=0.5, t_end=1.0, snapshot_times=times)
+        scheme = NonlocalSchemeConfig(kernel=KernelSpec("exponential", 0.05),
+                                      velocity=default_velocity, cfl=0.5, t_end=1.0,
+                                      snapshot_times=times)
+        nonlocal_run = solve_nonlocal(sample_profile(datum_profile, Grid1D(-1.0, 2.0, 256)),
+                                      scheme)
+        fine = solve_local(sample_profile(datum_profile, Grid1D(-1.0, 2.0, 1024)), flux,
+                           cfl=0.5, t_end=1.0, snapshot_times=times)
+        return local, nonlocal_run, fine, flux
+
+    def test_local_weak_and_entropy_residuals(self, runs, default_velocity):
+        local, _, _, flux = runs
+        assert len(local.snapshots) == 101
+        phi = bump_test_function(t_center=0.5, t_radius=0.4, x_center=0.5, x_radius=0.75)
+        assert weak_residual(local, default_velocity, "local", phi).hex() == \
+            "0x1.3005796c19969p-13"
+        assert [entropy_residual(local, flux, k, phi).hex() for k in (0.25, 0.5, 0.75)] == [
+            "0x1.19d46c1a87795p-4", "0x1.a68596f69f345p-4", "0x1.79e6d5f53e3c2p-4"]
+
+    def test_sup_time_l1_against_refined_reference(self, runs):
+        _, nonlocal_run, fine, _ = runs
+        window = Window(-0.3, 1.7)  # fractional end cells
+        assert sup_time_l1(nonlocal_run, fine, window, compare="q").hex() == \
+            "0x1.96f2662130deap-5"
+        assert sup_time_l1(nonlocal_run, fine, window, compare="w").hex() == \
+            "0x1.7801399ec560ap-4"
 
 
 class TestWeakResidual:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -595,19 +596,37 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["run", "--eta", "0.3"], ["sweep"]])
-    def test_solver_blowup_names_eta(self, tmp_path, monkeypatch, capsys, command):
+    BLOWUP_COMMANDS = [["run", "--eta", "0.3"], ["sweep"], ["stability", "--delta", "0.01"]]
+
+    def run_blowup(self, tmp_path, monkeypatch, command):
         # a step far past the CFL limit makes the upwind oscillation overflow;
         # 128 cells and cfl 1 keep the sweep's Godunov reference cheap
         monkeypatch.setattr(nonlocal_solver, "cfl_dt", lambda q, cfg: cfg.t_end / 400)
         config = self.write_config(tmp_path, {**SMALL_DOC, "grid": {"n_cells": 128}, "cfl": 1.0,
                                               "velocity": {"name": "constant", "value": 1.0},
                                               "t_end": 200.0})
+        return cli.main([command[0], "--config", str(config), "--out", str(tmp_path / "out"),
+                         *command[1:]])
+
+    @pytest.mark.parametrize("command", BLOWUP_COMMANDS)
+    def test_solver_blowup_names_eta(self, tmp_path, monkeypatch, capsys, command):
         with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main([command[0], "--config", str(config), "--out", str(tmp_path / "out"),
-                             *command[1:]])
+            code = self.run_blowup(tmp_path, monkeypatch, command)
         assert code == 2
-        assert capsys.readouterr().err.startswith("numerical blowup: eta = 0.3: ")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical blowup: eta = 0.3: ")
+        if command[0] == "stability":
+            assert err.startswith("numerical blowup: eta = 0.3: baseline run: non-finite density")
+
+    @pytest.mark.parametrize("command", BLOWUP_COMMANDS)
+    def test_solver_blowup_raises_no_runtime_warning(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = self.run_blowup(tmp_path, monkeypatch, command)
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_blowup_exits_two(self, tmp_path, monkeypatch, capsys):
         config = self.write_config(tmp_path)
