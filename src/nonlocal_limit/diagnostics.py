@@ -317,9 +317,10 @@ def _spacetime_quadrature(report: RunReport, phi: TestFunction,
                           integrand, initial_integrand) -> float:
     """Midpoint-rule quadrature of a weak form over the report's snapshots.
 
-    ``integrand(t_mid, x, q_mid, w_mid)`` returns the pointwise integrand on
-    cell centers; fields are averaged between consecutive snapshots.  The
-    initial term uses the t = 0 snapshot.
+    ``integrand(t_mid, x, q_mid, left, right)`` returns the pointwise
+    integrand on cell centers, given q averaged between the consecutive
+    snapshots ``left`` and ``right``.  The initial term uses the t = 0
+    snapshot.
     """
     _check_snapshot_density(report, phi)
     grid = report.grid
@@ -335,10 +336,7 @@ def _spacetime_quadrature(report: RunReport, phi: TestFunction,
         if t_mid >= phi.support[1] or t_mid <= phi.support[0]:
             continue
         q_mid = 0.5 * (left.q.values + right.q.values)
-        w_mid = None
-        if left.w is not None and right.w is not None:
-            w_mid = _midpoint_cells(0.5 * (left.w.values + right.w.values))
-        total += dt * dx * float(np.sum(integrand(t_mid, x, q_mid, w_mid)))
+        total += dt * dx * float(np.sum(integrand(t_mid, x, q_mid, left, right)))
     q0 = snaps[0].q.values
     total += dx * float(np.sum(initial_integrand(x, q0)))
     return total
@@ -354,11 +352,11 @@ def weak_residual(report: RunReport, velocity: VelocityModel, mode: str,
     if mode not in ("nonlocal", "local"):
         raise ValueError(f"unknown weak-form mode {mode!r}")
 
-    def integrand(t, x, q, w):
+    def integrand(t, x, q, left, right):
         if mode == "nonlocal":
-            if w is None:
+            if left.w is None or right.w is None:
                 raise ValueError("nonlocal weak form needs recorded nonlocal terms")
-            speed = velocity.eval(w)
+            speed = velocity.eval(_midpoint_cells(0.5 * (left.w.values + right.w.values)))
         else:
             speed = velocity.eval(q)
         return phi.dt_eval(t, x) * q + phi.dx_eval(t, x) * speed * q
@@ -382,7 +380,7 @@ def entropy_residual(report: RunReport, flux: "FluxModel", k: float,
         raise ValueError("entropy residual requires a nonnegative test function")
     f_k = float(flux.f(k))
 
-    def integrand(t, x, q, w):
+    def integrand(t, x, q, *_):
         sign = np.sign(q - k)
         return np.abs(q - k) * phi.dt_eval(t, x) + sign * (flux.f(q) - f_k) * phi.dx_eval(t, x)
 

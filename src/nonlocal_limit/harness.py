@@ -11,6 +11,7 @@ ordered, and nothing time- or host-dependent is written.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,7 +172,8 @@ class ExperimentConfig:
 
     Each field declares the config key it is read from, with the key's
     check and default (see ``_key``); ``config_from_dict`` and
-    ``serialize_config`` walk these declarations.
+    ``serialize_config`` walk these declarations.  The velocity, flux,
+    residual test function and snapshot schedule are built once, at first use.
     """
 
     x_min: float = _key("grid.x_min", _finite, -1.0)
@@ -212,6 +214,8 @@ class ExperimentConfig:
         build, _ = _VELOCITIES[self.velocity_name]
         return build(**dict(self.velocity_params))
 
+    velocity = functools.cached_property(build_velocity)
+
     def kernel_spec(self, eta: float) -> KernelSpec:
         return KernelSpec(family=self.kernel_family, eta=eta,
                           orientation=self.kernel_orientation)
@@ -219,6 +223,11 @@ class ExperimentConfig:
     def window(self) -> Window:
         return Window(self.window_lo, self.window_hi)
 
+    @functools.cached_property
+    def flux(self) -> FluxModel:
+        return FluxModel(velocity=self.velocity)
+
+    @functools.cached_property
     def residual_test_function(self) -> TestFunction | None:
         """Default space-time bump for the residual diagnostics.
 
@@ -227,7 +236,7 @@ class ExperimentConfig:
         round to whole steps.  Returns None when no such support fits in
         (0, t_end): the run is then too coarse for residual measurement.
         """
-        v_max = self.build_velocity().max_abs_speed()
+        v_max = self.velocity.max_abs_speed()
         if v_max == 0.0:
             return None
         dt_estimate = self.cfl * (self.x_max - self.x_min) / self.n_cells / v_max
@@ -244,15 +253,16 @@ class ExperimentConfig:
             x_radius=0.25 * (self.x_max - self.x_min),
         )
 
+    @functools.cached_property
     def merged_snapshot_times(self) -> np.ndarray:
         """Configured snapshot times plus 0 and t_end, the initial state the
         weak residual needs and the final state, and a dense band across the
-        residual test function's time support (when one fits).
+        residual test function's time support (when one fits); read-only.
 
         The band reaches two spacings past the support so that snapshot
         requests rounded onto solver steps stay dense over the whole support.
         """
-        phi = self.residual_test_function()
+        phi = self.residual_test_function
         merged = np.unique(np.round(np.append(self.snapshot_times, (0.0, self.t_end)), 12))
         if phi is not None:
             t_lo, t_hi = max(phi.support[0], 0.0), min(phi.support[1], self.t_end)
@@ -260,7 +270,9 @@ class ExperimentConfig:
             band = np.linspace(max(0.0, t_lo - pad), min(self.t_end, t_hi + pad),
                                _RESIDUAL_BAND_INTERVALS + 5)
             merged = np.union1d(merged, np.round(band, 12))
-        return merged[(merged >= 0.0) & (merged <= self.t_end + 1e-12)]
+        merged = merged[(merged >= 0.0) & (merged <= self.t_end + 1e-12)]
+        merged.setflags(write=False)
+        return merged
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -300,7 +312,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             f"profile.levels needs {len(cfg.breakpoints) + 1} entries (one more than "
             f"breakpoints), got {len(cfg.levels)}"
         )
-    check_pairing(cfg.kernel_orientation, cfg.build_velocity().mode)
+    check_pairing(cfg.kernel_orientation, cfg.velocity.mode)
     check_time_settings(cfg.cfl, cfg.t_end, cfg.snapshot_times)
     if not (cfg.x_min - 1e-12 <= cfg.window_lo < cfg.window_hi <= cfg.x_max + 1e-12):
         raise ConfigError(
@@ -358,13 +370,12 @@ def _restrict_snapshots(report: RunReport, t_lo: float, t_hi: float) -> RunRepor
     return dataclasses.replace(report, snapshots=kept)
 
 
-def _configured_snapshots(cfg: ExperimentConfig, schedule: np.ndarray,
-                          report: RunReport) -> tuple:
+def _configured_snapshots(cfg: ExperimentConfig, report: RunReport) -> tuple:
     """The distinct snapshots answering configured snapshot_times requests.
-    The driver emits one snapshot per request of ``schedule``, the
-    cfg.merged_snapshot_times() the run was solved with, in step order;
-    requests that land on one step share its snapshot."""
-    configured = np.isin(schedule, np.round(cfg.snapshot_times, 12))
+    The driver emits one snapshot per request of cfg.merged_snapshot_times,
+    the schedule every run is solved with, in step order; requests that land
+    on one step share its snapshot."""
+    configured = np.isin(cfg.merged_snapshot_times, np.round(cfg.snapshot_times, 12))
     kept = (snap for snap, keep in zip(report.snapshots, configured, strict=True) if keep)
     return tuple({snap.time: snap for snap in kept}.values())
 
@@ -399,8 +410,8 @@ def _max_principle_violation(report: RunReport, q0: CellField) -> float:
 
 def _run_diagnostics(cfg: ExperimentConfig, report: RunReport, q0: CellField,
                      eta: float) -> dict[str, float]:
-    velocity = cfg.build_velocity()
-    phi = cfg.residual_test_function()
+    velocity = cfg.velocity
+    phi = cfg.residual_test_function
     final = report.snapshots[-1]
     values = {
         "wq_identity_gap": wq_identity_gap(final.q, final.w, eta)
@@ -419,9 +430,8 @@ def _run_diagnostics(cfg: ExperimentConfig, report: RunReport, q0: CellField,
         band = _restrict_snapshots(report, phi.support[0], phi.support[1])
         values["transport_residual_W"] = transport_residual_w(band, velocity, eta)
     s_max = dict(cfg.velocity_params)["s_max"]
-    flux = FluxModel(velocity=velocity)
     values["entropy_residual_min"] = min(
-        entropy_residual(report, flux, frac * s_max, phi)
+        entropy_residual(report, cfg.flux, frac * s_max, phi)
         for frac in _ENTROPY_LEVEL_FRACTIONS
     )
     return values
@@ -433,18 +443,10 @@ _DIAGNOSTIC_ROWS = (
 )
 
 
-def _scheme_for_eta(cfg: ExperimentConfig, eta: float,
-                    schedule: np.ndarray) -> NonlocalSchemeConfig:
-    """The scheme at ``eta`` snapshotting at ``schedule``, which is
-    cfg.merged_snapshot_times(); callers build that once per command, since
-    each build validates a test function."""
-    return NonlocalSchemeConfig(
-        kernel=cfg.kernel_spec(eta),
-        velocity=cfg.build_velocity(),
-        cfl=cfg.cfl,
-        t_end=cfg.t_end,
-        snapshot_times=schedule,
-    )
+def _scheme_for_eta(cfg: ExperimentConfig, eta: float) -> NonlocalSchemeConfig:
+    return NonlocalSchemeConfig(kernel=cfg.kernel_spec(eta), velocity=cfg.velocity,
+                                cfl=cfg.cfl, t_end=cfg.t_end,
+                                snapshot_times=cfg.merged_snapshot_times)
 
 
 def _solve_named(q0: CellField, scheme: NonlocalSchemeConfig, label: str = "") -> RunReport:
@@ -466,8 +468,7 @@ def _run_eta(cfg: ExperimentConfig, scheme: NonlocalSchemeConfig, n_cells: int,
     # diagnostics first: if they fail, no file of the run exists
     diagnostics = _run_diagnostics(cfg, report, q0, eta)
     run_dir = out / eta_dirname(eta)
-    _write_snapshots_csv(run_dir / "snapshots.csv",
-                         _configured_snapshots(cfg, scheme.snapshot_times, report))
+    _write_snapshots_csv(run_dir / "snapshots.csv", _configured_snapshots(cfg, report))
     _write_tv_series_csv(run_dir / "tv_series.csv", report)
     _write_csv(run_dir / "diagnostics.csv", ("name", "value"), [_rows(
         "%s,%.17g", _DIAGNOSTIC_ROWS, [diagnostics[name] for name in _DIAGNOSTIC_ROWS])])
@@ -480,7 +481,7 @@ def run_single(cfg: ExperimentConfig, eta: float, output_dir) -> RunReport:
                if np.isclose(eta, candidate, rtol=1e-12, atol=0.0)]
     if not matched:
         raise ConfigError(f"eta = {eta!r} is not in the configured eta_list")
-    scheme = _scheme_for_eta(cfg, matched[0], cfg.merged_snapshot_times())
+    scheme = _scheme_for_eta(cfg, matched[0])
     report, _ = _run_eta(cfg, scheme, cfg.n_cells, Path(output_dir))
     return report
 
@@ -524,17 +525,15 @@ def run_sweep(cfg: ExperimentConfig, output_dir) -> SweepResult:
     """
     out = Path(output_dir)
     window = cfg.window()
-    schedule = cfg.merged_snapshot_times()
-    runs = [(sweep_cells_for_eta(cfg, eta), _scheme_for_eta(cfg, eta, schedule))
+    runs = [(sweep_cells_for_eta(cfg, eta), _scheme_for_eta(cfg, eta))
             for eta in cfg.eta_list]
 
     ref_grid = cfg.build_grid(cfg.n_cells * cfg.reference_refinement)
     ref_q0 = sample_profile(cfg.build_profile(), ref_grid)
-    flux = FluxModel(velocity=cfg.build_velocity())
-    reference = solve_local(ref_q0, flux, cfl=cfg.cfl, t_end=cfg.t_end,
-                            snapshot_times=schedule)
+    reference = solve_local(ref_q0, cfg.flux, cfl=cfg.cfl, t_end=cfg.t_end,
+                            snapshot_times=cfg.merged_snapshot_times)
     _write_snapshots_csv(out / "reference" / "snapshots.csv",
-                         _configured_snapshots(cfg, schedule, reference))
+                         _configured_snapshots(cfg, reference))
     _write_tv_series_csv(out / "reference" / "tv_series.csv", reference)
 
     rows = []
@@ -560,6 +559,8 @@ def run_sweep(cfg: ExperimentConfig, output_dir) -> SweepResult:
 def perturbed_initial_field(q0: CellField, delta: float) -> CellField:
     """Add a compactly supported bump of L1-size ``delta`` to ``q0``, clipped
     so the perturbed datum stays inside [0, max q0]."""
+    if not np.isfinite(delta):
+        raise ConfigError(f"delta must be finite, got {delta}")
     if delta < 0:
         raise ConfigError(f"delta must be nonnegative, got {delta}")
     grid = q0.grid
@@ -579,7 +580,7 @@ def run_stability_probe(cfg: ExperimentConfig, delta: float, output_dir) -> floa
     """Rerun the first configured eta with a perturbed datum and report the
     sup-in-time L1 distance to the unperturbed run; writes probe.csv."""
     q0 = sample_profile(cfg.build_profile(), cfg.build_grid(cfg.n_cells))
-    scheme = _scheme_for_eta(cfg, cfg.eta_list[0], cfg.merged_snapshot_times())
+    scheme = _scheme_for_eta(cfg, cfg.eta_list[0])
     perturbed_q0 = perturbed_initial_field(q0, delta)
     baseline = _solve_named(q0, scheme, "baseline run: ")
     perturbed = _solve_named(perturbed_q0, scheme, "perturbed run: ")

@@ -37,11 +37,6 @@ from nonlocal_limit import (
 from conftest import aligned_datum_field, constant_profile
 
 
-def band_subreport(report, lo, hi):
-    kept = tuple(s for s in report.snapshots if lo - 1e-12 <= s.time <= hi + 1e-12)
-    return dataclasses.replace(report, snapshots=kept)
-
-
 def constant_run(level=0.7, n_cells=512, t_end=0.5, eta=0.05, n_snapshots=101):
     grid = Grid1D(-1.0, 2.0, n_cells)
     q0 = sample_profile(constant_profile(level), grid)

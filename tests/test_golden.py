@@ -17,7 +17,7 @@ The ``snapshots.csv`` digests were derived when the file was cut down to
 the configured snapshot times, from the files the package wrote before that
 change (which also held the residual band): for each run, take the times of
 the snapshots that answer a configured ``snapshot_times`` request (snapshot
-i of the report answers request i of ``merged_snapshot_times()``), keep the
+i of the report answers request i of ``merged_snapshot_times``), keep the
 header and the rows whose time column is one of those times, and hash that.
 Apart from those five later upstream digests, no digest was taken from
 the new writer's output; every other digest is unchanged.

@@ -12,6 +12,7 @@ from nonlocal_limit import (
     FluxModel,
     NonlocalSchemeConfig,
     NumericalBlowupError,
+    VelocityModel,
     Window,
     sample_profile,
     solve_local,
@@ -19,6 +20,7 @@ from nonlocal_limit import (
     sup_time_l1,
     wq_identity_gap,
 )
+from nonlocal_limit import TestFunction as SpaceTimeTestFunction
 from nonlocal_limit.harness import (
     PLOT_SCRIPT_NAME,
     SWEEP_COLUMNS,
@@ -307,7 +309,7 @@ class TestRunSweep:
         ref_q0 = sample_profile(cfg.build_profile(), ref_grid)
         reference = solve_local(
             ref_q0, FluxModel(velocity=cfg.build_velocity()), cfl=cfg.cfl,
-            t_end=cfg.t_end, snapshot_times=cfg.merged_snapshot_times(),
+            t_end=cfg.t_end, snapshot_times=cfg.merged_snapshot_times,
         )
         expected = sup_time_l1(result.reports[0], reference,
                                Window(cfg.window_lo, cfg.window_hi))
@@ -435,6 +437,19 @@ class TestStabilityProbe:
     def test_negative_delta_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="delta"):
             run_stability_probe(small_config(), -0.1, output_dir=tmp_path)
+
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_rejected_by_cli(self, tmp_path, capsys, delta):
+        # an infinite bump used to clip to a plateau at max q0 and exit 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"n_cells": 64}, "eta_list": [0.3],
+                                      "t_end": 0.5}))
+        out = tmp_path / "out"
+        code = cli.main(["stability", "--config", str(config), "--delta", delta,
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: delta must be finite, got {delta}\n"
+        assert not out.exists()
 
 
 class TestEmitPlotScript:
@@ -595,6 +610,31 @@ class TestCli:
         assert "mispaired, or the density left" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, most", [
+        (["sweep"], (2, 1, 1)),
+        (["run", "--eta", "0.05"], (5, 1, 2)),
+        (["stability", "--delta", "0.01"], (3, 0, 1)),
+    ], ids=["sweep", "run", "stability"])
+    def test_command_builds_models_once(self, tmp_path, monkeypatch, command, most):
+        # VelocityModel, FluxModel and TestFunction constructions in one
+        # command, parsing included; each validates itself by sampling
+        classes = (VelocityModel, FluxModel, SpaceTimeTestFunction)
+        counts = dict.fromkeys(classes, 0)
+        for cls in classes:
+            def counting(model, cls=cls, original=cls.__post_init__):
+                counts[cls] += 1
+                original(model)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        config = self.write_config(tmp_path, {"grid": {"n_cells": 256},
+                                              "eta_list": [0.1, 0.05, 0.03],
+                                              "reference_refinement": 4})
+        code = cli.main([command[0], "--config", str(config), "--out", str(tmp_path / "out"),
+                         *command[1:]])
+        assert code == 0
+        built = tuple(counts[cls] for cls in classes)
+        assert all(n <= bound for n, bound in zip(built, most)), built
 
     BLOWUP_COMMANDS = [["run", "--eta", "0.3"], ["sweep"], ["stability", "--delta", "0.01"]]
 
