@@ -2,6 +2,7 @@
 
 Exit codes: 0 on success, 1 on validation errors (bad config, bad arguments,
 missing files), 2 when a solver blows up or meets a wrong-signed flux velocity.
+Usage errors that argparse reports itself exit 1 as well.
 """
 
 from __future__ import annotations
@@ -20,8 +21,17 @@ from .harness import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code kept here for solver
+    failures; this parser and its subcommand parsers exit 1 instead."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonlocal-limit",
         description="Simulate nonlocal conservation laws and measure their "
                     "small-kernel-width limit against a local Godunov reference.",

@@ -1,6 +1,7 @@
 """Measured quantities: total variation, L1 metrics, residuals, identity gap.
 
-All functions are pure and read-only over immutable fields and run reports.
+All functions are pure and read-only over immutable fields and run reports,
+apart from the ``out`` row that ``total_variation_of`` may fill.
 Total variation always includes the seam jumps to the far-field states, so
 window truncation cannot hide boundary variation.
 """
@@ -163,25 +164,28 @@ def bump_test_function(
     )
 
 
-def total_variation_of(values: np.ndarray, left_farfield: float,
-                       right_farfield: float, scratch: np.ndarray | None = None) -> float:
-    """Sum of absolute jumps including the seams to the far-field states.
+def total_variation_of(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Total variation of every row of a 2-D block whose first and last
+    columns hold the left and right far-field states: the sum of the row's
+    inner absolute jumps, then its two seam jumps.
 
-    ``scratch``, one entry shorter than ``values``, receives the jumps
-    instead of a new array.
+    Each row's inner jumps are summed on their own, in the order a 1-D sum
+    of them uses, so a row's total does not depend on the block it sits in.
+    ``out``, one entry per row, receives the totals instead of a new array.
     """
-    jumps = np.subtract(values[1:], values[:-1], out=scratch)
-    return float(
-        np.abs(jumps, out=jumps).sum()
-        + abs(values[0] - left_farfield)
-        + abs(values[-1] - right_farfield)
-    )
+    jumps = np.subtract(padded[:, 1:], padded[:, :-1])
+    np.abs(jumps, out=jumps)
+    tv = jumps[:, 1:-1].sum(axis=1, out=out)
+    tv += jumps[:, 0]
+    tv += jumps[:, -1]
+    return tv
 
 
 def total_variation(field: CellField | InterfaceField) -> float:
     """Total variation of a stored field, far-field seam jumps included."""
     grid = field.grid
-    return total_variation_of(field.values, grid.left_farfield, grid.right_farfield)
+    padded = np.concatenate([[grid.left_farfield], field.values, [grid.right_farfield]])
+    return float(total_variation_of(padded[np.newaxis])[0])
 
 
 def interface_to_cells(w: InterfaceField) -> CellField:

@@ -10,9 +10,13 @@ data extended by the far-field states, in O(n_cells).  The exponential map is
 invertible cell by cell; ``reconstruct_density`` is its exact left inverse.
 
 Each average is built once per run as an operator on arrays
-(``kernel_operator``); the public functions taking fields wrap it.  Upstream
+(``kernel_operator``) that writes W into a row its caller passes in; the
+public functions taking fields wrap it and let it allocate.  Upstream
 orientation (the average looking left instead of right) runs the downstream
-operator on reversed views, which is the same as mirroring the field.
+operator on reversed views, which is the same as mirroring the field.  The
+exponential recursion calls scipy's C routine behind ``lfilter`` directly,
+and falls back to ``lfilter`` where that private name is missing; both give
+the same bits.
 """
 
 from __future__ import annotations
@@ -64,6 +68,26 @@ def _require_positive_eta(eta: float):
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
+def _linear_filter():
+    """scipy's C recursion behind ``lfilter``, as ``(b, a, x, axis, zi)`` ->
+    ``(y, zf)``.
+
+    ``lfilter`` checks and converts its arguments on every call, about half
+    of its cost on a 512-cell grid; the operator's coefficients are built
+    once, so it calls the recursion directly.  The name is private to scipy:
+    where it is gone, ``lfilter`` itself serves, with the same output.
+    """
+    # imported here, not at module level: scipy.signal costs ~1 s and ~75 MB
+    try:
+        from scipy.signal._sigtools import _linear_filter
+    except ImportError:
+        from scipy.signal import lfilter
+
+        def _linear_filter(b, a, x, axis, zi):
+            return lfilter(b, a, x, axis=axis, zi=zi)
+    return _linear_filter
+
+
 def _exponential_operator(dx: float, n_cells: int, eta: float, farfield: float):
     """Downstream exponential average, exact at every interface.
 
@@ -76,14 +100,14 @@ def _exponential_operator(dx: float, n_cells: int, eta: float, farfield: float):
     which runs as a linear recurrence over the reversed cell values.  The
     seed is exact because the density is constant beyond x_max.
     """
-    from scipy.signal import lfilter  # imported here: it costs ~1 s and ~75 MB
+    linear_filter = _linear_filter()
     alpha = float(np.exp(-dx / eta))
     numerator = np.array([1.0 - alpha])
     denominator = np.array([1.0, -alpha])
     initial = np.array([alpha * farfield])
 
     def apply(q: np.ndarray, w: np.ndarray):
-        filtered, _ = lfilter(numerator, denominator, q[::-1], zi=initial)
+        filtered, _ = linear_filter(numerator, denominator, q[::-1], -1, initial)
         w[-1] = farfield
         w[:-1] = filtered[::-1]
 
@@ -133,20 +157,22 @@ def kernel_operator(spec: KernelSpec, grid: Grid1D):
     """The nonlocal average of ``spec`` on ``grid`` as a function of the cell
     values, built once per run.
 
-    The returned function writes W into one interface buffer it owns and
-    returns that buffer.  Upstream orientation runs the downstream operator
-    on reversed views of the values and of the buffer, seeded by the left
-    far-field state.
+    The returned ``evaluate(values, out=None)`` writes W into ``out``, an
+    interface-length row the caller owns, or into a new array, and returns
+    it.  Upstream orientation runs the downstream operator on reversed views
+    of the values and of the output, seeded by the left far-field state.
     """
     downstream = spec.orientation == "downstream"
     build = _exponential_operator if spec.family == "exponential" else _constant_operator
     apply = build(grid.dx, grid.n_cells, spec.eta,
                   grid.right_farfield if downstream else grid.left_farfield)
-    w = np.empty(grid.n_cells + 1)
-    w_view = w if downstream else w[::-1]
 
-    def evaluate(values: np.ndarray) -> np.ndarray:
-        apply(values if downstream else values[::-1], w_view)
+    def evaluate(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        w = np.empty(grid.n_cells + 1) if out is None else out
+        if downstream:
+            apply(values, w)
+        else:
+            apply(values[::-1], w[::-1])
         return w
 
     return evaluate

@@ -6,8 +6,10 @@ writes the numerical flux at all n_cells + 1 interfaces.  This is the
 conservative form in which Friedrich, Kolb & Goettlich (NHM 13, 2018) write
 their nonlocal Godunov-type scheme.  The driver owns everything around the
 flux: the update, the per-step records, the boundary-flux integral, the
-snapshot schedule and the blowup check.  Every buffer belongs to one call,
-so runs are safe to execute concurrently.
+snapshot schedule and the blowup check.  The states of consecutive steps
+fill the rows of one preallocated block, and TV and the extremes are taken
+once per block, row by row, with the bits of a per-step computation.  Every
+buffer belongs to one call, so runs are safe to execute concurrently.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ from .core import CellField, InterfaceField
 from .diagnostics import total_variation_of
 from .errors import ConfigError, NumericalBlowupError
 from .report import RunReport, Snapshot
+
+# Bytes of padded states per record block.  A step's records (TV of q and
+# W, min, max) are about a dozen numpy calls, whose fixed cost is a large
+# share of a step on a small grid; over a block it is paid once per block.
+# The W block and the TV jumps take as much again each; from 32767 cells
+# on, a block is one row.
+_BLOCK_BYTES = 1 << 18
 
 
 def check_time_settings(cfl: float, t_end: float, snapshot_times=()) -> np.ndarray:
@@ -43,25 +52,47 @@ def frozen_step(cfl: float, dx: float, speed: float, t_end: float) -> float:
     return t_end / max(1, int(np.ceil(t_end / dt - 1e-9)))
 
 
+def _block_rows(n_cells: int) -> int:
+    """Rows of a record block: as many padded states as fit in the byte
+    budget, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * (n_cells + 2)))
+
+
+def _padded_rows(rows: int, width: int, left: float, right: float) -> np.ndarray:
+    """An uninitialised (rows, width + 2) block whose first and last columns
+    hold the far-field states: the seams of TV, and for q the flux's inflow."""
+    block = np.empty((rows, width + 2))
+    block[:, 0] = left
+    block[:, -1] = right
+    return block
+
+
 def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
               snapshot_times=(), nonlocal_term=None) -> RunReport:
     """Integrate ``n_steps`` conservative steps of size ``dt`` from ``q0``.
 
     ``interface_flux(states, w, out)`` fills ``out`` with the fluxes at every
-    interface; ``nonlocal_term(values)``, when given, returns the nonlocal
-    term W at the interfaces and is evaluated at every step, the last
-    included.  TV, mass and the q extremes are recorded every step (TV(W)
+    interface; ``nonlocal_term(values, out)``, when given, writes the nonlocal
+    term W at the interfaces into ``out`` and is evaluated at every step, the
+    last included.  TV, mass and the q extremes are recorded every step (TV(W)
     too when W exists), and each requested snapshot at the completed step
     nearest its time; requests that land on one step share one Snapshot.
+
+    The states of consecutive steps fill the rows of one block, each update
+    writing the next row, and TV and the extremes are computed once per
+    block: row by row, with the bits of a per-step computation.  Mass, the
+    blowup check and snapshots stay per step.
     """
     grid = q0.grid
     left, right = grid.left_farfield, grid.right_farfield
     n = grid.n_cells
     lam = dt / grid.dx
-    states = np.concatenate([[left], q0.values, [right]])
-    values = states[1:-1]
+    rows = min(_block_rows(n), n_steps + 1)
+    q_block = _padded_rows(rows, n, left, right)
+    q_block[0, 1:-1] = q0.values
+    w_block = _padded_rows(rows, n + 1, left, right) if nonlocal_term is not None else None
     fluxes = np.empty(n + 1)
-    scratch = np.empty(n)
+    jumps = np.empty(n)
     times = np.asarray(snapshot_times, dtype=float)
     steps = (np.clip(np.rint(times / dt).astype(int), 0, n_steps) if times.size
              else [n_steps])
@@ -74,30 +105,37 @@ def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
     boundary_flux = 0.0
     q_min = np.inf
     q_max = -np.inf
-    total = values.sum()
+    total = q_block[0, 1:-1].sum()
+    first = 0  # the step held in row 0 of the block
 
     # overflow on the way to a blowup is expected: the finiteness check
     # below reports it once, with its step, instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps + 1):
-            w = nonlocal_term(values) if nonlocal_term is not None else None
-            tv_q[step] = total_variation_of(values, left, right, scratch[:n - 1])
-            if w is not None:
-                tv_w[step] = total_variation_of(w, left, right, scratch)
+            row = step - first
+            states = q_block[row]
+            values = states[1:-1]
+            w = nonlocal_term(values, w_block[row, 1:-1]) if nonlocal_term is not None else None
             mass[step] = grid.dx * float(total)
-            q_min = min(q_min, float(values.min()))
-            q_max = max(q_max, float(values.max()))
             if wanted[step]:
                 snap = Snapshot(time=step * dt, q=CellField(grid=grid, values=values),
                                 w=None if w is None else InterfaceField(grid=grid, values=w))
                 snapshots.extend([snap] * wanted[step])
+            if row == rows - 1 or step == n_steps:
+                total_variation_of(q_block[:row + 1], out=tv_q[first:step + 1])
+                if w_block is not None:
+                    total_variation_of(w_block[:row + 1], out=tv_w[first:step + 1])
+                block = q_block[:row + 1, 1:-1]
+                q_min = min(q_min, float(block.min()))
+                q_max = max(q_max, float(block.max()))
+                first = step + 1
             if step == n_steps:
                 break
             interface_flux(states, w, fluxes)
             boundary_flux += dt * (fluxes[-1] - fluxes[0])
-            jumps = np.subtract(fluxes[1:], fluxes[:-1], out=scratch)
+            np.subtract(fluxes[1:], fluxes[:-1], out=jumps)
             jumps *= lam
-            values -= jumps
+            values = np.subtract(values, jumps, out=q_block[step + 1 - first, 1:-1])
             # a finite sum proves every entry finite; only a non-finite one
             # needs the full scan (the sum can overflow on finite entries)
             total = values.sum()

@@ -539,6 +539,32 @@ class TestCli:
         assert code == 1
         assert "eta_list[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["stability", "--delta", "-inf", "--config", "c.json", "--out", "o"],
+         "argument --delta: expected one argument"),
+        (["run", "--config", "c.json", "--eta", "x", "--out", "o"],
+         "argument --eta: invalid float value: 'x'"),
+        (["sweep", "--config", "c.json", "--out", "o", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+    ], ids=["no-command", "negative-looking-delta", "bad-float", "unknown-option",
+            "unknown-command"])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        # exit 2 is kept for blowups and mode violations; argparse's own
+        # usage errors are bad arguments, which exit 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["stability", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: nonlocal-limit" in capsys.readouterr().out
+
     @pytest.mark.parametrize("doc", [
         {**SMALL_DOC, "eta_list": [0.3, 0.02]},  # no integer reference refinement
         {**SMALL_DOC, "kernel": {"orientation": "upstream"}},  # mispaired

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
+import nonlocal_limit.kernels as kernels
 from nonlocal_limit import (
     CellField,
     Grid1D,
@@ -222,6 +224,59 @@ class TestOrientation:
         field = random_field(2)
         w = nonlocal_exponential(field, eta=0.1)
         np.testing.assert_array_equal(interface_to_cells(w).values, w.values[:-1])
+
+
+def lfilter_average(field, spec):
+    """The exponential average through the public ``scipy.signal.lfilter``:
+    the reference whose bits the operator must keep."""
+    from scipy.signal import lfilter
+    grid = field.grid
+    downstream = spec.orientation == "downstream"
+    q = field.values if downstream else field.values[::-1]
+    farfield = grid.right_farfield if downstream else grid.left_farfield
+    alpha = float(np.exp(-grid.dx / spec.eta))
+    filtered, _ = lfilter(np.array([1.0 - alpha]), np.array([1.0, -alpha]), q[::-1],
+                          zi=np.array([alpha * farfield]))
+    w = np.append(filtered[::-1], farfield)
+    return w if downstream else w[::-1]
+
+
+class TestDirectFilter:
+    """The exponential operator calls scipy's C recursion, or ``lfilter``
+    where that private name is gone; both give lfilter's bits."""
+
+    @pytest.fixture(params=["direct", "fallback"])
+    def filter_path(self, request, monkeypatch):
+        import scipy.signal._sigtools
+
+        if request.param == "fallback":
+            # a None entry makes the import raise ImportError
+            monkeypatch.setitem(sys.modules, "scipy.signal._sigtools", None)
+            assert kernels._linear_filter() is not scipy.signal._sigtools._linear_filter
+        else:
+            assert kernels._linear_filter() is scipy.signal._sigtools._linear_filter
+        return request.param
+
+    @pytest.mark.parametrize("orientation", ["downstream", "upstream"])
+    @pytest.mark.parametrize("datum", ["random", "zeros"])
+    # alpha = exp(-dx/eta) is 0.5 at dx/eta = ln 2 and 0.999 at dx/eta = 1e-3
+    @pytest.mark.parametrize("dx_over_eta", [np.log(2.0) * (1 - 1e-12), np.log(2.0),
+                                             np.log(2.0) * (1 + 1e-12), 1e-3])
+    def test_equals_lfilter_bit_for_bit(self, filter_path, orientation, datum, dx_over_eta):
+        field = random_field(5, n_cells=257)
+        if datum == "zeros":
+            values = np.where(np.arange(257) % 3 == 0, 0.0, field.values)
+            values[100:140] = 0.0
+            grid = Grid1D(0.0, 1.0, 257, left_farfield=0.0, right_farfield=0.0)
+            field = CellField(grid=grid, values=values)
+        spec = KernelSpec("exponential", field.grid.dx / dx_over_eta, orientation)
+        evaluate = kernels.kernel_operator(spec, field.grid)
+        expected = lfilter_average(field, spec)
+        assert np.array_equal(evaluate(field.values), expected)
+        row = np.full(field.grid.n_cells + 1, np.nan)
+        assert evaluate(field.values, row) is row
+        assert np.array_equal(row, expected)
+        assert np.array_equal(nonlocal_term(field, spec).values, expected)
 
 
 @settings(max_examples=40, deadline=None)

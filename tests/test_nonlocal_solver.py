@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nonlocal_limit.nonlocal_solver as nonlocal_solver_module
+import nonlocal_limit.stepping as stepping
 from nonlocal_limit import (
     CellField,
     FluxModel,
@@ -28,6 +29,7 @@ from nonlocal_limit import (
     step_upwind,
     sup_time_l1,
     total_mass,
+    total_variation,
 )
 
 from conftest import constant_profile, mirror_field, step_profile
@@ -44,9 +46,11 @@ def make_config(eta=0.05, velocity=None, cfl=0.5, t_end=0.5, snapshot_times=(),
     )
 
 
-def local_run(cfl=0.5, t_end=0.5, snapshot_times=()):
-    """solve_local on a small grid with make_config's time settings."""
-    q0 = sample_profile(constant_profile(0.5), Grid1D(0.0, 1.0, 16))
+def local_run(cfl=0.5, t_end=0.5, snapshot_times=(), q0=None):
+    """solve_local, by default on a small grid, with make_config's time
+    settings."""
+    if q0 is None:
+        q0 = sample_profile(constant_profile(0.5), Grid1D(0.0, 1.0, 16))
     return solve_local(q0, FluxModel(velocity=linear_velocity()), cfl=cfl,
                        t_end=t_end, snapshot_times=snapshot_times)
 
@@ -286,6 +290,80 @@ class TestSolveNonlocal:
                             cfl=0.5, t_end=0.5, snapshot_times=snaps)
         distance = sup_time_l1(report, local, Window(-1.0, 2.0))
         assert distance <= 3.0 * dx
+
+
+class TestRecordBlocks:
+    """The driver writes the states of consecutive steps into the rows of a
+    block and takes TV and the extremes once per block; with a snapshot at
+    every step, each record must equal the one of its own snapshot."""
+
+    N_CELLS = 64
+    ROWS = stepping._block_rows(N_CELLS)
+
+    @pytest.mark.parametrize("n_steps", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 2])
+    @pytest.mark.parametrize("solver", ["nonlocal", "local"])
+    def test_records_match_every_snapshot(self, datum_profile, n_steps, solver):
+        # cfl 0.5 and a speed bound of 1 give dt = dx / 2 for both solvers
+        grid = Grid1D(-1.0, 2.0, self.N_CELLS)
+        dt = grid.dx / 2
+        q0 = sample_profile(datum_profile, grid)
+        every_step = np.arange(n_steps + 1) * dt
+        if solver == "nonlocal":
+            report = solve_nonlocal(q0, make_config(t_end=n_steps * dt,
+                                                    snapshot_times=every_step))
+        else:
+            report = local_run(t_end=n_steps * dt, snapshot_times=every_step, q0=q0)
+        assert report.n_steps == n_steps and len(report.snapshots) == n_steps + 1
+        for k, snap in enumerate(report.snapshots):
+            assert snap.time == k * report.dt_used
+            assert report.tv_q_series[k] == total_variation(snap.q)
+            assert report.mass_series[k] == grid.dx * float(snap.q.values.sum())
+            if solver == "nonlocal":
+                assert report.tv_w_series[k] == total_variation(snap.w)
+        assert report.q_min_overall == min(s.q.values.min() for s in report.snapshots)
+        assert report.q_max_overall == max(s.q.values.max() for s in report.snapshots)
+
+    @pytest.mark.parametrize("peak_step", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+    def test_extremes_of_one_step_are_kept(self, peak_step):
+        # a flux pulse at one interface lifts one cell and lowers its
+        # neighbour by 0.25 for a single step; the next step undoes it
+        grid = Grid1D(0.0, 1.0, self.N_CELLS)
+        q0 = CellField(grid=grid, values=np.full(self.N_CELLS, 0.5))
+        calls = []
+
+        def interface_flux(states, w, out):
+            calls.append(w)
+            out[:] = 0.0
+            out[10] = {peak_step: 1.0, peak_step + 1: -1.0}.get(len(calls), 0.0)
+
+        report = stepping.integrate(q0, interface_flux, 0.25 * grid.dx, 2 * self.ROWS + 1)
+        assert (report.q_min_overall, report.q_max_overall) == (0.25, 0.75)
+
+    @pytest.mark.parametrize("blowup_step", [1, ROWS - 1, ROWS, ROWS + 1, ROWS + ROWS // 2])
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_blowup_in_a_block_keeps_its_step_and_message(self, blowup_step, with_w):
+        grid = Grid1D(0.0, 1.0, self.N_CELLS)
+        q0 = CellField(grid=grid, values=np.full(self.N_CELLS, 0.5))
+        calls = []
+
+        def interface_flux(states, w, out):
+            calls.append(w is not None)
+            out[:] = 0.0
+            if len(calls) == blowup_step:
+                out[10] = np.inf
+
+        def nonlocal_term(values, out):
+            out[:] = 0.5
+            return out
+
+        dt = 0.25 * grid.dx
+        with pytest.raises(NumericalBlowupError) as err:
+            stepping.integrate(q0, interface_flux, dt, 3 * self.ROWS, [],
+                               nonlocal_term if with_w else None)
+        assert err.value.step == blowup_step
+        assert str(err.value) == (f"non-finite density after step {blowup_step} "
+                                  f"(t = {blowup_step * dt:g})")
+        assert calls == [with_w] * blowup_step
 
 
 @settings(max_examples=30, deadline=None)
