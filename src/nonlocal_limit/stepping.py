@@ -24,7 +24,7 @@ from .report import RunReport, Snapshot
 # Bytes of padded states per record block.  A step's records (TV of q and
 # W, min, max) are about a dozen numpy calls, whose fixed cost is a large
 # share of a step on a small grid; over a block it is paid once per block.
-# The W block and the TV jumps take as much again each; from 32767 cells
+# The W block and the TV jumps take as much again each; from 16383 cells
 # on, a block is one row.
 _BLOCK_BYTES = 1 << 18
 
