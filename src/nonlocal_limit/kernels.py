@@ -14,13 +14,22 @@ Each average is built once per run as an operator on arrays
 public functions taking fields wrap it and let it allocate.  Upstream
 orientation (the average looking left instead of right) runs the downstream
 operator on reversed views, which is the same as mirroring the field.  The
-exponential recursion calls scipy's C routine behind ``lfilter`` directly,
-and falls back to ``lfilter`` where that private name is missing; both give
-the same bits.
+exponential recursion calls scipy's C routine behind ``lfilter`` directly.
+The routine comes from ``scipy.signal._sigtools`` where something has
+already imported it, else from that extension file loaded on its own, else
+from ``lfilter`` itself; every source gives the same bits.  Unless it falls
+back to ``lfilter``, the package never imports ``scipy.signal``, whose
+``__init__`` costs about 1.2 s and 75 MB of resident memory (scipy 1.17 on a
+2-core x86-64 host).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,24 +77,73 @@ def _require_positive_eta(eta: float):
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
+@functools.cache
 def _linear_filter():
     """scipy's C recursion behind ``lfilter``, as ``(b, a, x, axis, zi)`` ->
-    ``(y, zf)``.
+    ``(y, zf)``, found once per process.
 
     ``lfilter`` checks and converts its arguments on every call, about half
     of its cost on a 512-cell grid; the operator's coefficients are built
-    once, so it calls the recursion directly.  The name is private to scipy:
-    where it is gone, ``lfilter`` itself serves, with the same output.
+    once, so it calls the recursion directly.  The routine is taken from an
+    already-imported ``scipy.signal._sigtools``, else from that extension
+    file loaded alone, which runs neither ``scipy/__init__`` nor
+    ``scipy/signal/__init__`` (about 530 modules, 1.2 s and 75 MB).  The name
+    is private to scipy, so the routine must first reproduce lfilter's
+    recursion on a probe; where it is missing or fails the probe,
+    ``lfilter`` itself serves, with the same output.
     """
-    # imported here, not at module level: scipy.signal costs ~1 s and ~75 MB
     try:
-        from scipy.signal._sigtools import _linear_filter
-    except ImportError:
-        from scipy.signal import lfilter
+        routine = _sigtools()._linear_filter
+        if _reproduces_recursion(routine):
+            return routine
+    except (ImportError, OSError, AttributeError, TypeError, ValueError):
+        pass
+    from scipy.signal import lfilter
 
-        def _linear_filter(b, a, x, axis, zi):
-            return lfilter(b, a, x, axis=axis, zi=zi)
-    return _linear_filter
+    def linear_filter(b, a, x, axis, zi):
+        return lfilter(b, a, x, axis=axis, zi=zi)
+    return linear_filter
+
+
+def _sigtools():
+    """``scipy.signal._sigtools``, imported or loaded from its file alone."""
+    name = "scipy.signal._sigtools"
+    if name in sys.modules:
+        return sys.modules[name]
+    # find_spec of a top-level name locates the package without importing it
+    signal_dir = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                              "signal")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(signal_dir, "_sigtools" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no _sigtools extension in {signal_dir}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    # a single-phase extension registers itself in sys.modules; left there
+    # without its package, a later ``import scipy.signal`` would not bind it
+    # as the package's attribute, so that import is left to load it as usual
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
+    return module
+
+
+def _reproduces_recursion(linear_filter) -> bool:
+    """Whether ``linear_filter`` runs the operator's call bit for bit as
+    lfilter's evaluation order, ``y = alpha * y + b0 * x`` seeded by
+    ``alpha * farfield``, on reversed values with a zero run."""
+    alpha, farfield = 0.9, 0.4
+    values = np.array([0.25, 1e-3, 0.7, 0.0, 0.0, 0.0, 0.3])
+    b0 = 1.0 - alpha
+    y, expected = farfield, []
+    for x in values[::-1].tolist():
+        y = alpha * y + b0 * x
+        expected.append(y)
+    filtered, _ = linear_filter(np.array([b0]), np.array([1.0, -alpha]), values[::-1], -1,
+                                np.array([alpha * farfield]))
+    return np.asarray(filtered).tobytes() == np.array(expected).tobytes()
 
 
 def _exponential_operator(dx: float, n_cells: int, eta: float, farfield: float):

@@ -606,17 +606,48 @@ class TestCli:
         assert code == 0
         assert (out / "sweep.csv").is_file()
 
-    def test_import_leaves_scipy_signal_unloaded(self):
+    def test_import_leaves_scipy_signal_unloaded(self, tmp_path):
         import os
         import subprocess
         import sys
+        import textwrap
         from pathlib import Path
 
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys, nonlocal_limit.cli; print('scipy.signal' in sys.modules)"
+        config = self.write_config(tmp_path, {**SMALL_DOC, "grid": {"n_cells": 64}})
+        # a fresh process: the solves and a run load the exponential recursion
+        # without scipy.signal, and scipy.signal still imports afterwards and
+        # gives the operator's bits
+        code = textwrap.dedent(f"""
+            import sys
+            import numpy as np
+            import nonlocal_limit.cli as cli
+            from nonlocal_limit import (Grid1D, KernelSpec, NonlocalSchemeConfig,
+                                        default_datum_profile, linear_increasing_velocity,
+                                        linear_velocity, nonlocal_exponential,
+                                        sample_profile, solve_nonlocal)
+            print("scipy.signal" in sys.modules)
+            q0 = sample_profile(default_datum_profile(), Grid1D(-1.0, 2.0, 64))
+            for family, orientation, velocity in [
+                    ("exponential", "downstream", linear_velocity()),
+                    ("exponential", "upstream", linear_increasing_velocity()),
+                    ("constant", "downstream", linear_velocity())]:
+                solve_nonlocal(q0, NonlocalSchemeConfig(
+                    kernel=KernelSpec(family, 0.05, orientation), velocity=velocity,
+                    cfl=0.5, t_end=0.2, snapshot_times=np.array([0.2])))
+            assert cli.main(["run", "--config", {str(config)!r}, "--eta", "0.3",
+                             "--out", {str(tmp_path / "out")!r}]) == 0
+            print("scipy.signal" in sys.modules)
+            w = nonlocal_exponential(q0, 0.05).values
+            from scipy.signal import lfilter
+            alpha, farfield = float(np.exp(-q0.grid.dx / 0.05)), q0.grid.right_farfield
+            filtered, _ = lfilter(np.array([1.0 - alpha]), np.array([1.0, -alpha]),
+                                  q0.values[::-1], zi=np.array([alpha * farfield]))
+            print(np.array_equal(w, np.append(filtered[::-1], farfield)))
+        """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "False", "True"]
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
