@@ -229,7 +229,9 @@ class ExperimentConfig:
 
     @functools.cached_property
     def residual_test_function(self) -> TestFunction | None:
-        """Default space-time bump for the residual diagnostics.
+        """Default space-time bump for the residual diagnostics: the
+        separable closed-form bump over the middle half of the domain, whose
+        derivatives are exact, so any radius computed here is accepted.
 
         Its time radius is at least _RESIDUAL_MIN_RADIUS_STEPS estimated
         solver steps, so the dense snapshot band stays dense after requests

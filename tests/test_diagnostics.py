@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import threading
 
 import numpy as np
@@ -249,24 +250,31 @@ class TestTestFunction:
         assert phi.eval(0.5, 0.0) == pytest.approx(2.0)
         assert phi.eval(0.71, 0.0) == 0.0
 
-    def test_wrong_derivative_rejected(self):
-        good = bump_test_function(0.5, 0.2, 0.0, 1.0)
-        with pytest.raises(ValueError, match="finite differences"):
-            SpaceTimeTestFunction(
-                eval=good.eval,
-                dt_eval=lambda t, x: 2.0 * np.asarray(good.dt_eval(t, x)),
-                dx_eval=good.dx_eval,
-                support=good.support,
-            )
+    def test_support_is_the_centred_rectangle(self):
+        assert bump_test_function is SpaceTimeTestFunction
+        phi = bump_test_function(0.5, 0.2, 0.0, 1.0)
+        assert phi.support == (0.3, 0.7, -1.0, 1.0)
+        assert phi == bump_test_function(0.5, 0.2, 0.0, 1.0)
 
-    def test_non_vanishing_support_rejected(self):
-        with pytest.raises(ValueError, match="vanish"):
-            SpaceTimeTestFunction(
-                eval=lambda t, x: np.ones_like(np.asarray(t, dtype=float)),
-                dt_eval=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
-                dx_eval=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
-                support=(0.0, 1.0, 0.0, 1.0),
-            )
+    def test_short_time_radius_builds(self):
+        # the harness's radius t_end / 6 for t_end = 0.05: with exact
+        # derivatives any finite positive radius is a valid bump
+        phi = bump_test_function(0.5, 0.05 / 6, 0.5, 0.75)
+        assert phi.eval(0.5, 0.5) == 1.0
+        assert phi.eval(0.52, 0.5) == phi.dt_eval(0.52, 0.5) == 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        *((radius, value) for radius in ("t_radius", "x_radius")
+          for value in (0.0, -0.2, np.nan, np.inf)),
+        *((field, value) for field in ("t_center", "x_center", "amplitude")
+          for value in (np.nan, np.inf, -np.inf)),
+    ])
+    def test_bad_parameter_rejected(self, field, value):
+        args = {"t_center": 0.5, "t_radius": 0.2, "x_center": 0.0, "x_radius": 1.0,
+                field: value}
+        with pytest.raises(ValueError, match="finite centres and amplitude and finite, "
+                                             "positive radii; got TestFunction"):
+            bump_test_function(**args)
 
 
 BUMP_ARGS = (0.5, 0.4, 0.0, 0.75)
@@ -379,6 +387,42 @@ class TestResidualBitPins:
             "0x1.7801399ec560ap-4"
 
 
+class TestBumpBitPins:
+    """sha256 of the bytes of a bump's value and both derivatives, recorded
+    before the bump became a closed-form class; shape and dtype pinned too."""
+
+    PINNED = {
+        "cells": ((256,), (
+            "4140a1edfe7a2638581104e05aa9bcac90d626cf3049a8ee765698cf032b33e5",
+            "f484184423399040653f899654919cf9e8da6d63388e332f7ad84322785f52f5",
+            "8a91989ca2ebf43b8f50b0961333327908353374204f76afbadd726fce92c872")),
+        "meshgrid": ((9, 7), (
+            "76a6be238c3996f48a82137fd1d01e4d1c1c5327567849560bca2f0fdc30552f",
+            "f30d17c66a0e33811e4456b4067858b5c629b2e66b1ce2895eb16594b12bb26f",
+            "9d579a020bb29476597b321f3b62a8cbbd157d690c422ddb4fb0f30cc32a385c")),
+        "scalar": ((), (
+            "5210ee62b81b09925855725ca3c3737185c15bb4616bb58c2ac2882ab94a3c18",
+            "574f78a53b2914921edada49709ef0b17273fe6762540395a82a5dd5252fc972",
+            "99647995fe86b9f8be8dcb85fefd378cccf9b2392ad66a786c76e80356a7fb4b")),
+    }
+
+    @staticmethod
+    def inputs():
+        tt, xx = np.meshgrid(np.linspace(0.1, 0.9, 7), np.linspace(-0.5, 1.5, 9))
+        return {"cells": (0.35, Grid1D(-1.0, 2.0, 256).cell_centers),
+                "meshgrid": (tt, xx),
+                "scalar": (0.62, 0.3)}
+
+    @pytest.mark.parametrize("case", ["cells", "meshgrid", "scalar"])
+    def test_bytes_match_the_recorded_digests(self, case):
+        phi = bump_test_function(0.5, 0.4, 0.5, 0.75, 1.5)
+        t, x = self.inputs()[case]
+        shape, digests = self.PINNED[case]
+        got = bump_bytes(phi, t, x)
+        assert [(dtype, s) for dtype, s, _ in got] == [(np.dtype(float), shape)] * 3
+        assert [hashlib.sha256(raw).hexdigest() for *_, raw in got] == list(digests)
+
+
 class TestWeakResidual:
     def test_constant_state_is_an_exact_weak_solution(self):
         report = constant_run()
@@ -458,12 +502,6 @@ class TestEntropyResidual:
     def test_negative_test_function_rejected(self):
         report = constant_run(n_cells=64, n_snapshots=101)
         flux = FluxModel(velocity=linear_velocity())
-        good = bump_test_function(0.25, 0.2, 0.5, 1.0)
-        negated = SpaceTimeTestFunction(
-            eval=lambda t, x: -np.asarray(good.eval(t, x)),
-            dt_eval=lambda t, x: -np.asarray(good.dt_eval(t, x)),
-            dx_eval=lambda t, x: -np.asarray(good.dx_eval(t, x)),
-            support=good.support,
-        )
+        negated = bump_test_function(0.25, 0.2, 0.5, 1.0, amplitude=-1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             entropy_residual(report, flux, k=0.5, phi=negated)

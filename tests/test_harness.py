@@ -518,6 +518,21 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / eta_dirname(0.3) / "snapshots.csv").is_file()
 
+    def test_run_with_short_residual_support(self, tmp_path, capsys):
+        # the residual bump's time radius is t_end / 6 here, far below the
+        # default runs'; every residual must still be measured
+        config = self.write_config(tmp_path, {"grid": {"n_cells": 8192}, "eta_list": [0.01],
+                                              "t_end": 0.05})
+        code = cli.main(["run", "--config", str(config), "--eta", "0.01",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        run_dir = tmp_path / "out" / eta_dirname(0.01)
+        for name in ("snapshots.csv", "tv_series.csv", "diagnostics.csv"):
+            assert (run_dir / name).is_file()
+        header, rows = read_csv(run_dir / "diagnostics.csv")
+        assert header == ["name", "value"] and rows
+        assert all(np.isfinite(float(value)) for _, value in rows), rows
+
     def test_stability_command(self, tmp_path):
         config = self.write_config(tmp_path)
         code = cli.main(["stability", "--config", str(config), "--delta", "0.01",
@@ -675,7 +690,7 @@ class TestCli:
     ], ids=["sweep", "run", "stability"])
     def test_command_builds_models_once(self, tmp_path, monkeypatch, command, most):
         # VelocityModel, FluxModel and TestFunction constructions in one
-        # command, parsing included; each validates itself by sampling
+        # command, parsing included; each validates itself on construction
         classes = (VelocityModel, FluxModel, SpaceTimeTestFunction)
         counts = dict.fromkeys(classes, 0)
         for cls in classes:
