@@ -220,10 +220,24 @@ class VelocityModel:
             )
 
 
+def _times(v_max: float):
+    """y -> v_max * y, or y itself when v_max is exactly 1.0: x * 1.0 is
+    exact in IEEE 754, so skipping it keeps the bits and saves a pass."""
+    return (lambda y: y) if v_max == 1.0 else (lambda y: v_max * y)
+
+
+def _over(s_max: float):
+    """s -> s / s_max as a float array, skipping the exact division by 1.0."""
+    if s_max == 1.0:
+        return lambda s: np.asarray(s, dtype=float)
+    return lambda s: np.asarray(s, dtype=float) / s_max
+
+
 def linear_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
     """V(s) = v_max * (1 - s/s_max) on [0, s_max]; the default model."""
+    times, over = _times(v_max), _over(s_max)
     return VelocityModel(
-        eval=lambda s: v_max * (1.0 - np.asarray(s, dtype=float) / s_max),
+        eval=lambda s: times(1.0 - over(s)),
         deriv=lambda s: np.full_like(np.asarray(s, dtype=float), -v_max / s_max),
         admissible_range=(0.0, s_max),
         mode="decreasing",
@@ -243,8 +257,9 @@ def constant_velocity(value: float, s_max: float = 1.0) -> VelocityModel:
 
 def quadratic_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
     """V(s) = v_max * (1 - (s/s_max)^2) on [0, s_max]."""
+    times, over = _times(v_max), _over(s_max)
     return VelocityModel(
-        eval=lambda s: v_max * (1.0 - (np.asarray(s, dtype=float) / s_max) ** 2),
+        eval=lambda s: times(1.0 - over(s) ** 2),
         deriv=lambda s: -2.0 * v_max * np.asarray(s, dtype=float) / s_max**2,
         admissible_range=(0.0, s_max),
         mode="decreasing",
@@ -253,8 +268,9 @@ def quadratic_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
 
 def linear_increasing_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
     """V(s) = v_max * (s/s_max - 1) on [0, s_max]; pairs with upstream kernels."""
+    times, over = _times(v_max), _over(s_max)
     return VelocityModel(
-        eval=lambda s: v_max * (np.asarray(s, dtype=float) / s_max - 1.0),
+        eval=lambda s: times(over(s) - 1.0),
         deriv=lambda s: np.full_like(np.asarray(s, dtype=float), v_max / s_max),
         admissible_range=(0.0, s_max),
         mode="increasing",

@@ -58,6 +58,10 @@ _DEFAULT_SNAPSHOT_SPACING = 0.05
 _RESIDUAL_BAND_INTERVALS = 75
 _RESIDUAL_MIN_RADIUS_STEPS = 76.0
 _ENTROPY_LEVEL_FRACTIONS = (0.25, 0.5, 0.75)
+# Bytes of NUL-padded row text per block of CSV rows formatted at once: each
+# block costs a fixed number of numpy calls, and its buffers grow with it.
+_CSV_BLOCK_BYTES = 1 << 18
+_NAN_TEXT = np.frombuffer(b"nan", dtype=np.uint8)
 
 
 # Checks of single config keys: each takes the raw value and its key path and
@@ -347,19 +351,59 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _rows(template: str, *columns) -> str:
-    """One row of ``template`` per entry of the equal-length ``columns``.
-    Floats go through '%.17g', which formats as format(x, '.17g')."""
-    fields = [None] * (len(columns) * len(columns[0]))
-    for i, column in enumerate(columns):
-        fields[i::len(columns)] = column
-    return (template + "\n") * len(columns[0]) % tuple(fields)
+def _text(column) -> np.ndarray:
+    """NUL-padded ASCII text of ``column``, one uint8 row per entry: float64
+    entries as '%.17g' (``floatfmt``), others as str().  A 2-D uint8 array
+    is text already and passes through."""
+    column = np.asarray(column)
+    if column.dtype == np.float64:
+        # imported at first use: a process that writes no CSV does not
+        # build the formatter's tables (about 5 ms and 0.3 MB resident)
+        from .floatfmt import format_g17
+        return format_g17(column)
+    if column.dtype == np.uint8 and column.ndim == 2:
+        return column
+    text = column.astype("S")
+    return text.view(np.uint8).reshape(text.size, text.itemsize)
+
+
+def _rows(*columns) -> bytearray:
+    """One CSV line per entry of the equal-length ``columns`` (see _text).
+    The float64 columns are formatted in one call; the text of all columns
+    is laid side by side and its NULs deleted."""
+    columns = [np.asarray(column) for column in columns]
+    n_rows = len(columns[0])
+    floats = [column for column in columns if column.dtype == np.float64]
+    float_text = iter(np.split(_text(np.concatenate(floats)), len(floats)) if floats else ())
+    texts = [next(float_text) if column.dtype == np.float64 else _text(column)
+             for column in columns]
+    separators = np.full((n_rows, len(texts)), ord(","), dtype=np.uint8)
+    separators[:, -1] = ord("\n")
+    pieces = [piece for i, text in enumerate(texts) for piece in (text, separators[:, i:i + 1])]
+    line = bytearray(n_rows * sum(piece.shape[1] for piece in pieces))
+    np.concatenate(pieces, axis=1, out=np.frombuffer(line, dtype=np.uint8).reshape(n_rows, -1))
+    return line.translate(None, b"\0")
+
+
+def _padded_lines(*columns) -> np.ndarray:
+    """The lines of _rows(*columns), without their newlines, as text rows
+    padded at the end only: a compact column for text reused many times."""
+    return _text(np.array(bytes(_rows(*columns)).splitlines()))
+
+
+def _row_blocks(row_bytes: int, *columns):
+    """_rows of ``columns`` over consecutive ranges of rows, each with about
+    _CSV_BLOCK_BYTES of padded row text at ``row_bytes`` per row."""
+    step = max(1, _CSV_BLOCK_BYTES // row_bytes)
+    for start in range(0, len(columns[0]), step):
+        yield _rows(*(column[start:start + step] for column in columns))
 
 
 def _write_csv(path: Path, header: tuple, blocks):
+    """Write the header line and the byte ``blocks`` (ASCII, LF endings)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
         fh.writelines(blocks)
 
 
@@ -382,27 +426,43 @@ def _configured_snapshots(cfg: ExperimentConfig, report: RunReport) -> tuple:
     return tuple({snap.time: snap for snap in kept}.values())
 
 
+def _snapshot_blocks(snapshots):
+    """The rows of snapshots.csv, one row per cell per snapshot, in blocks
+    of whole snapshots with about _CSV_BLOCK_BYTES of row text each, or of
+    parts of one on larger grids.  The time and cell_index,x_center text is
+    formatted once per file."""
+    if not snapshots:
+        return
+    grid = snapshots[0].q.grid
+    times = _padded_lines([snap.time for snap in snapshots])
+    cells = _padded_lines(np.arange(grid.n_cells), grid.cell_centers)
+    from .floatfmt import SLOT_WIDTH
+    row_bytes = times.shape[1] + cells.shape[1] + 2 * SLOT_WIDTH + 4
+    per_block = max(1, _CSV_BLOCK_BYTES // (grid.n_cells * row_bytes))
+    for start in range(0, len(snapshots), per_block):
+        block = snapshots[start:start + per_block]
+        q = np.concatenate([snap.q.values for snap in block])
+        # W at each cell's left interface; local runs have none
+        w = (np.concatenate([snap.w.values[:-1] for snap in block])
+             if block[0].w is not None else np.broadcast_to(_NAN_TEXT, (len(q), 3)))
+        yield from _row_blocks(row_bytes,
+                               np.repeat(times[start:start + len(block)], grid.n_cells, axis=0),
+                               np.tile(cells, (len(block), 1)), q, w)
+
+
 def _write_snapshots_csv(path: Path, snapshots):
-    """One block of rows, one per cell, per snapshot (none: a header-only
-    file); the cell_index,x_center columns are formatted once per grid."""
-    centers = snapshots[0].q.grid.cell_centers.tolist() if snapshots else []
-    prefixes = ["%d,%.17g" % cell for cell in enumerate(centers)]
-    # W at each cell's left interface
-    blocks = (_rows("%.17g" % snap.time + ",%s,%.17g,%.17g", prefixes, snap.q.values.tolist(),
-                    snap.w.values[:-1].tolist() if snap.w is not None
-                    else [float("nan")] * len(centers))
-              for snap in snapshots)
-    _write_csv(path, ("time", "cell_index", "x_center", "q", "W"), blocks)
+    """snapshots.csv of ``snapshots`` (none: a header-only file)."""
+    _write_csv(path, ("time", "cell_index", "x_center", "q", "W"), _snapshot_blocks(snapshots))
 
 
 def _write_tv_series_csv(path: Path, report: RunReport):
-    steps = range(report.n_steps + 1)
-    tv_w = (report.tv_w_series.tolist() if report.tv_w_series is not None
-            else [float("nan")] * len(steps))
-    times = [step * report.dt_used for step in steps]
-    block = _rows("%d,%.17g,%.17g,%.17g,%.17g", steps, times,
-                  report.tv_q_series.tolist(), tv_w, report.mass_series.tolist())
-    _write_csv(path, ("step", "time", "tv_q", "tv_W", "mass"), [block])
+    steps = np.arange(report.n_steps + 1)
+    tv_w = (report.tv_w_series if report.tv_w_series is not None
+            else np.broadcast_to(_NAN_TEXT, (len(steps), 3)))
+    from .floatfmt import SLOT_WIDTH
+    _write_csv(path, ("step", "time", "tv_q", "tv_W", "mass"),
+               _row_blocks(4 * SLOT_WIDTH + 25, steps, steps * report.dt_used,
+                           report.tv_q_series, tv_w, report.mass_series))
 
 
 def _max_principle_violation(report: RunReport, q0: CellField) -> float:
@@ -473,7 +533,7 @@ def _run_eta(cfg: ExperimentConfig, scheme: NonlocalSchemeConfig, n_cells: int,
     _write_snapshots_csv(run_dir / "snapshots.csv", _configured_snapshots(cfg, report))
     _write_tv_series_csv(run_dir / "tv_series.csv", report)
     _write_csv(run_dir / "diagnostics.csv", ("name", "value"), [_rows(
-        "%s,%.17g", _DIAGNOSTIC_ROWS, [diagnostics[name] for name in _DIAGNOSTIC_ROWS])])
+        _DIAGNOSTIC_ROWS, [diagnostics[name] for name in _DIAGNOSTIC_ROWS])])
     return report, diagnostics
 
 
@@ -553,8 +613,7 @@ def run_sweep(cfg: ExperimentConfig, output_dir) -> SweepResult:
         reports.append(report)
 
     columns = ([row[col] for row in rows] for col in SWEEP_COLUMNS)
-    _write_csv(out / "sweep.csv", SWEEP_COLUMNS,
-               [_rows(",".join(["%.17g"] * len(SWEEP_COLUMNS)), *columns)])
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, [_rows(*columns)])
     return SweepResult(rows=tuple(rows), reference=reference, reports=tuple(reports))
 
 
@@ -588,7 +647,7 @@ def run_stability_probe(cfg: ExperimentConfig, delta: float, output_dir) -> floa
     perturbed = _solve_named(perturbed_q0, scheme, "perturbed run: ")
     distance = sup_time_l1(perturbed, baseline, cfg.window(), compare="q")
     _write_csv(Path(output_dir) / "probe.csv", ("delta", "sup_time_l1"),
-               [_rows("%.17g,%.17g", [delta], [distance])])
+               [_rows([delta], [distance])])
     return distance
 
 

@@ -101,7 +101,7 @@ def _godunov_select(a, b, f_a, f_b, s_star: float, f_star: float, out: np.ndarra
     """
     np.maximum(f_a, f_b, out=out)
     np.copyto(out, f_star, where=(b <= s_star) & (s_star <= a))
-    np.copyto(out, np.minimum(f_a, f_b), where=a <= b)
+    np.minimum(f_a, f_b, out=out, where=a <= b)
     return out
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from nonlocal_limit import (
     sample_profile,
     total_mass,
 )
+
+from nonlocal_limit.local_reference import FluxModel, godunov_flux
 
 from conftest import aligned_datum_field, constant_profile, step_profile
 
@@ -163,6 +167,44 @@ class TestVelocityModel:
     def test_max_abs_speed(self):
         assert linear_velocity(v_max=2.0).max_abs_speed() == pytest.approx(2.0)
         assert constant_velocity(0.0).max_abs_speed() == 0.0
+
+
+class TestVelocityBitPins:
+    """sha256 of V on 1001 densities, of V at one scalar density and of the
+    Godunov flux on a 41x41 grid of states, recorded before the builders
+    started skipping their exact multiplications and divisions by 1.0."""
+
+    BUILDERS = {"linear": linear_velocity, "quadratic": quadratic_velocity,
+                "linear_increasing": linear_increasing_velocity}
+    DIGESTS = {
+        ("linear", 1.0, 1.0): "92fa3997b85afc8238a093a67aa015b31639da5663bcf107bed7611a26baafff",
+        ("linear", 2.0, 1.0): "113c01e79e63fa0e056272f19777aad93bd0a181ac246883465beba9351aae4a",
+        ("linear", 1.0, 0.8): "061e68a3e7548953a3efd53ec6bac51990225156ace51869c35a3759bf1583b4",
+        ("linear", 1.5, 0.7): "a256b1fd6dfff6be032188d676b1be9dfdb3a64fc4a137084b2b028ee50ddb8d",
+        ("quadratic", 1.0, 1.0): "d4f218ecc5eb3fddb82cfffc8525a60e5ca3505daf70df9d2944a24759d90a5e",
+        ("quadratic", 2.0, 1.0): "e9c079da84c5190c4d54bbab864a213ecbe367398d6cb658868981e30dff74b0",
+        ("quadratic", 1.0, 0.8): "66712cb5c5e86d4ceb9f66d7b84ae9b25c8e4ff032574f642c0190f0386ed3bb",
+        ("quadratic", 1.5, 0.7): "6c162a43117e552285345de9ef3b0bfc265bb2cd4ed15f164ed63317f7f4a8ea",
+        ("linear_increasing", 1.0, 1.0):
+            "246140fb446888f42878de050fb940c682899db2e3050bd3829434ecbc1c4c6f",
+        ("linear_increasing", 2.0, 1.0):
+            "c6cbe35ede38951c936c06594c939b310e9f31917868ab9bb7c7355353d762c3",
+        ("linear_increasing", 1.0, 0.8):
+            "105b375f94b4515feb1ce04ba43418e264be7d3a90bffe6cf0035491700aba4b",
+        ("linear_increasing", 1.5, 0.7):
+            "42574fba00b6b457348100038bcb7354375b7a4c85eb0cc845193c6007ede823",
+    }
+
+    @pytest.mark.parametrize("name, v_max, s_max", sorted(DIGESTS))
+    def test_values_keep_their_bits(self, name, v_max, s_max):
+        velocity = self.BUILDERS[name](v_max=v_max, s_max=s_max)
+        s = np.linspace(0.0, s_max, 1001)
+        a, b = np.meshgrid(s[::25], s[::25])
+        digest = hashlib.sha256()
+        for values in (velocity.eval(s), velocity.eval(0.3 * s_max),
+                       godunov_flux(a.ravel(), b.ravel(), FluxModel(velocity=velocity))):
+            digest.update(np.asarray(values, dtype=float).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[name, v_max, s_max]
 
 
 @settings(max_examples=50, deadline=None)

@@ -21,6 +21,13 @@ i of the report answers request i of ``merged_snapshot_times``), keep the
 header and the rows whose time column is one of those times, and hash that.
 Apart from those five later upstream digests, no digest was taken from
 the new writer's output; every other digest is unchanged.
+
+The CLI cases below were recorded before the float text moved from
+Python's '%' operator to ``floatfmt.format_g17``, so they pin that the new
+formatter writes the old bytes: a sweep of the benchmark's sweep_cli config
+(512- and 1024-cell nonlocal grids, a 1024-cell reference whose W column is
+``nan``), a default-datum ``run`` whose snapshots are 17% exact zeros and
+24% nonzero values below 1e-10, and a ``stability`` probe.
 """
 
 import hashlib
@@ -88,11 +95,60 @@ def _write_case(name, tmp_path):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_csv_bytes_match_recorded_digests(name, tmp_path):
-    out = _write_case(name, tmp_path)
-    digests = {
+# perfbench/workloads.py SWEEP_DOC with seeded_profile(47)
+SWEEP_CLI_DOC = {
+    "grid": {"n_cells": 256}, "eta_list": [0.1, 0.05, 0.03], "reference_refinement": 4,
+    "profile": {
+        "breakpoints": [-0.34631622954502883, -0.1042900389881869, 0.9483596398559733],
+        "levels": [0.560811387635242, 0.2570422568467829, 0.5209426377904226,
+                   0.37317390216886165],
+    },
+}
+DEFAULT_DATUM_DOC = {"grid": {"n_cells": 1024}, "eta_list": [0.01]}
+
+CLI_CASES = {
+    "sweep_cli": (SWEEP_CLI_DOC, ["sweep"], {
+        "eta_0.03/diagnostics.csv": "685d2de986e0a41c4e551d80c17471df64dab0d4fd4cbf86f1c63528eeefc944",
+        "eta_0.03/snapshots.csv": "aa04af8b454910185e73505be7f9cc0c161699d5e324d38d576d834ac3321e88",
+        "eta_0.03/tv_series.csv": "584e875f4f76b6b86a64c91e11b52545b01688c8ab7b3c9a01d1e76a30b3bb0a",
+        "eta_0.05/diagnostics.csv": "4f8763c821ae13d014c4533ec853aa76f2c637dca1b967ed67816bf6833d2345",
+        "eta_0.05/snapshots.csv": "77be433dcead5b3d3b5af9a5b30a75a183b95d270dba862f7f816a2980fedac3",
+        "eta_0.05/tv_series.csv": "5e8cca05a531ef63fd21bf823185e404d213c320c6984e6a1c1cc3c8c93a7e4f",
+        "eta_0.1/diagnostics.csv": "5b170a5e3ea698713d62ec11947a952bad689917c7b5ee1ea095c159ba8e9185",
+        "eta_0.1/snapshots.csv": "bb044afa7055b90e492524a5e256d9ca71f2faf8362b86cb9f3ceb58ddc80c24",
+        "eta_0.1/tv_series.csv": "abd4bea127d86b3209f723b851e446b23a05fdd1b93e85aa89162f9947025898",
+        "reference/snapshots.csv": "4bb46294308ffb5bc6c7f025904f8762105c25bcf00fa66e9d89a2e58c479554",
+        "reference/tv_series.csv": "c8fe6e827102ebbc75b3bb98a77da543f1bf0b0342445f997ea9460d90c8bdf6",
+        "sweep.csv": "9e04e576a03778048a514048e68ad40cef0cea781d2e8c1eef2cb327d21ca4b9",
+    }),
+    "run_default_datum": (DEFAULT_DATUM_DOC, ["run", "--eta", "0.01"], {
+        "eta_0.01/diagnostics.csv": "05273c5b502122ff1e9f65dc83ebdd94a35ac3fac3cbd0a9406bacc4ae0776d0",
+        "eta_0.01/snapshots.csv": "db8d53e7aca6960dfe6ebae68311b6e39d5f42ce9bddd2380dd6839295aa51f2",
+        "eta_0.01/tv_series.csv": "cd58d723d76294f1d355c55b01fec8859f7ed6afb1e252fbebb9402560d31534",
+    }),
+    "stability_probe": (DEFAULT_DATUM_DOC, ["stability", "--delta", "0.01"], {
+        "probe.csv": "0f3dc41d641a60132a4f7a8baa7665b4356b28c752848a4f14ca52ac5a4230e5",
+    }),
+}
+
+
+def _digests(out):
+    return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*.csv"))
     }
-    assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_bytes_match_recorded_digests(name, tmp_path):
+    assert _digests(_write_case(name, tmp_path)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_csv_bytes_match_recorded_digests(name, tmp_path):
+    doc, command, expected = CLI_CASES[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(command + ["--config", str(config), "--out", str(out)]) == 0
+    assert _digests(out) == expected

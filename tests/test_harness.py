@@ -375,13 +375,31 @@ class TestSnapshotsCsv:
         2.225073858507201e-308, 2.2250738585072014e-308, 1e16, 1e17, 0.1, 1.0 / 3.0,
     ])
     def test_row_template_formats_as_fmt(self, x):
-        assert "%s,%.17g,%.17g\n" % ("7,0.5", x, -x) == f"7,0.5,{x:.17g},{-x:.17g}\n"
+        line = harness._rows(["7,0.5"], [x], [-x])
+        assert line.decode("ascii") == f"7,0.5,{x:.17g},{-x:.17g}\n"
 
     def test_row_template_formats_random_bit_patterns_as_fmt(self):
         bits = np.random.default_rng(20261018).integers(0, 2**64, size=20000, dtype=np.uint64)
-        values = bits.view(np.float64).tolist()
-        assert ("%.17g\n" * len(values) % tuple(values)
-                == "".join(f"{x:.17g}\n" for x in values))
+        values = bits.view(np.float64)
+        assert (harness._rows(np.arange(values.size), values).decode("ascii")
+                == "".join(f"{i},{x:.17g}\n" for i, x in enumerate(values.tolist())))
+
+    def test_block_budget_does_not_change_the_bytes(self, tmp_path, monkeypatch):
+        """Blocks of one row, of part of a snapshot, the default blocks and
+        one block per file give the same snapshots.csv and tv_series.csv."""
+        cfg = config_from_dict(SNAPSHOT_DOC)
+        for report in (run_single(cfg, 0.3, output_dir=tmp_path),
+                       run_sweep(cfg, output_dir=tmp_path).reference):
+            snapshots = harness._configured_snapshots(cfg, report)
+            written = {"snapshots": set(), "tv_series": set()}
+            for budget in (1, 5000, harness._CSV_BLOCK_BYTES, 1 << 40):
+                monkeypatch.setattr(harness, "_CSV_BLOCK_BYTES", budget)
+                harness._write_snapshots_csv(tmp_path / "snapshots.csv", snapshots)
+                harness._write_tv_series_csv(tmp_path / "tv_series.csv", report)
+                for name, files in written.items():
+                    files.add((tmp_path / f"{name}.csv").read_bytes())
+            assert [len(files) for files in written.values()] == [1, 1]
+            assert b"\r" not in written["snapshots"].pop()
 
 
 class TestFinalSnapshot:
