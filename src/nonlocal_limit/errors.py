@@ -20,3 +20,7 @@ class NumericalBlowupError(RuntimeError):
     def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
+
+    def __reduce__(self):
+        # Exception pickles as cls(*args), which would drop ``step``
+        return type(self), (*self.args, self.step), self.__dict__

@@ -13,6 +13,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
+import pickle
+import selectors
+import signal
+import struct
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -579,29 +587,157 @@ def sweep_cells_for_eta(cfg: ExperimentConfig, eta: float) -> int:
     return n
 
 
+def _fork_task(tasks, i: int) -> tuple[int, int]:
+    """Start ``tasks[i]()`` in a forked child; returns the read end of the
+    pipe its outcome comes back on, and its pid."""
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on fork whenever the process has another OS
+        # thread, and numpy's OpenBLAS pool always is one.  Forking is safe
+        # here all the same: _run_tasks forks only while no other Python
+        # thread is alive, and the children run numpy ufuncs, scipy's
+        # recursion and file writes, never BLAS.
+        warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            _send_outcome(write_fd, tasks[i])
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return read_fd, pid
+
+
+def _send_outcome(fd: int, task):
+    """Run ``task`` and write (True, result) or (False, exception) to ``fd``:
+    the pickle without its arrays' bytes, then those bytes (protocol 5,
+    out-of-band buffers)."""
+    try:
+        outcome = (True, task())
+    except BaseException as exc:  # the parent raises it
+        try:
+            pickle.loads(pickle.dumps(exc, protocol=5))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        outcome = (False, exc)
+    buffers = []
+    head = pickle.dumps(outcome, protocol=5, buffer_callback=buffers.append)
+    views = [buffer.raw() for buffer in buffers]
+    frame = pickle.dumps((head, [view.nbytes for view in views]), protocol=5)
+    with open(fd, "wb") as pipe:
+        pipe.write(struct.pack("<Q", len(frame)))
+        pipe.write(frame)
+        for view in views:
+            pipe.write(view)
+
+
+def _read_exact(pipe, buffer: bytearray) -> bytearray:
+    view = memoryview(buffer)
+    while view:
+        n = pipe.readinto(view)
+        if not n:
+            raise EOFError("a worker process exited without sending its result")
+        view = view[n:]
+    return buffer
+
+
+def _receive_outcome(fd: int) -> tuple:
+    """The (ok, value) pair _send_outcome wrote to ``fd``.  The arrays'
+    bytes are read straight into the memory the unpickled arrays use."""
+    with open(fd, "rb", buffering=0, closefd=False) as pipe:
+        (size,) = struct.unpack("<Q", _read_exact(pipe, bytearray(8)))
+        head, sizes = pickle.loads(_read_exact(pipe, bytearray(size)))
+        buffers = [_read_exact(pipe, bytearray(n)) for n in sizes]
+    return pickle.loads(head, buffers=buffers)
+
+
+def _run_tasks(tasks, costs) -> list:
+    """``[task() for task in tasks]``, with the tasks overlapped in forked
+    child processes.
+
+    ``costs[i]`` estimates the work of ``tasks[i]``; the costliest tasks start
+    first, at most one per usable CPU, and whichever child finishes first is
+    collected first.  Children inherit the tasks and everything they use
+    through fork, so only results cross a process boundary.  With one usable
+    CPU or one task, without Linux's fork, or while another Python thread is
+    alive, the tasks run here one after another.  When tasks fail, the
+    exception of the first failing task in list order is raised, as running
+    them in order would raise it.  No child outlives the call.
+    """
+    workers = (min(len(tasks), len(os.sched_getaffinity(0)))
+               if sys.platform == "linux" and hasattr(os, "fork") else 1)
+    if workers < 2 or threading.active_count() > 1:
+        return [task() for task in tasks]
+    from . import floatfmt  # noqa: F401 -- built once here, shared with the children
+    pending = sorted(range(len(tasks)), key=lambda i: -costs[i])
+    results, failures = {}, {}
+    running = {}  # read end of a child's pipe -> (task index, pid)
+    with selectors.DefaultSelector() as selector:
+        try:
+            while pending or running:
+                while pending and len(running) < workers:
+                    i = pending.pop(0)
+                    fd, pid = _fork_task(tasks, i)
+                    running[fd] = (i, pid)
+                    selector.register(fd, selectors.EVENT_READ)
+                for key, _ in selector.select():
+                    i, pid = running.pop(key.fd)
+                    selector.unregister(key.fd)
+                    try:
+                        ok, value = _receive_outcome(key.fd)
+                    finally:
+                        os.close(key.fd)
+                        os.waitpid(pid, 0)
+                    if ok:
+                        results[i] = value
+                    else:
+                        failures[i] = value
+                        # in order, no task after the first failure would run
+                        pending = [j for j in pending if j < min(failures)]
+        finally:
+            for fd, (_, pid) in running.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(fd)
+    if failures:
+        raise failures[min(failures)]
+    return [results[i] for i in range(len(tasks))]
+
+
+def _run_reference(cfg: ExperimentConfig, n_cells: int, out: Path) -> RunReport:
+    """Solve the local law on ``n_cells`` cells and write out/reference."""
+    q0 = sample_profile(cfg.build_profile(), cfg.build_grid(n_cells))
+    reference = solve_local(q0, cfg.flux, cfl=cfg.cfl, t_end=cfg.t_end,
+                            snapshot_times=cfg.merged_snapshot_times)
+    _write_snapshots_csv(out / "reference" / "snapshots.csv",
+                         _configured_snapshots(cfg, reference))
+    _write_tv_series_csv(out / "reference" / "tv_series.csv", reference)
+    return reference
+
+
 def run_sweep(cfg: ExperimentConfig, output_dir) -> SweepResult:
     """Compare every configured eta against one fine-grid local reference.
 
     Writes per-eta run files, the reference series and sweep.csv.  Every
-    eta's grid and scheme are checked before the first solve.
+    eta's grid and scheme are checked before the first solve.  The reference
+    and the eta runs are independent tasks (see _run_tasks).
     """
     out = Path(output_dir)
     window = cfg.window()
     runs = [(sweep_cells_for_eta(cfg, eta), _scheme_for_eta(cfg, eta))
             for eta in cfg.eta_list]
-
-    ref_grid = cfg.build_grid(cfg.n_cells * cfg.reference_refinement)
-    ref_q0 = sample_profile(cfg.build_profile(), ref_grid)
-    reference = solve_local(ref_q0, cfg.flux, cfl=cfg.cfl, t_end=cfg.t_end,
-                            snapshot_times=cfg.merged_snapshot_times)
-    _write_snapshots_csv(out / "reference" / "snapshots.csv",
-                         _configured_snapshots(cfg, reference))
-    _write_tv_series_csv(out / "reference" / "tv_series.csv", reference)
+    n_ref = cfg.n_cells * cfg.reference_refinement
+    cfg.flux  # built once, before any task process starts
+    reference, *results = _run_tasks(
+        [functools.partial(_run_reference, cfg, n_ref, out)]
+        + [functools.partial(_run_eta, cfg, scheme, n_eta, out) for n_eta, scheme in runs],
+        [n_ref ** 2] + [n_eta ** 2 for n_eta, _ in runs])
 
     rows = []
-    reports = []
-    for n_eta, scheme in runs:
-        report, diagnostics = _run_eta(cfg, scheme, n_eta, out)
+    for (_, scheme), (report, diagnostics) in zip(runs, results):
         rows.append({
             "eta": scheme.kernel.eta,
             "sup_time_l1_q_vs_ref": sup_time_l1(report, reference, window, compare="q"),
@@ -610,11 +746,11 @@ def run_sweep(cfg: ExperimentConfig, output_dir) -> SweepResult:
             "tv_q_final": float(report.tv_q_series[-1]),
             "wq_identity_gap": diagnostics["wq_identity_gap"],
         })
-        reports.append(report)
 
     columns = ([row[col] for row in rows] for col in SWEEP_COLUMNS)
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, [_rows(*columns)])
-    return SweepResult(rows=tuple(rows), reference=reference, reports=tuple(reports))
+    return SweepResult(rows=tuple(rows), reference=reference,
+                       reports=tuple(report for report, _ in results))
 
 
 def perturbed_initial_field(q0: CellField, delta: float) -> CellField:
@@ -643,8 +779,10 @@ def run_stability_probe(cfg: ExperimentConfig, delta: float, output_dir) -> floa
     q0 = sample_profile(cfg.build_profile(), cfg.build_grid(cfg.n_cells))
     scheme = _scheme_for_eta(cfg, cfg.eta_list[0])
     perturbed_q0 = perturbed_initial_field(q0, delta)
-    baseline = _solve_named(q0, scheme, "baseline run: ")
-    perturbed = _solve_named(perturbed_q0, scheme, "perturbed run: ")
+    baseline, perturbed = _run_tasks(
+        [functools.partial(_solve_named, q0, scheme, "baseline run: "),
+         functools.partial(_solve_named, perturbed_q0, scheme, "perturbed run: ")],
+        [q0.grid.n_cells ** 2] * 2)
     distance = sup_time_l1(perturbed, baseline, cfg.window(), compare="q")
     _write_csv(Path(output_dir) / "probe.csv", ("delta", "sup_time_l1"),
                [_rows([delta], [distance])])

@@ -101,7 +101,9 @@ def _godunov_select(a, b, f_a, f_b, s_star: float, f_star: float, out: np.ndarra
     """
     np.maximum(f_a, f_b, out=out)
     np.copyto(out, f_star, where=(b <= s_star) & (s_star <= a))
-    np.minimum(f_a, f_b, out=out, where=a <= b)
+    # putmask, not a masked minimum: a ufunc's where= pays per run of its
+    # mask, and a <= b flips at hundreds of interfaces per step on noisy data
+    np.putmask(out, a <= b, np.minimum(f_a, f_b))
     return out
 
 

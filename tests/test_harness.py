@@ -1,4 +1,9 @@
 import json
+import os
+import pickle
+import signal
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -10,6 +15,7 @@ import nonlocal_limit.nonlocal_solver as nonlocal_solver
 from nonlocal_limit import (
     ConfigError,
     FluxModel,
+    ModeViolationError,
     NonlocalSchemeConfig,
     NumericalBlowupError,
     VelocityModel,
@@ -241,16 +247,18 @@ class TestRunSingle:
 
 class TestRunSweep:
     def test_sweep_writes_rows_and_reference_once(self, tmp_path, monkeypatch):
-        local_solves = []
+        local_solves = tmp_path / "local_solves.txt"
 
         def counted(*args, **kwargs):
-            local_solves.append(args)
+            # a child process may run the reference: count in a file
+            with open(local_solves, "a", encoding="utf-8") as fh:
+                fh.write("solve_local\n")
             return solve_local(*args, **kwargs)
 
         monkeypatch.setattr(harness, "solve_local", counted)
         cfg = small_config(eta_list=[0.3, 0.15])
         result = run_sweep(cfg, output_dir=tmp_path)
-        assert len(local_solves) == 1
+        assert local_solves.read_text(encoding="utf-8").splitlines() == ["solve_local"]
         assert len(result.reports) == 2
         header, rows = read_csv(tmp_path / "sweep.csv")
         assert header == list(SWEEP_COLUMNS)
@@ -259,6 +267,52 @@ class TestRunSweep:
         assert (tmp_path / "reference" / "snapshots.csv").is_file()
         for eta in (0.3, 0.15):
             assert (tmp_path / eta_dirname(eta) / "snapshots.csv").is_file()
+
+    def test_no_child_process_outlives_a_call(self, tmp_path, monkeypatch):
+        cfg = small_config(eta_list=[0.3, 0.15])
+        run_sweep(cfg, output_dir=tmp_path / "sweep")
+        run_stability_probe(cfg, 0.01, output_dir=tmp_path / "probe")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        def fail(cfg, report, q0, eta):
+            raise ValueError("synthetic diagnostics failure")
+
+        monkeypatch.setattr(harness, "_run_diagnostics", fail)
+        with pytest.raises(ValueError, match="synthetic diagnostics failure"):
+            run_sweep(cfg, output_dir=tmp_path / "failed")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_cpu_runs_in_process_with_the_same_bytes(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        cfg = small_config(eta_list=[0.3, 0.15])
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            run_sweep(cfg, output_dir=tmp_path / "one")
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert forks == []
+        run_sweep(cfg, output_dir=tmp_path / "all")
+        if len(cpus) > 1 and threading.active_count() == 1:
+            assert len(forks) == 3  # the reference and two etas
+        one = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*.csv"))
+        assert one == sorted(p.relative_to(tmp_path / "all")
+                             for p in (tmp_path / "all").rglob("*.csv"))
+        assert len(one) == 9
+        for rel in one:
+            assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "all" / rel).read_bytes()
 
     def test_grid_couples_to_eta(self):
         cfg = small_config(eta_list=[0.3, 0.15])
@@ -470,6 +524,58 @@ class TestStabilityProbe:
         assert not out.exists()
 
 
+class TestRunTasks:
+    def test_results_keep_their_order_and_flags(self):
+        frozen = np.linspace(0.0, 1.0, 1000)
+        frozen.setflags(write=False)
+        results = harness._run_tasks([lambda: ("small", 1.5), lambda: frozen,
+                                      lambda: np.arange(3.0)], [1, 3, 2])
+        assert results[0] == ("small", 1.5)
+        assert np.array_equal(results[1], frozen) and not results[1].flags.writeable
+        assert np.array_equal(results[2], np.arange(3.0)) and results[2].flags.writeable
+
+    def test_first_failure_in_task_order_is_raised(self):
+        def slow_blowup():
+            time.sleep(0.3)
+            raise NumericalBlowupError("first failure", step=4)
+
+        def quick_failure():
+            raise ConfigError("second failure")
+
+        with pytest.raises(NumericalBlowupError) as info:
+            harness._run_tasks([slow_blowup, quick_failure, lambda: 3], [1, 1, 1])
+        assert str(info.value) == "first failure" and info.value.step == 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_reaps_every_child(self):
+        parent = os.getpid()
+
+        def interrupt():
+            time.sleep(0.2)
+            os.kill(parent, signal.SIGINT)
+            time.sleep(30)
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            harness._run_tasks([interrupt, lambda: time.sleep(30)], [1, 1])
+        assert time.perf_counter() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [
+    ConfigError("eta_list[2] must be positive"),
+    ModeViolationError("flux velocity fell to -1 < 0 in downstream mode"),
+    NumericalBlowupError("eta = 0.3: non-finite density", step=12),
+], ids=lambda error: type(error).__name__)
+def test_package_errors_survive_pickling(error):
+    back = pickle.loads(pickle.dumps(error, protocol=5))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert getattr(back, "step", None) == getattr(error, "step", None)
+
+
 class TestEmitPlotScript:
     def test_script_references_each_csv_exactly_once(self, tmp_path):
         cfg = small_config()
@@ -621,6 +727,22 @@ class TestCli:
                          "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("failing", [(0.15,), (0.3, 0.15)])
+    def test_failed_eta_diagnostics_exit_one(self, tmp_path, monkeypatch, capsys, failing):
+        run_diagnostics = harness._run_diagnostics
+
+        def fail(cfg, report, q0, eta):
+            if eta in failing:
+                raise ValueError(f"synthetic diagnostics failure at eta = {eta!r}")
+            return run_diagnostics(cfg, report, q0, eta)
+
+        monkeypatch.setattr(harness, "_run_diagnostics", fail)
+        config = self.write_config(tmp_path, {**SMALL_DOC, "eta_list": [0.3, 0.15]})
+        code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: synthetic diagnostics failure at eta = {failing[0]!r}\n")
 
     def test_negative_constant_velocity_pairs_with_upstream(self, tmp_path, capsys):
         velocity = {"name": "constant", "value": -1.0}
