@@ -587,9 +587,9 @@ def sweep_cells_for_eta(cfg: ExperimentConfig, eta: float) -> int:
     return n
 
 
-def _fork_task(tasks, i: int) -> tuple[int, int]:
-    """Start ``tasks[i]()`` in a forked child; returns the read end of the
-    pipe its outcome comes back on, and its pid."""
+def _fork_task(task) -> tuple[int, int]:
+    """Start ``task()`` in a forked child; returns the read end of the pipe
+    its outcome comes back on, and the child's pid."""
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python >= 3.12 warns on fork whenever the process has another OS
@@ -603,7 +603,7 @@ def _fork_task(tasks, i: int) -> tuple[int, int]:
         status = 1
         try:
             os.close(read_fd)
-            _send_outcome(write_fd, tasks[i])
+            _send_outcome(write_fd, task)
             status = 0
         finally:
             os._exit(status)
@@ -680,7 +680,7 @@ def _run_tasks(tasks, costs) -> list:
             while pending or running:
                 while pending and len(running) < workers:
                     i = pending.pop(0)
-                    fd, pid = _fork_task(tasks, i)
+                    fd, pid = _fork_task(tasks[i])
                     running[fd] = (i, pid)
                     selector.register(fd, selectors.EVENT_READ)
                 for key, _ in selector.select():
