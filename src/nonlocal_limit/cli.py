@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on validation errors (bad config, bad arguments,
-missing files), 2 when a solver blows up or meets a wrong-signed flux velocity.
-Usage errors that argparse reports itself exit 1 as well.
+Exit codes: 0 on success; 1 on validation errors (bad config or arguments,
+argparse's usage errors included, missing files) or a dead worker process; 2
+when a solver blows up or meets a wrong-signed flux velocity.
 """
 
 from __future__ import annotations

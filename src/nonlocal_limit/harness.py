@@ -22,6 +22,7 @@ import sys
 import threading
 import warnings
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -654,7 +655,18 @@ def _receive_outcome(fd: int) -> tuple:
     return pickle.loads(head, buffers=buffers)
 
 
-def _run_tasks(tasks, costs) -> list:
+def _worker_died(name: str, status: int) -> ChildProcessError:
+    """The error for task ``name`` when its child ended, with wait status
+    ``status``, before sending its result."""
+    code = os.waitstatus_to_exitcode(status)
+    try:
+        how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+    except ValueError:
+        how = f"killed by signal {-code}"
+    return ChildProcessError(f"{name}: worker process ended before sending its result ({how})")
+
+
+def _run_tasks(tasks, costs, names) -> list:
     """``[task() for task in tasks]``, with the tasks overlapped in forked
     child processes.
 
@@ -665,7 +677,9 @@ def _run_tasks(tasks, costs) -> list:
     CPU or one task, without Linux's fork, or while another Python thread is
     alive, the tasks run here one after another.  When tasks fail, the
     exception of the first failing task in list order is raised, as running
-    them in order would raise it.  No child outlives the call.
+    them in order would raise it; a child that dies without its result
+    raises ChildProcessError naming ``names[i]`` and how the child ended.
+    No child outlives the call.
     """
     workers = (min(len(tasks), len(os.sched_getaffinity(0)))
                if sys.platform == "linux" and hasattr(os, "fork") else 1)
@@ -688,13 +702,15 @@ def _run_tasks(tasks, costs) -> list:
                     selector.unregister(key.fd)
                     try:
                         ok, value = _receive_outcome(key.fd)
+                    except EOFError:  # the child died first; its wait status says how
+                        ok, value = False, None
                     finally:
                         os.close(key.fd)
-                        os.waitpid(pid, 0)
+                        status = os.waitpid(pid, 0)[1]
                     if ok:
                         results[i] = value
                     else:
-                        failures[i] = value
+                        failures[i] = value or _worker_died(names[i], status)
                         # in order, no task after the first failure would run
                         pending = [j for j in pending if j < min(failures)]
         finally:
@@ -734,7 +750,8 @@ def run_sweep(cfg: ExperimentConfig, output_dir) -> SweepResult:
     reference, *results = _run_tasks(
         [functools.partial(_run_reference, cfg, n_ref, out)]
         + [functools.partial(_run_eta, cfg, scheme, n_eta, out) for n_eta, scheme in runs],
-        [n_ref ** 2] + [n_eta ** 2 for n_eta, _ in runs])
+        [n_ref ** 2] + [n_eta ** 2 for n_eta, _ in runs],
+        ["reference run"] + [f"eta = {scheme.kernel.eta!r} run" for _, scheme in runs])
 
     rows = []
     for (_, scheme), (report, diagnostics) in zip(runs, results):
@@ -782,188 +799,51 @@ def run_stability_probe(cfg: ExperimentConfig, delta: float, output_dir) -> floa
     baseline, perturbed = _run_tasks(
         [functools.partial(_solve_named, q0, scheme, "baseline run: "),
          functools.partial(_solve_named, perturbed_q0, scheme, "perturbed run: ")],
-        [q0.grid.n_cells ** 2] * 2)
+        [q0.grid.n_cells ** 2] * 2, ["baseline run", "perturbed run"])
     distance = sup_time_l1(perturbed, baseline, cfg.window(), compare="q")
     _write_csv(Path(output_dir) / "probe.csv", ("delta", "sup_time_l1"),
                [_rows([delta], [distance])])
     return distance
 
 
-def _discover_csvs(out: Path, cfg: ExperimentConfig):
+def _discover_runs(out: Path, cfg: ExperimentConfig) -> list:
+    """(label, snapshots, tv series, diagnostics) of each configured eta run
+    under ``out``, the files relative to ``out``."""
     if not out.is_dir():
         raise ConfigError(f"output directory {out} does not exist")
-    eta_dirs = []
-    for eta in cfg.eta_list:
-        d = out / eta_dirname(eta)
-        if d.is_dir():
-            missing = [str(d / name) for name in
-                       ("snapshots.csv", "tv_series.csv", "diagnostics.csv")
-                       if not (d / name).is_file()]
-            if missing:
-                raise ConfigError(f"missing CSV files: {', '.join(missing)}")
-            eta_dirs.append(d.name)
-    if not eta_dirs:
-        raise ConfigError(
-            f"no per-eta CSV files found under {out}; run or sweep first"
-        )
-    return eta_dirs
+    runs = [(name, f"{name}/snapshots.csv", f"{name}/tv_series.csv", f"{name}/diagnostics.csv")
+            for name in map(eta_dirname, cfg.eta_list) if (out / name).is_dir()]
+    missing = [str(out / rel) for run in runs for rel in run[1:] if not (out / rel).is_file()]
+    if missing:
+        raise ConfigError(f"missing CSV files: {', '.join(missing)}")
+    if not runs:
+        raise ConfigError(f"no per-eta CSV files found under {out}; run or sweep first")
+    return runs
 
 
-# plot template field -> the CSV it reads when present, relative to the output directory
+# plot script main()'s keyword -> its CSV when present, relative to the output directory
 _OPTIONAL_CSVS = {"reference_tv": "reference/tv_series.csv",
                   "reference_snapshots": "reference/snapshots.csv",
                   "sweep": "sweep.csv", "probe": "probe.csv"}
 
-_PLOT_TEMPLATE = '''#!/usr/bin/env python3
-"""Render heatmaps, profiles and total-variation curves from the run CSVs.
-
-Generated file; regeneration is deterministic.  Requires matplotlib.
-"""
-import csv
-import pathlib
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-HERE = pathlib.Path(__file__).resolve().parent
-RUNS = [
-{runs_block}
-]
-REFERENCE_TV = {reference_tv!r}
-REFERENCE_SNAPSHOTS = {reference_snapshots!r}
-SWEEP = {sweep!r}
-PROBE = {probe!r}
-PROFILE_TIME = {profile_time!r}
-
-
-def read_csv(rel):
-    with open(HERE / rel, encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    return rows
-
-
-def read_snapshots(rel):
-    data = {{}}
-    for row in read_csv(rel):
-        t = float(row["time"])
-        data.setdefault(t, {{"x": [], "q": [], "W": []}})
-        data[t]["x"].append(float(row["x_center"]))
-        data[t]["q"].append(float(row["q"]))
-        data[t]["W"].append(float(row["W"]))
-    return dict(sorted(data.items()))
-
-
-def plot_heatmap(label, rel):
-    data = read_snapshots(rel)
-    times = list(data)
-    if not times:  # no snapshot_times configured: a header-only file
-        return data
-    x = data[times[0]]["x"]
-    grid = [data[t]["q"] for t in times]
-    fig, ax = plt.subplots(figsize=(6, 4))
-    mesh = ax.pcolormesh(x, times, grid, shading="nearest", vmin=0.0, cmap="viridis")
-    fig.colorbar(mesh, ax=ax, label="q")
-    ax.set_xlabel("x")
-    ax.set_ylabel("t")
-    ax.set_title(f"density, {{label}}")
-    fig.tight_layout()
-    fig.savefig(HERE / f"heatmap_{{label}}.png", dpi=150)
-    plt.close(fig)
-    return data
-
-
-def nearest_time(data, target):
-    return min(data, key=lambda t: abs(t - target))
-
-
-def main():
-    profile_fig, profile_ax = plt.subplots(figsize=(7, 4))
-    tv_fig, tv_ax = plt.subplots(figsize=(7, 4))
-    for label, snapshots_rel, tv_rel, diagnostics_rel in RUNS:
-        data = plot_heatmap(label, snapshots_rel)
-        if data:
-            t_show = nearest_time(data, PROFILE_TIME)
-            profile_ax.plot(data[t_show]["x"], data[t_show]["q"], label=f"q, {{label}}")
-            profile_ax.plot(data[t_show]["x"], data[t_show]["W"], "--", label=f"W, {{label}}")
-        tv_rows = read_csv(tv_rel)
-        times = [float(r["time"]) for r in tv_rows]
-        tv_ax.plot(times, [float(r["tv_q"]) for r in tv_rows], label=f"TV(q), {{label}}")
-        tv_ax.plot(times, [float(r["tv_W"]) for r in tv_rows], ":", label=f"TV(W), {{label}}")
-        print(f"--- diagnostics, {{label}} ---")
-        for row in read_csv(diagnostics_rel):
-            print(f"{{row['name']}}: {{row['value']}}")
-    if REFERENCE_TV is not None:
-        ref_rows = read_csv(REFERENCE_TV)
-        tv_ax.plot([float(r["time"]) for r in ref_rows],
-                   [float(r["tv_q"]) for r in ref_rows],
-                   "k-.", label="TV(q), local reference")
-    ref_data = read_snapshots(REFERENCE_SNAPSHOTS) if REFERENCE_SNAPSHOTS is not None else {{}}
-    if ref_data:
-        t_show = nearest_time(ref_data, PROFILE_TIME)
-        profile_ax.plot(ref_data[t_show]["x"], ref_data[t_show]["q"],
-                        "k-.", label="q, local reference")
-    profile_ax.set_xlabel("x")
-    profile_ax.set_ylabel("value")
-    profile_ax.set_title(f"profiles near t = {{PROFILE_TIME}}")
-    profile_ax.legend(fontsize=7)
-    profile_fig.tight_layout()
-    profile_fig.savefig(HERE / "profiles.png", dpi=150)
-    tv_ax.set_xlabel("t")
-    tv_ax.set_ylabel("total variation")
-    tv_ax.set_title("total variation vs time")
-    tv_ax.legend(fontsize=7)
-    tv_fig.tight_layout()
-    tv_fig.savefig(HERE / "tv_curves.png", dpi=150)
-    if SWEEP is not None:
-        rows = read_csv(SWEEP)
-        fig, ax = plt.subplots(figsize=(5, 4))
-        etas = [float(r["eta"]) for r in rows]
-        ax.loglog(etas, [float(r["sup_time_l1_q_vs_ref"]) for r in rows], "o-",
-                  label="q vs reference")
-        ax.loglog(etas, [float(r["sup_time_l1_W_vs_ref"]) for r in rows], "s--",
-                  label="W vs reference")
-        ax.set_xlabel("eta")
-        ax.set_ylabel("sup-in-time L1 error")
-        ax.legend()
-        fig.tight_layout()
-        fig.savefig(HERE / "sweep_errors.png", dpi=150)
-        plt.close(fig)
-    if PROBE is not None:
-        rows = read_csv(PROBE)
-        fig, ax = plt.subplots(figsize=(5, 4))
-        ax.loglog([float(r["delta"]) for r in rows],
-                  [float(r["sup_time_l1"]) for r in rows], "o-")
-        ax.set_xlabel("delta")
-        ax.set_ylabel("sup-in-time L1 distance")
-        fig.tight_layout()
-        fig.savefig(HERE / "stability_probe.png", dpi=150)
-        plt.close(fig)
-
-
-if __name__ == "__main__":
-    main()
-'''
-
 
 def emit_plot_script(cfg: ExperimentConfig, output_dir) -> Path:
-    """Write a self-contained matplotlib script rendering the emitted CSVs.
+    """Write a self-contained matplotlib script rendering the emitted CSVs:
+    the source of the package's ``plot_script`` module and one call of its
+    ``main`` with the discovered CSVs.
 
     Regeneration is byte-for-byte deterministic; every discovered CSV is
     referenced exactly once in the script.
     """
     out = Path(output_dir)
-    runs_block = "\n".join(
-        f'    ("{name}", "{name}/snapshots.csv", "{name}/tv_series.csv", '
-        f'"{name}/diagnostics.csv"),'
-        for name in _discover_csvs(out, cfg)
-    )
-    script = _PLOT_TEMPLATE.format(
-        runs_block=runs_block,
-        profile_time=min(0.5, cfg.t_end),
-        **{field: rel if (out / rel).is_file() else None for field, rel in _OPTIONAL_CSVS.items()},
-    )
+    runs = "".join(f"\n            {run!r}," for run in _discover_runs(out, cfg))
+    arguments = {field: rel if (out / rel).is_file() else None
+                 for field, rel in _OPTIONAL_CSVS.items()}
+    arguments["profile_time"] = min(0.5, cfg.t_end)
+    call = "".join(f"\n        {name}={value!r}," for name, value in arguments.items())
+    source = resources.files(__package__).joinpath("plot_script.py").read_text(encoding="utf-8")
     path = out / PLOT_SCRIPT_NAME
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(script)
+        fh.write(f'{source}\n\nif __name__ == "__main__":\n'
+                 f"    main(\n        runs=[{runs}\n        ],{call}\n    )\n")
     return path

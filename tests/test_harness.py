@@ -12,6 +12,7 @@ import pytest
 import nonlocal_limit.cli as cli
 import nonlocal_limit.harness as harness
 import nonlocal_limit.nonlocal_solver as nonlocal_solver
+import nonlocal_limit.plot_script as plot_script
 from nonlocal_limit import (
     ConfigError,
     FluxModel,
@@ -529,7 +530,7 @@ class TestRunTasks:
         frozen = np.linspace(0.0, 1.0, 1000)
         frozen.setflags(write=False)
         results = harness._run_tasks([lambda: ("small", 1.5), lambda: frozen,
-                                      lambda: np.arange(3.0)], [1, 3, 2])
+                                      lambda: np.arange(3.0)], [1, 3, 2], ["a", "b", "c"])
         assert results[0] == ("small", 1.5)
         assert np.array_equal(results[1], frozen) and not results[1].flags.writeable
         assert np.array_equal(results[2], np.arange(3.0)) and results[2].flags.writeable
@@ -543,7 +544,8 @@ class TestRunTasks:
             raise ConfigError("second failure")
 
         with pytest.raises(NumericalBlowupError) as info:
-            harness._run_tasks([slow_blowup, quick_failure, lambda: 3], [1, 1, 1])
+            harness._run_tasks([slow_blowup, quick_failure, lambda: 3], [1, 1, 1],
+                               ["a", "b", "c"])
         assert str(info.value) == "first failure" and info.value.step == 4
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -558,7 +560,7 @@ class TestRunTasks:
 
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            harness._run_tasks([interrupt, lambda: time.sleep(30)], [1, 1])
+            harness._run_tasks([interrupt, lambda: time.sleep(30)], [1, 1], ["a", "b"])
         assert time.perf_counter() - start < 10
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -627,6 +629,106 @@ class TestEmitPlotScript:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "tv_curves.png").is_file()
         assert (tmp_path / "profiles.png").is_file()
+
+
+# a stand-in for matplotlib: every figure and axes call is accepted, and
+# savefig creates an empty file
+_STUB_PYPLOT = """
+import pathlib
+
+
+class Anything:
+    def __call__(self, *args, **kwargs):
+        return self
+
+    def __getattr__(self, name):
+        return self
+
+
+class Figure(Anything):
+    def savefig(self, path, **kwargs):
+        pathlib.Path(path).touch()
+
+
+def subplots(*args, **kwargs):
+    return Figure(), Anything()
+
+
+def close(fig):
+    pass
+"""
+
+
+class TestPlotScript:
+    """The plot script module runs here without matplotlib: its readers are
+    tested directly, and the emitted script against a stub matplotlib."""
+
+    def test_readers_return_what_run_wrote(self, tmp_path):
+        cfg = small_config()
+        report = run_single(cfg, 0.3, output_dir=tmp_path)
+        run_dir = tmp_path / eta_dirname(0.3)
+        rows = plot_script.read_csv(run_dir / "diagnostics.csv")
+        assert [row["name"] for row in rows] == list(harness._DIAGNOSTIC_ROWS)
+        data = plot_script.read_snapshots(run_dir / "snapshots.csv")
+        snapshots = harness._configured_snapshots(cfg, report)
+        assert list(data) == [snap.time for snap in snapshots]
+        for snap, columns in zip(snapshots, data.values()):
+            assert columns["x"] == report.grid.cell_centers.tolist()
+            assert columns["q"] == snap.q.values.tolist()
+            assert columns["W"] == snap.w.values[:-1].tolist()
+        times = list(data)
+        assert [plot_script.nearest_time(data, 0.9 * a + 0.1 * b)
+                for a, b in zip(times, times[1:])] == times[:-1]
+        assert plot_script.nearest_time(data, 7.0) == times[-1]
+
+    def test_header_only_snapshots_read_as_empty(self, tmp_path):
+        path = tmp_path / "snapshots.csv"
+        path.write_text(HEADER, encoding="utf-8")
+        assert plot_script.read_snapshots(path) == {}
+
+    def test_imports_without_matplotlib_and_apart_from_the_cli(self, tmp_path):
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_DOC))
+        run_single(small_config(), 0.3, output_dir=tmp_path / "out")
+        code = textwrap.dedent(f"""
+            import sys
+            sys.modules["matplotlib"] = None  # any import of it fails
+            import nonlocal_limit.cli as cli
+            assert cli.main(["plot", "--config", {str(config)!r},
+                             "--out", {str(tmp_path / "out")!r}]) == 0
+            print("nonlocal_limit.plot_script" in sys.modules)
+            import nonlocal_limit.plot_script
+            print(sorted(name for name in sys.modules if name.startswith("matplotlib.")))
+        """)
+        src = str(Path(harness.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.splitlines()[1:] == ["False", "[]"]
+
+    def test_generated_script_runs_against_a_stub_matplotlib(self, tmp_path):
+        import subprocess
+        import sys
+
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("def use(backend):\n    pass\n", encoding="utf-8")
+        (stub / "pyplot.py").write_text(_STUB_PYPLOT, encoding="utf-8")
+        cfg = small_config()
+        out = tmp_path / "out"
+        run_sweep(cfg, output_dir=out)
+        run_stability_probe(cfg, 0.01, output_dir=out)
+        path = emit_plot_script(cfg, output_dir=out)
+        proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(stub.parent)})
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in out.glob("*.png")) == [
+            "heatmap_eta_0.3.png", "profiles.png", "stability_probe.png",
+            "sweep_errors.png", "tv_curves.png"]
 
 
 class TestCli:
@@ -803,6 +905,37 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.split() == ["False", "False", "True"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_killed_worker_exits_one_naming_the_task(self, tmp_path, monkeypatch, capsys):
+        if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+            pytest.skip("the tasks would run in this process")
+        parent = os.getpid()
+        run_eta = harness._run_eta
+
+        def killed(cfg, scheme, n_cells, out):
+            if os.getpid() != parent and scheme.kernel.eta == 0.15:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
+            return run_eta(cfg, scheme, n_cells, out)
+
+        monkeypatch.setattr(harness, "_run_eta", killed)
+        config = self.write_config(tmp_path, {**SMALL_DOC, "eta_list": [0.3, 0.15]})
+        code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: eta = 0.15 run: worker process ended before sending its result "
+            "(killed by SIGKILL)\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("status, how", [
+        (3 << 8, "exit status 3"), (signal.SIGKILL, "killed by SIGKILL"),
+        (signal.SIGRTMIN + 1, f"killed by signal {signal.SIGRTMIN + 1}"),
+    ])
+    def test_worker_death_names_how_the_child_ended(self, status, how):
+        error = harness._worker_died("reference run", status)
+        assert str(error) == (
+            f"reference run: worker process ended before sending its result ({how})")
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
