@@ -38,6 +38,12 @@ class Window:
             raise ValueError(f"invalid window [{self.lo}, {self.hi}]")
 
 
+def bump(u, height=1.0):
+    """``height * (1 - u**2) ** 3`` where |u| < 1, else 0."""
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) < 1.0, height * (1.0 - u**2) ** 3, 0.0)
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Separable polynomial bump amplitude * b(u_t) * b(u_x), b(u) = (1-u^2)^3,
@@ -74,11 +80,6 @@ class TestFunction:
                 self.x_center - self.x_radius, self.x_center + self.x_radius)
 
     @staticmethod
-    def _b(u):
-        u = np.asarray(u, dtype=float)
-        return np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 3, 0.0)
-
-    @staticmethod
     def _db(u):
         u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) < 1.0, -6.0 * u * (1.0 - u**2) ** 2, 0.0)
@@ -89,7 +90,7 @@ class TestFunction:
         entry = self._memo
         if entry[0] != key:
             u = (x - self.x_center) / self.x_radius
-            entry = (key, self._b(u), self._db(u))
+            entry = (key, bump(u), self._db(u))
             object.__setattr__(self, "_memo", entry)
         return entry[1], entry[2]
 
@@ -98,7 +99,7 @@ class TestFunction:
 
     def eval(self, t, x):
         bx, _ = self._spatial(x)
-        return self.amplitude * self._b(self._u_t(t)) * bx
+        return self.amplitude * bump(self._u_t(t)) * bx
 
     def dt_eval(self, t, x):
         bx, _ = self._spatial(x)
@@ -106,7 +107,7 @@ class TestFunction:
 
     def dx_eval(self, t, x):
         _, dbx = self._spatial(x)
-        return self.amplitude / self.x_radius * self._b(self._u_t(t)) * dbx
+        return self.amplitude / self.x_radius * bump(self._u_t(t)) * dbx
 
 
 bump_test_function = TestFunction

@@ -17,7 +17,6 @@ import os
 import pickle
 import selectors
 import signal
-import struct
 import sys
 import threading
 import warnings
@@ -43,6 +42,7 @@ from .core import (
 from .diagnostics import (
     TestFunction,
     Window,
+    bump,
     bump_test_function,
     entropy_residual,
     sup_time_l1,
@@ -590,69 +590,41 @@ def sweep_cells_for_eta(cfg: ExperimentConfig, eta: float) -> int:
 
 def _fork_task(task) -> tuple[int, int]:
     """Start ``task()`` in a forked child; returns the read end of the pipe
-    its outcome comes back on, and the child's pid."""
+    its outcome comes back on, and the child's pid.  The child writes
+    (True, result) or (False, exception) there as one protocol-5 pickle."""
     read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns on fork whenever the process has another OS
-        # thread, and numpy's OpenBLAS pool always is one.  Forking is safe
-        # here all the same: _run_tasks forks only while no other Python
-        # thread is alive, and the children run numpy ufuncs, scipy's
-        # recursion and file writes, never BLAS.
-        warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
-        pid = os.fork()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork whenever the process has another OS
+            # thread, and numpy's OpenBLAS pool always is one.  Forking is safe
+            # here all the same: _run_tasks forks only while no other Python
+            # thread is alive, and the children run numpy ufuncs, scipy's
+            # recursion and file writes, never BLAS.
+            warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            _send_outcome(write_fd, task)
+            try:
+                outcome = (True, task())
+            except BaseException as exc:  # the parent raises it
+                try:
+                    pickle.loads(pickle.dumps(exc, protocol=5))
+                except Exception:
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                outcome = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe, protocol=5)
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     return read_fd, pid
-
-
-def _send_outcome(fd: int, task):
-    """Run ``task`` and write (True, result) or (False, exception) to ``fd``:
-    the pickle without its arrays' bytes, then those bytes (protocol 5,
-    out-of-band buffers)."""
-    try:
-        outcome = (True, task())
-    except BaseException as exc:  # the parent raises it
-        try:
-            pickle.loads(pickle.dumps(exc, protocol=5))
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        outcome = (False, exc)
-    buffers = []
-    head = pickle.dumps(outcome, protocol=5, buffer_callback=buffers.append)
-    views = [buffer.raw() for buffer in buffers]
-    frame = pickle.dumps((head, [view.nbytes for view in views]), protocol=5)
-    with open(fd, "wb") as pipe:
-        pipe.write(struct.pack("<Q", len(frame)))
-        pipe.write(frame)
-        for view in views:
-            pipe.write(view)
-
-
-def _read_exact(pipe, buffer: bytearray) -> bytearray:
-    view = memoryview(buffer)
-    while view:
-        n = pipe.readinto(view)
-        if not n:
-            raise EOFError("a worker process exited without sending its result")
-        view = view[n:]
-    return buffer
-
-
-def _receive_outcome(fd: int) -> tuple:
-    """The (ok, value) pair _send_outcome wrote to ``fd``.  The arrays'
-    bytes are read straight into the memory the unpickled arrays use."""
-    with open(fd, "rb", buffering=0, closefd=False) as pipe:
-        (size,) = struct.unpack("<Q", _read_exact(pipe, bytearray(8)))
-        head, sizes = pickle.loads(_read_exact(pipe, bytearray(size)))
-        buffers = [_read_exact(pipe, bytearray(n)) for n in sizes]
-    return pickle.loads(head, buffers=buffers)
 
 
 def _worker_died(name: str, status: int) -> ChildProcessError:
@@ -688,21 +660,22 @@ def _run_tasks(tasks, costs, names) -> list:
     from . import floatfmt  # noqa: F401 -- built once here, shared with the children
     pending = sorted(range(len(tasks)), key=lambda i: -costs[i])
     results, failures = {}, {}
-    running = {}  # read end of a child's pipe -> (task index, pid)
     with selectors.DefaultSelector() as selector:
+        running = selector.get_map()  # a child's pipe -> key; key.data is (task index, pid)
         try:
             while pending or running:
                 while pending and len(running) < workers:
                     i = pending.pop(0)
                     fd, pid = _fork_task(tasks[i])
-                    running[fd] = (i, pid)
-                    selector.register(fd, selectors.EVENT_READ)
+                    selector.register(fd, selectors.EVENT_READ, (i, pid))
                 for key, _ in selector.select():
-                    i, pid = running.pop(key.fd)
+                    i, pid = key.data
                     selector.unregister(key.fd)
                     try:
-                        ok, value = _receive_outcome(key.fd)
-                    except EOFError:  # the child died first; its wait status says how
+                        # buffered: pickle takes a raw pipe's short read for truncation
+                        with open(key.fd, "rb", closefd=False) as pipe:
+                            ok, value = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # the child died first
                         ok, value = False, None
                     finally:
                         os.close(key.fd)
@@ -714,10 +687,10 @@ def _run_tasks(tasks, costs, names) -> list:
                         # in order, no task after the first failure would run
                         pending = [j for j in pending if j < min(failures)]
         finally:
-            for fd, (_, pid) in running.items():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(fd)
+            for key in running.values():
+                os.kill(key.data[1], signal.SIGKILL)
+                os.waitpid(key.data[1], 0)
+                os.close(key.fd)
     if failures:
         raise failures[min(failures)]
     return [results[i] for i in range(len(tasks))]
@@ -786,8 +759,7 @@ def perturbed_initial_field(q0: CellField, delta: float) -> CellField:
     # integral of (1-u^2)^3 over [-1, 1] is 32/35
     amplitude = delta / (radius * 32.0 / 35.0)
     u = (grid.cell_centers - center) / radius
-    bump = np.where(np.abs(u) < 1.0, amplitude * (1.0 - u**2) ** 3, 0.0)
-    return CellField(grid=grid, values=np.clip(q0.values + bump, 0.0, hi))
+    return CellField(grid=grid, values=np.clip(q0.values + bump(u, amplitude), 0.0, hi))
 
 
 def run_stability_probe(cfg: ExperimentConfig, delta: float, output_dir) -> float:

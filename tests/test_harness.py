@@ -1,7 +1,11 @@
+import contextlib
+import errno
 import json
 import os
 import pickle
+import select
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -54,6 +58,24 @@ SMALL_DOC = {
 def small_config(**overrides):
     doc = {**SMALL_DOC, **overrides}
     return config_from_dict(doc)
+
+
+@contextlib.contextmanager
+def no_descriptor_left():
+    """Assert that the block leaves this process's open file descriptors as
+    it found them; no check where /proc/self/fd does not exist."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = sorted(os.listdir("/proc/self/fd"))
+    yield
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def forks_children():
+    """Whether harness._run_tasks runs two tasks in child processes here."""
+    return (sys.platform == "linux" and hasattr(os, "fork")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
 def read_csv(path):
@@ -271,8 +293,9 @@ class TestRunSweep:
 
     def test_no_child_process_outlives_a_call(self, tmp_path, monkeypatch):
         cfg = small_config(eta_list=[0.3, 0.15])
-        run_sweep(cfg, output_dir=tmp_path / "sweep")
-        run_stability_probe(cfg, 0.01, output_dir=tmp_path / "probe")
+        with no_descriptor_left():
+            run_sweep(cfg, output_dir=tmp_path / "sweep")
+            run_stability_probe(cfg, 0.01, output_dir=tmp_path / "probe")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -280,7 +303,7 @@ class TestRunSweep:
             raise ValueError("synthetic diagnostics failure")
 
         monkeypatch.setattr(harness, "_run_diagnostics", fail)
-        with pytest.raises(ValueError, match="synthetic diagnostics failure"):
+        with no_descriptor_left(), pytest.raises(ValueError, match="synthetic diagnostics failure"):
             run_sweep(cfg, output_dir=tmp_path / "failed")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -529,11 +552,22 @@ class TestRunTasks:
     def test_results_keep_their_order_and_flags(self):
         frozen = np.linspace(0.0, 1.0, 1000)
         frozen.setflags(write=False)
-        results = harness._run_tasks([lambda: ("small", 1.5), lambda: frozen,
-                                      lambda: np.arange(3.0)], [1, 3, 2], ["a", "b", "c"])
+        # 2**17 values are 1 MiB, above pickle's 64 KiB frame size
+        large_frozen = np.linspace(-1.0, 1.0, 1 << 17)
+        large_frozen.setflags(write=False)
+        large = np.arange(float(1 << 17))
+        with no_descriptor_left():
+            results = harness._run_tasks(
+                [lambda: ("small", 1.5), lambda: frozen, lambda: np.arange(3.0),
+                 lambda: large_frozen, lambda: large],
+                [1, 3, 2, 5, 4], ["a", "b", "c", "d", "e"])
         assert results[0] == ("small", 1.5)
         assert np.array_equal(results[1], frozen) and not results[1].flags.writeable
         assert np.array_equal(results[2], np.arange(3.0)) and results[2].flags.writeable
+        assert np.array_equal(results[3], large_frozen) and not results[3].flags.writeable
+        assert np.array_equal(results[4], large) and results[4].flags.writeable
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_first_failure_in_task_order_is_raised(self):
         def slow_blowup():
@@ -543,7 +577,7 @@ class TestRunTasks:
         def quick_failure():
             raise ConfigError("second failure")
 
-        with pytest.raises(NumericalBlowupError) as info:
+        with no_descriptor_left(), pytest.raises(NumericalBlowupError) as info:
             harness._run_tasks([slow_blowup, quick_failure, lambda: 3], [1, 1, 1],
                                ["a", "b", "c"])
         assert str(info.value) == "first failure" and info.value.step == 4
@@ -559,9 +593,72 @@ class TestRunTasks:
             time.sleep(30)
 
         start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
+        with no_descriptor_left(), pytest.raises(KeyboardInterrupt):
             harness._run_tasks([interrupt, lambda: time.sleep(30)], [1, 1], ["a", "b"])
         assert time.perf_counter() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_refused_fork_raises_and_leaves_nothing_behind(self, monkeypatch):
+        if not forks_children():
+            pytest.skip("the tasks would run in this process")
+        fork, forked = os.fork, []
+
+        def refuse_the_second_fork():
+            if forked:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            forked.append(True)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refuse_the_second_fork)
+        with no_descriptor_left(), pytest.raises(OSError):
+            harness._run_tasks([lambda: time.sleep(30), lambda: 2], [2, 1], ["a", "b"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_killed_while_sending_its_result(self):
+        if not forks_children():
+            pytest.skip("the tasks would run in this process")
+
+        class Killer:
+            def __reduce__(self):  # after the array before it is on the pipe
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        with no_descriptor_left(), pytest.raises(ChildProcessError) as info:
+            harness._run_tasks([lambda: [np.zeros(1 << 18), Killer()], lambda: 2], [2, 1],
+                               ["half run", "other run"])
+        assert str(info.value) == (
+            "half run: worker process ended before sending its result (killed by SIGKILL)")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_killed_partway_into_an_array(self):
+        # While the parent receives the first result, the second child blocks
+        # on its full pipe inside an 8 MiB array and is killed there.
+        if not forks_children():
+            pytest.skip("the tasks would run in this process")
+        receiving, received = os.pipe()
+
+        class Stall:
+            def __reduce__(self):  # the parent is inside this result's load now
+                os.write(received, b"x")
+                time.sleep(1.0)
+                return int, ()
+
+        def killed_while_sending():
+            select.select([receiving], [], [], 10.0)
+            threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGKILL)).start()
+            return np.zeros(1 << 20)
+
+        try:
+            with no_descriptor_left(), pytest.raises(ChildProcessError) as info:
+                harness._run_tasks([lambda: [np.zeros(1 << 18), Stall()], killed_while_sending],
+                                   [2, 1], ["first run", "second run"])
+        finally:
+            os.close(receiving)
+            os.close(received)
+        assert str(info.value) == (
+            "second run: worker process ended before sending its result (killed by SIGKILL)")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
