@@ -10,15 +10,16 @@ ordered, and nothing time- or host-dependent is written.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import os
 import pickle
-import selectors
 import signal
 import sys
 import threading
+import time
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -588,11 +589,32 @@ def sweep_cells_for_eta(cfg: ExperimentConfig, eta: float) -> int:
     return n
 
 
-def _fork_task(task) -> tuple[int, int]:
-    """Start ``task()`` in a forked child; returns the read end of the pipe
-    its outcome comes back on, and the child's pid.  The child writes
-    (True, result) or (False, exception) there as one protocol-5 pickle."""
-    read_fd, write_fd = os.pipe()
+class _Terminated(BaseException):
+    """SIGTERM reached _run_tasks while it had children."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+def _shares(costs, workers: int) -> list[list[int]]:
+    """Task indices in at most ``workers`` shares, lightest share first, each
+    in list order: costliest first, each task joins the share with the least
+    summed ``costs`` so far."""
+    shares = [[0, []] for _ in range(workers)]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        share = min(shares, key=lambda share: share[0])
+        share[0] += costs[i]
+        share[1].append(i)
+    return [sorted(tasks) for _, tasks in sorted(shares, key=lambda share: share[0]) if tasks]
+
+
+def _fork_share(tasks, share) -> tuple[int, int]:
+    """Run ``tasks[i]()`` for each i of ``share`` in order, up to the first
+    failure, in a forked child; returns its pid and the in-memory file to
+    which it appends (True, result, end) or (False, exception, end) as one
+    protocol-5 pickle as each task ends at time.monotonic() ``end``."""
+    fd = os.memfd_create("task-outcomes")
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on fork whenever the process has another OS
@@ -603,28 +625,32 @@ def _fork_task(task) -> tuple[int, int]:
             warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
             pid = os.fork()
     except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
+        os.close(fd)
         raise
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
-            try:
-                outcome = (True, task())
-            except BaseException as exc:  # the parent raises it
-                try:
-                    pickle.loads(pickle.dumps(exc, protocol=5))
-                except Exception:
-                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-                outcome = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe, protocol=5)
+            if signal.getsignal(signal.SIGTERM) is _raise_terminated:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            with open(fd, "wb") as out:
+                for i in share:
+                    try:
+                        outcome = (True, tasks[i]())
+                    except BaseException as exc:  # the parent raises it
+                        try:
+                            pickle.loads(pickle.dumps(exc, protocol=5))
+                        except Exception:
+                            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                        outcome = (False, exc)
+                    pickle.dump((*outcome, time.monotonic()), out, protocol=5)
+                    out.flush()
+                    ok, outcome = outcome[0], None  # hold no result through the next task
+                    if not ok:
+                        break
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    return read_fd, pid
+    return pid, fd
 
 
 def _worker_died(name: str, status: int) -> ChildProcessError:
@@ -638,59 +664,86 @@ def _worker_died(name: str, status: int) -> ChildProcessError:
     return ChildProcessError(f"{name}: worker process ended before sending its result ({how})")
 
 
+def _log_share(share, names, where: str, wall: float, cpu: float, max_rss_kb: int):
+    import logging  # at first use: about 6 ms of imports a process that forks none skips
+
+    logging.getLogger(__name__).debug(
+        "share %s in %s: wall %.3f s, CPU %.3f s, max RSS %.1f MB",
+        ", ".join(names[i] for i in share), where, wall, cpu, max_rss_kb / 1024)
+
+
 def _run_tasks(tasks, costs, names) -> list:
     """``[task() for task in tasks]``, with the tasks overlapped in forked
     child processes.
 
-    ``costs[i]`` estimates the work of ``tasks[i]``; the costliest tasks start
-    first, at most one per usable CPU, and whichever child finishes first is
-    collected first.  Children inherit the tasks and everything they use
-    through fork, so only results cross a process boundary.  With one usable
-    CPU or one task, without Linux's fork, or while another Python thread is
-    alive, the tasks run here one after another.  When tasks fail, the
-    exception of the first failing task in list order is raised, as running
-    them in order would raise it; a child that dies without its result
-    raises ChildProcessError naming ``names[i]`` and how the child ended.
-    No child outlives the call.
+    The tasks are split into one share per usable CPU by their estimated
+    work ``costs`` (see _shares).  This process runs the lightest share and
+    a forked child each other one, every share in list order up to its first
+    failure.  With one usable CPU or one task, without Linux's memfd_create,
+    or while another Python thread is alive, the tasks run here in order.
+    The first failing task in list order raises its exception; a child that
+    dies early raises ChildProcessError naming ``names[i]`` of its first
+    task without an outcome.  No child outlives the call; SIGTERM is
+    re-delivered once they are reaped.  Each share is logged at DEBUG.
     """
     workers = (min(len(tasks), len(os.sched_getaffinity(0)))
-               if sys.platform == "linux" and hasattr(os, "fork") else 1)
+               if sys.platform == "linux" and hasattr(os, "memfd_create") else 1)
     if workers < 2 or threading.active_count() > 1:
         return [task() for task in tasks]
+    import resource
+
     from . import floatfmt  # noqa: F401 -- built once here, shared with the children
-    pending = sorted(range(len(tasks)), key=lambda i: -costs[i])
-    results, failures = {}, {}
-    with selectors.DefaultSelector() as selector:
-        running = selector.get_map()  # a child's pipe -> key; key.data is (task index, pid)
+    own, *shares = _shares(costs, workers)
+    results, failures, children = {}, {}, []  # children: (share, pid, fd, start)
+    terminable = (threading.current_thread() is threading.main_thread()
+                  and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)
+    if terminable:
+        signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
         try:
-            while pending or running:
-                while pending and len(running) < workers:
-                    i = pending.pop(0)
-                    fd, pid = _fork_task(tasks[i])
-                    selector.register(fd, selectors.EVENT_READ, (i, pid))
-                for key, _ in selector.select():
-                    i, pid = key.data
-                    selector.unregister(key.fd)
-                    try:
-                        # buffered: pickle takes a raw pipe's short read for truncation
-                        with open(key.fd, "rb", closefd=False) as pipe:
-                            ok, value = pickle.load(pipe)
-                    except (EOFError, pickle.UnpicklingError):  # the child died first
-                        ok, value = False, None
-                    finally:
-                        os.close(key.fd)
-                        status = os.waitpid(pid, 0)[1]
-                    if ok:
-                        results[i] = value
-                    else:
-                        failures[i] = value or _worker_died(names[i], status)
-                        # in order, no task after the first failure would run
-                        pending = [j for j in pending if j < min(failures)]
+            for share in shares:
+                children.append((share, *_fork_share(tasks, share), time.monotonic()))
+            start, before = time.monotonic(), resource.getrusage(resource.RUSAGE_SELF)
+            for i in own:
+                try:
+                    results[i] = tasks[i]()
+                except Exception as exc:
+                    failures[i] = exc
+                    break
+            usage = resource.getrusage(resource.RUSAGE_SELF)  # [:2]: user and system CPU time
+            _log_share(own, names, f"this process, {os.getpid()}", time.monotonic() - start,
+                       sum(usage[:2]) - sum(before[:2]), usage.ru_maxrss)
+            while children:
+                share, pid, fd, start = children[0]
+                _, status, usage = os.wait4(pid, 0)
+                del children[0]
+                with open(fd, "rb") as file:
+                    file.seek(0)  # the child moved the offset it shares with this process
+                    for i in share:
+                        try:
+                            ok, value, end = pickle.load(file)
+                        except (EOFError, pickle.UnpicklingError):  # the child died first
+                            ok, value = False, _worker_died(names[i], status)
+                            end = time.monotonic()
+                        (results if ok else failures)[i] = value
+                        if not ok:
+                            break
+                _log_share(share, names, f"child {pid}", end - start, sum(usage[:2]),
+                           usage.ru_maxrss)
         finally:
-            for key in running.values():
-                os.kill(key.data[1], signal.SIGKILL)
-                os.waitpid(key.data[1], 0)
-                os.close(key.fd)
+            for _, pid, fd, _ in children:
+                # the first may be reaped already, when an interrupt came as wait4 returned
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                os.close(fd)
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)  # ends this process with SIGTERM's status
+        raise
+    finally:
+        if terminable:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if failures:
         raise failures[min(failures)]
     return [results[i] for i in range(len(tasks))]

@@ -1,9 +1,11 @@
 import contextlib
 import errno
+import functools
 import json
+import logging
 import os
 import pickle
-import select
+import resource
 import signal
 import sys
 import threading
@@ -73,9 +75,40 @@ def no_descriptor_left():
 
 
 def forks_children():
-    """Whether harness._run_tasks runs two tasks in child processes here."""
-    return (sys.platform == "linux" and hasattr(os, "fork")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+    """Whether harness._run_tasks can run tasks in child processes here."""
+    return (sys.platform == "linux" and hasattr(os, "fork") and hasattr(os, "memfd_create")
+            and threading.active_count() == 1)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Make harness._run_tasks see ``cpus(n)`` usable CPUs, so its shares
+    do not depend on the host; skips where it runs every task in-process."""
+    if not forks_children():
+        pytest.skip("the tasks would run in this process")
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return use
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def children_of(pid):
+    """Pids whose parent is ``pid``, from /proc."""
+    children = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except OSError:  # the process ended
+            continue
+        if int(fields[1]) == pid:
+            children.add(int(entry))
+    return children
 
 
 def read_csv(path):
@@ -330,7 +363,8 @@ class TestRunSweep:
         assert forks == []
         run_sweep(cfg, output_dir=tmp_path / "all")
         if len(cpus) > 1 and threading.active_count() == 1:
-            assert len(forks) == 3  # the reference and two etas
+            # one share per CPU for the reference and two etas; this process runs one
+            assert len(forks) == min(3, len(cpus)) - 1
         one = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*.csv"))
         assert one == sorted(p.relative_to(tmp_path / "all")
                              for p in (tmp_path / "all").rglob("*.csv"))
@@ -566,8 +600,27 @@ class TestRunTasks:
         assert np.array_equal(results[2], np.arange(3.0)) and results[2].flags.writeable
         assert np.array_equal(results[3], large_frozen) and not results[3].flags.writeable
         assert np.array_equal(results[4], large) and results[4].flags.writeable
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
+
+    @pytest.mark.parametrize("costs, workers, shares", [
+        ([5, 1, 3], 2, [[1, 2], [0]]),
+        ([5, 1, 3], 3, [[1], [2], [0]]),
+        ([6, 5, 4, 3, 2, 1], 2, [[1, 2, 5], [0, 3, 4]]),
+        ([1, 1, 1], 2, [[1], [0, 2]]),
+        ([0, 0, 0], 2, [[0, 1, 2]]),  # all here: no share is lighter
+    ])
+    def test_shares_split_greedily_lightest_first(self, costs, workers, shares):
+        assert harness._shares(costs, workers) == shares
+
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    def test_lightest_share_runs_in_this_process(self, cpus, n_cpus):
+        cpus(n_cpus)
+        with no_descriptor_left():
+            pids = harness._run_tasks([os.getpid] * 3, [5, 1, 3], ["a", "b", "c"])
+        own = harness._shares([5, 1, 3], n_cpus)[0]
+        assert [pid == os.getpid() for pid in pids] == [i in own for i in range(3)]
+        assert len(set(pids)) == n_cpus
+        no_child_left()
 
     def test_first_failure_in_task_order_is_raised(self):
         def slow_blowup():
@@ -581,10 +634,40 @@ class TestRunTasks:
             harness._run_tasks([slow_blowup, quick_failure, lambda: 3], [1, 1, 1],
                                ["a", "b", "c"])
         assert str(info.value) == "first failure" and info.value.step == 4
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
-    def test_interrupt_reaps_every_child(self):
+    @pytest.mark.parametrize("failing, raised", [
+        ({2, 3}, 2),  # this process's share fails first in list order
+        ({0, 2}, 0),  # the child's share does
+    ])
+    def test_shares_stop_at_their_first_failure(self, cpus, tmp_path, failing, raised):
+        # shares [1, 2, 5] here and [0, 3, 4] in a child (see the test above)
+        cpus(2)
+        log = tmp_path / "ran.txt"
+
+        def task(i):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{i} {os.getpid()}\n")
+            if i in failing:
+                raise ValueError(f"task {i} failed")
+            return i
+
+        with no_descriptor_left(), pytest.raises(ValueError, match=f"task {raised} failed"):
+            harness._run_tasks([functools.partial(task, i) for i in range(6)],
+                               [6, 5, 4, 3, 2, 1], [f"task {i}" for i in range(6)])
+        ran = {}
+        for line in log.read_text(encoding="ascii").splitlines():
+            i, pid = map(int, line.split())
+            ran.setdefault(pid == os.getpid(), []).append(i)
+        assert ran[True] == [1, 2]  # this process's share stopped at task 2
+        assert ran[False] == ([0, 3] if 3 in failing else [0])
+        no_child_left()
+
+    @pytest.mark.parametrize("sender", ["this process", "a child"])
+    def test_interrupt_reaps_every_child(self, cpus, sender):
+        # the interrupt reaches this process as it runs its own share, or
+        # as it waits for the child's
+        cpus(2)
         parent = os.getpid()
 
         def interrupt():
@@ -592,36 +675,40 @@ class TestRunTasks:
             os.kill(parent, signal.SIGINT)
             time.sleep(30)
 
+        tasks = ([interrupt, lambda: time.sleep(30)] if sender == "this process"
+                 else [lambda: None, interrupt])
         start = time.perf_counter()
         with no_descriptor_left(), pytest.raises(KeyboardInterrupt):
-            harness._run_tasks([interrupt, lambda: time.sleep(30)], [1, 1], ["a", "b"])
+            harness._run_tasks(tasks, [1, 2], ["a", "b"])
         assert time.perf_counter() - start < 10
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
-    def test_refused_fork_raises_and_leaves_nothing_behind(self, monkeypatch):
-        if not forks_children():
-            pytest.skip("the tasks would run in this process")
-        fork, forked = os.fork, []
+    @pytest.mark.parametrize("n_cpus, refused", [(2, 1), (3, 2)])
+    def test_refused_fork_raises_and_leaves_nothing_behind(self, cpus, monkeypatch,
+                                                           n_cpus, refused):
+        # on 2 CPUs the one fork is refused; on 3 the second, with the first
+        # child running
+        cpus(n_cpus)
+        fork, forks = os.fork, []
 
-        def refuse_the_second_fork():
-            if forked:
+        def refuse_a_fork():
+            forks.append(True)
+            if len(forks) == refused:
                 raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            forked.append(True)
             return fork()
 
-        monkeypatch.setattr(os, "fork", refuse_the_second_fork)
+        monkeypatch.setattr(os, "fork", refuse_a_fork)
         with no_descriptor_left(), pytest.raises(OSError):
-            harness._run_tasks([lambda: time.sleep(30), lambda: 2], [2, 1], ["a", "b"])
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+            harness._run_tasks([lambda: time.sleep(30), lambda: time.sleep(30), lambda: 2],
+                               [3, 2, 1], ["a", "b", "c"])
+        assert len(forks) == refused
+        no_child_left()
 
-    def test_worker_killed_while_sending_its_result(self):
-        if not forks_children():
-            pytest.skip("the tasks would run in this process")
+    def test_worker_killed_while_sending_its_result(self, cpus):
+        cpus(2)
 
         class Killer:
-            def __reduce__(self):  # after the array before it is on the pipe
+            def __reduce__(self):  # after the array before it is in the file
                 os.kill(os.getpid(), signal.SIGKILL)
 
         with no_descriptor_left(), pytest.raises(ChildProcessError) as info:
@@ -629,38 +716,38 @@ class TestRunTasks:
                                ["half run", "other run"])
         assert str(info.value) == (
             "half run: worker process ended before sending its result (killed by SIGKILL)")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
-    def test_worker_killed_partway_into_an_array(self):
-        # While the parent receives the first result, the second child blocks
-        # on its full pipe inside an 8 MiB array and is killed there.
-        if not forks_children():
-            pytest.skip("the tasks would run in this process")
-        receiving, received = os.pipe()
+    def test_worker_killed_partway_into_a_large_result(self, cpus):
+        # The child may write files of 1 MiB at most, and SIGXFSZ, which
+        # Python ignores, is given back its default action: the child dies
+        # partway into writing an 8 MiB array to its outcome file.
+        cpus(2)
+        parent = os.getpid()
 
-        class Stall:
-            def __reduce__(self):  # the parent is inside this result's load now
-                os.write(received, b"x")
-                time.sleep(1.0)
-                return int, ()
-
-        def killed_while_sending():
-            select.select([receiving], [], [], 10.0)
-            threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGKILL)).start()
+        def large_result():
+            assert os.getpid() != parent, "the limits below are only for a child"
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+            signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
             return np.zeros(1 << 20)
 
-        try:
-            with no_descriptor_left(), pytest.raises(ChildProcessError) as info:
-                harness._run_tasks([lambda: [np.zeros(1 << 18), Stall()], killed_while_sending],
-                                   [2, 1], ["first run", "second run"])
-        finally:
-            os.close(receiving)
-            os.close(received)
+        with no_descriptor_left(), pytest.raises(ChildProcessError) as info:
+            harness._run_tasks([lambda: 1, large_result, lambda: 3], [1, 2, 2],
+                               ["first run", "large run", "third run"])
         assert str(info.value) == (
-            "second run: worker process ended before sending its result (killed by SIGKILL)")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+            "large run: worker process ended before sending its result (killed by SIGXFSZ)")
+        no_child_left()
+
+    def test_each_share_is_logged(self, cpus, caplog):
+        cpus(2)
+        with caplog.at_level(logging.DEBUG, logger=harness.__name__):
+            harness._run_tasks([lambda: 1, lambda: 2, lambda: 3], [5, 1, 3],
+                               ["a run", "b run", "c run"])
+        lines = sorted(record.getMessage() for record in caplog.records)
+        assert len(lines) == 2
+        assert lines[0].startswith("share a run in child ")
+        assert lines[1].startswith(f"share b run, c run in this process, {os.getpid()}: wall ")
+        assert all(", CPU " in line and ", max RSS " in line for line in lines)
 
 
 @pytest.mark.parametrize("error", [
@@ -1003,27 +1090,68 @@ class TestCli:
                               check=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.split() == ["False", "False", "True"]
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_killed_worker_exits_one_naming_the_task(self, tmp_path, monkeypatch, capsys):
-        if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
-            pytest.skip("the tasks would run in this process")
+    def test_killed_worker_exits_one_naming_the_task(self, tmp_path, monkeypatch, capsys,
+                                                     cpus):
+        # the reference, the costliest task, runs in a child, never in the
+        # calling process's share
+        cpus(2)
         parent = os.getpid()
-        run_eta = harness._run_eta
+        run_reference = harness._run_reference
 
-        def killed(cfg, scheme, n_cells, out):
-            if os.getpid() != parent and scheme.kernel.eta == 0.15:
+        def killed(cfg, n_cells, out):
+            if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
-            return run_eta(cfg, scheme, n_cells, out)
+            return run_reference(cfg, n_cells, out)
 
-        monkeypatch.setattr(harness, "_run_eta", killed)
+        monkeypatch.setattr(harness, "_run_reference", killed)
         config = self.write_config(tmp_path, {**SMALL_DOC, "eta_list": [0.3, 0.15]})
         code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: eta = 0.15 run: worker process ended before sending its result "
+            "error: reference run: worker process ended before sending its result "
             "(killed by SIGKILL)\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_sigterm_ends_a_sweep_and_its_workers(self, tmp_path):
+        import subprocess
+        import textwrap
+        from pathlib import Path
+
+        if not forks_children():
+            pytest.skip("the tasks would run in this process")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        config = self.write_config(tmp_path, {**SMALL_DOC, "eta_list": [0.3, 0.15]})
+        # a sweep on two CPUs whose tasks stall: this process and one child
+        code = textwrap.dedent(f"""
+            import os, time
+            import nonlocal_limit.cli as cli
+            import nonlocal_limit.harness as harness
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            harness._run_reference = harness._run_eta = lambda *args: time.sleep(60)
+            raise SystemExit(cli.main(["sweep", "--config", {str(config)!r},
+                                       "--out", {str(tmp_path / "out")!r}]))
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src})
+        children = set()
+        try:
+            deadline = time.monotonic() + 30
+            while not children and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                children = children_of(proc.pid)
+            assert len(children) == 1
+            proc.terminate()
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == -signal.SIGTERM
+            assert err == b""
+            assert not [pid for pid in children if os.path.exists(f"/proc/{pid}")]
+        finally:
+            for pid in children:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            proc.kill()
+            proc.wait()
 
     @pytest.mark.parametrize("status, how", [
         (3 << 8, "exit status 3"), (signal.SIGKILL, "killed by SIGKILL"),
