@@ -641,7 +641,7 @@ class TestRunTasks:
         ({0, 2}, 0),  # the child's share does
     ])
     def test_shares_stop_at_their_first_failure(self, cpus, tmp_path, failing, raised):
-        # shares [1, 2, 5] here and [0, 3, 4] in a child (see the test above)
+        # shares [1, 2, 5] here and [0, 3, 4] in a child, as _shares gives them above
         cpus(2)
         log = tmp_path / "ran.txt"
 
