@@ -168,8 +168,8 @@ class VelocityModel:
     (the default modelling assumption, pairs with the downstream kernel
     orientation) or "increasing" (pairs with upstream).  The declared mode is
     checked at construction by sampling ``deriv`` on MODE_CHECK_SAMPLES
-    points; a violation is a constructor error.  The recorded Lipschitz
-    constant is the largest sampled |deriv|.
+    points; a violation is a constructor error.  The largest sampled |deriv|
+    and |V| are recorded as ``lipschitz_constant`` and ``max_abs_speed()``.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -177,6 +177,7 @@ class VelocityModel:
     admissible_range: tuple[float, float]
     mode: str = "decreasing"
     lipschitz_constant: float = dataclasses.field(init=False, default=np.nan)
+    _max_abs_speed: float = dataclasses.field(init=False, default=np.nan, repr=False)
 
     def __post_init__(self):
         s_min, s_max = self.admissible_range
@@ -201,11 +202,11 @@ class VelocityModel:
                 f"velocity declared increasing but deriv({s_bad:g}) = {np.min(d):g} < 0"
             )
         object.__setattr__(self, "lipschitz_constant", float(np.max(np.abs(d))))
+        object.__setattr__(self, "_max_abs_speed", float(np.max(np.abs(v))))
 
     def max_abs_speed(self) -> float:
-        """Largest |V| on the admissible range (sampled)."""
-        s = np.linspace(*self.admissible_range, MODE_CHECK_SAMPLES)
-        return float(np.max(np.abs(self.eval(s))))
+        """Largest |V| on the admissible range (sampled at construction)."""
+        return self._max_abs_speed
 
     def check_admissible(self, values, what: str):
         """Raise ValueError unless every entry of ``values`` lies in the

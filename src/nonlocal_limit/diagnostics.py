@@ -51,8 +51,8 @@ class TestFunction:
 
     C^2 with compact support ``support``, the rectangle (t_lo, t_hi, x_lo,
     x_hi) outside which it vanishes; the derivatives are exact closed forms.
-    The spatial factors b(u_x) and b'(u_x) are kept for the last x seen,
-    since a quadrature evaluates phi on the same cell centres at every time.
+    A quadrature builds the spatial factors once with ``spatial`` and takes
+    phi and its derivatives at each time from them with ``at``.
     """
 
     t_center: float
@@ -68,11 +68,6 @@ class TestFunction:
                 "test function needs finite centres and amplitude and finite, "
                 f"positive radii; got {self}"
             )
-        # (key of x, b(u_x), b'(u_x)), replaced as one tuple so that threads
-        # sharing phi never see a key with another x's factors.  The key holds
-        # x's bytes: an x mutated in place is a new key, and so is -0.0 against
-        # 0.0, whose b'(u_x) zeros differ in sign.
-        object.__setattr__(self, "_memo", (None, None, None))
 
     @property
     def support(self) -> tuple[float, float, float, float]:
@@ -84,30 +79,28 @@ class TestFunction:
         u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) < 1.0, -6.0 * u * (1.0 - u**2) ** 2, 0.0)
 
-    def _spatial(self, x):
-        x = np.asarray(x)
-        key = (x.dtype.str, x.shape, x.tobytes())
-        entry = self._memo
-        if entry[0] != key:
-            u = (x - self.x_center) / self.x_radius
-            entry = (key, bump(u), self._db(u))
-            object.__setattr__(self, "_memo", entry)
-        return entry[1], entry[2]
+    def spatial(self, x):
+        """b(u_x) and b'(u_x) at ``x``."""
+        u = (np.asarray(x) - self.x_center) / self.x_radius
+        return bump(u), self._db(u)
 
-    def _u_t(self, t):
-        return (np.asarray(t) - self.t_center) / self.t_radius
+    def at(self, t, bx, dbx):
+        """phi, dphi/dt and dphi/dx at ``t`` from the spatial factors
+        ``bx, dbx = self.spatial(x)``."""
+        u = (np.asarray(t) - self.t_center) / self.t_radius
+        bt = bump(u)
+        return (self.amplitude * bt * bx,
+                self.amplitude / self.t_radius * self._db(u) * bx,
+                self.amplitude / self.x_radius * bt * dbx)
 
     def eval(self, t, x):
-        bx, _ = self._spatial(x)
-        return self.amplitude * bump(self._u_t(t)) * bx
+        return self.at(t, *self.spatial(x))[0]
 
     def dt_eval(self, t, x):
-        bx, _ = self._spatial(x)
-        return self.amplitude / self.t_radius * self._db(self._u_t(t)) * bx
+        return self.at(t, *self.spatial(x))[1]
 
     def dx_eval(self, t, x):
-        _, dbx = self._spatial(x)
-        return self.amplitude / self.x_radius * bump(self._u_t(t)) * dbx
+        return self.at(t, *self.spatial(x))[2]
 
 
 bump_test_function = TestFunction
@@ -245,8 +238,8 @@ def _midpoint_cells(w_values: np.ndarray) -> np.ndarray:
     return 0.5 * (w_values[:-1] + w_values[1:])
 
 
-def _check_snapshot_density(report: RunReport, phi: TestFunction):
-    t_lo, t_hi = max(phi.support[0], 0.0), phi.support[1]
+def _check_snapshot_density(report: RunReport, t_lo: float, t_hi: float):
+    t_lo = max(t_lo, 0.0)
     times = report.snapshot_times
     if times[0] > 1e-12:
         raise ValueError("weak-form quadrature needs an initial snapshot at t = 0")
@@ -270,14 +263,16 @@ def _spacetime_quadrature(report: RunReport, phi: TestFunction,
                           integrand, initial_integrand) -> float:
     """Midpoint-rule quadrature of a weak form over the report's snapshots.
 
-    ``integrand(t_mid, x, q_mid, left, right)`` returns the pointwise
-    integrand on cell centers, given q averaged between the consecutive
-    snapshots ``left`` and ``right``.  The initial term uses the t = 0
-    snapshot.
+    ``integrand(phi_t, phi_x, q_mid, left, right)`` returns the pointwise
+    integrand on cell centers, given phi's derivatives at the midpoint time
+    and q averaged between the consecutive snapshots ``left`` and ``right``.
+    ``initial_integrand(phi_0, q0)`` is the initial term's, with phi at
+    t = 0 and the t = 0 snapshot.  phi's spatial factors are built once.
     """
-    _check_snapshot_density(report, phi)
+    t_lo, t_hi, _, _ = phi.support
+    _check_snapshot_density(report, t_lo, t_hi)
     grid = report.grid
-    x = grid.cell_centers
+    bx, dbx = phi.spatial(grid.cell_centers)
     dx = grid.dx
     total = 0.0
     snaps = report.snapshots
@@ -286,12 +281,13 @@ def _spacetime_quadrature(report: RunReport, phi: TestFunction,
         if dt <= 0:
             continue
         t_mid = 0.5 * (left.time + right.time)
-        if t_mid >= phi.support[1] or t_mid <= phi.support[0]:
+        if t_mid >= t_hi or t_mid <= t_lo:
             continue
+        _, phi_t, phi_x = phi.at(t_mid, bx, dbx)
         q_mid = 0.5 * (left.q.values + right.q.values)
-        total += dt * dx * float(np.sum(integrand(t_mid, x, q_mid, left, right)))
+        total += dt * dx * float(np.sum(integrand(phi_t, phi_x, q_mid, left, right)))
     q0 = snaps[0].q.values
-    total += dx * float(np.sum(initial_integrand(x, q0)))
+    total += dx * float(np.sum(initial_integrand(phi.at(0.0, bx, dbx)[0], q0)))
     return total
 
 
@@ -305,17 +301,17 @@ def weak_residual(report: RunReport, velocity: VelocityModel, mode: str,
     if mode not in ("nonlocal", "local"):
         raise ValueError(f"unknown weak-form mode {mode!r}")
 
-    def integrand(t, x, q, left, right):
+    def integrand(phi_t, phi_x, q, left, right):
         if mode == "nonlocal":
             if left.w is None or right.w is None:
                 raise ValueError("nonlocal weak form needs recorded nonlocal terms")
             speed = velocity.eval(_midpoint_cells(0.5 * (left.w.values + right.w.values)))
         else:
             speed = velocity.eval(q)
-        return phi.dt_eval(t, x) * q + phi.dx_eval(t, x) * speed * q
+        return phi_t * q + phi_x * speed * q
 
-    def initial(x, q0):
-        return phi.eval(0.0, x) * q0
+    def initial(phi_0, q0):
+        return phi_0 * q0
 
     return abs(_spacetime_quadrature(report, phi, integrand, initial))
 
@@ -331,12 +327,12 @@ def entropy_residual(report: RunReport, flux: "FluxModel", k: float,
         raise ValueError("entropy residual requires a nonnegative test function")
     f_k = float(flux.f(k))
 
-    def integrand(t, x, q, *_):
+    def integrand(phi_t, phi_x, q, *_):
         sign = np.sign(q - k)
-        return np.abs(q - k) * phi.dt_eval(t, x) + sign * (flux.f(q) - f_k) * phi.dx_eval(t, x)
+        return np.abs(q - k) * phi_t + sign * (flux.f(q) - f_k) * phi_x
 
-    def initial(x, q0):
-        return np.abs(q0 - k) * phi.eval(0.0, x)
+    def initial(phi_0, q0):
+        return np.abs(q0 - k) * phi_0
 
     return _spacetime_quadrature(report, phi, integrand, initial)
 
@@ -362,7 +358,8 @@ def transport_residual_w(report: RunReport, velocity: VelocityModel,
     grid = report.grid
     dx = grid.dx
     worst = 0.0
-    source_grid = None
+    source_grid = dataclasses.replace(grid, left_farfield=0.0, right_farfield=0.0)
+    interior = slice(1, grid.n_cells)
     for left, right in zip(snaps[:-1], snaps[1:]):
         if left.w is None or right.w is None:
             raise ValueError("transport residual needs recorded nonlocal terms")
@@ -376,11 +373,7 @@ def transport_residual_w(report: RunReport, velocity: VelocityModel,
         w_cells = _midpoint_cells(w)
         slope_cells = (w[1:] - w[:-1]) / dx
         g = velocity.deriv(w_cells) * slope_cells * w_cells
-        if source_grid is None:
-            source_grid = dataclasses.replace(grid, left_farfield=0.0, right_farfield=0.0)
         source = nonlocal_exponential(CellField(grid=source_grid, values=g), eta)
-
-        interior = slice(1, grid.n_cells)
         residual = (
             dw_dt[interior]
             + velocity.eval(w[interior]) * dw_dx

@@ -731,12 +731,17 @@ def _run_tasks(tasks, costs, names) -> list:
                 _log_share(share, names, f"child {pid}", end - start, sum(usage[:2]),
                            usage.ru_maxrss)
         finally:
-            for _, pid, fd, _ in children:
-                # the first may be reaped already, when an interrupt came as wait4 returned
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                os.close(fd)
+            # a SIGTERM now waits for the reaping, then raises _Terminated
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+            try:
+                for _, pid, fd, _ in children:
+                    # the first may be reaped already, when an interrupt came as wait4 returned
+                    with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                    os.close(fd)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
     except _Terminated:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.raise_signal(signal.SIGTERM)  # ends this process with SIGTERM's status

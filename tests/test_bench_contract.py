@@ -65,6 +65,19 @@ def test_nonlocal_mix_unit_passes_the_gate(bench, tmp_path):
     assert gate.check_unit(nl, workload.unit(tmp_path), datum_max, None) == []
 
 
+def test_convergence_study_unit_passes_the_gate(bench, tmp_path):
+    # the only benchmark path that calls weak_residual in local mode and
+    # entropy_residual itself
+    nl, workloads, gate = bench
+    workload = workloads.ConvergenceStudy(nl, 1, tmp_path)
+    workload.setup()
+    datum_max = max(workloads.seeded_profile(1)["levels"])
+    outcome = workload.unit(tmp_path)
+    assert gate.check_unit(nl, outcome, datum_max, None) == []
+    assert any(key.startswith("weak_residual[") for key in outcome.values)
+    assert any(key.startswith("entropy_residual_min[") for key in outcome.values)
+
+
 def test_gate_self_test(bench):
     nl, workloads, gate = bench
     assert gate.self_test(nl, workloads.seeded_profile(1)) == []

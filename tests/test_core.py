@@ -168,6 +168,18 @@ class TestVelocityModel:
         assert linear_velocity(v_max=2.0).max_abs_speed() == pytest.approx(2.0)
         assert constant_velocity(0.0).max_abs_speed() == 0.0
 
+    def test_max_abs_speed_is_recorded_at_construction(self):
+        # the same 1001 samples the mode check takes; V is not called again
+        calls = []
+        base = quadratic_velocity(v_max=1.5)
+        velocity = VelocityModel(eval=lambda s: calls.append(1) or base.eval(s),
+                                 deriv=base.deriv, admissible_range=(0.0, 1.0))
+        calls.clear()
+        s = np.linspace(0.0, 1.0, 1001)
+        assert velocity.max_abs_speed() == float(np.max(np.abs(base.eval(s))))
+        assert velocity.max_abs_speed() == velocity.max_abs_speed()
+        assert calls == []
+
 
 class TestVelocityBitPins:
     """sha256 of V on 1001 densities, of V at one scalar density and of the

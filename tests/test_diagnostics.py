@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import threading
 
 import numpy as np
 import pytest
@@ -286,68 +285,29 @@ def bump_bytes(phi, t, x):
             for r in (np.asarray(f(t, x)) for f in (phi.eval, phi.dt_eval, phi.dx_eval))]
 
 
-class TestBumpSpatialMemo:
-    """A bump remembers its spatial factor for the last x it saw; every
-    evaluation must still match a freshly built bump byte for byte."""
+def test_dx_eval_zero_at_the_centre_keeps_the_slope_sign():
+    # at x = x_center the slope factor is -6 u (1 - u^2)^2: its zero is
+    # -0.0 for u = 0.0 and 0.0 for u = -0.0
+    phi = bump_test_function(*BUMP_ARGS)
+    assert phi.dx_eval(0.5, np.array([0.0, -0.0])).tolist() == [0.0, 0.0]
+    assert np.signbit(phi.dx_eval(0.5, np.array([0.0, -0.0]))).tolist() == [True, False]
 
-    def assert_matches_fresh(self, phi, t, x):
-        expected = bump_bytes(bump_test_function(*BUMP_ARGS), t, x)
-        assert bump_bytes(phi, t, x) == expected
 
-    def test_scalar_1d_and_meshgrid_inputs(self):
-        phi = bump_test_function(*BUMP_ARGS)
-        x = np.linspace(-1.0, 1.0, 257)
-        tt, xx = np.meshgrid(np.linspace(0.1, 0.9, 7), np.linspace(-0.8, 0.8, 5))
-        for t, xs in [(0.5, 0.25), (0.5, 0.25), (0.3, x), (0.6, x), (tt, xx), (tt, xx),
-                      (0.45, 0.25), (0.7, x)]:
-            self.assert_matches_fresh(phi, t, xs)
+def test_each_quadrature_builds_the_spatial_factors_once(monkeypatch):
+    built = []
+    spatial = SpaceTimeTestFunction.spatial
 
-    def test_alternating_inputs(self):
-        phi = bump_test_function(*BUMP_ARGS)
-        a, b = np.linspace(-1.0, 1.0, 64), np.linspace(-0.5, 0.7, 64)
-        for i, t in enumerate(np.linspace(0.2, 0.8, 8)):
-            self.assert_matches_fresh(phi, t, a if i % 2 else b)
+    def counting(phi, x):
+        built.append(np.shape(x))
+        return spatial(phi, x)
 
-    def test_input_mutated_in_place_is_not_served_stale(self):
-        phi = bump_test_function(*BUMP_ARGS)
-        x = np.linspace(-1.0, 1.0, 64)
-        self.assert_matches_fresh(phi, 0.5, x)
-        x += 0.125
-        self.assert_matches_fresh(phi, 0.5, x)
-        x[3] = 0.0
-        self.assert_matches_fresh(phi, 0.5, x)
-
-    def test_signed_zero_is_a_different_input(self):
-        # at x = x_center the slope factor is -6 u (1 - u^2)^2: its zero
-        # carries the sign of u, so -0.0 and 0.0 give different bytes
-        phi = bump_test_function(*BUMP_ARGS)
-        self.assert_matches_fresh(phi, 0.5, np.array([0.0, 0.5]))
-        self.assert_matches_fresh(phi, 0.5, np.array([-0.0, 0.5]))
-        assert np.signbit(phi.dx_eval(0.5, np.array([-0.0]))) != np.signbit(
-            phi.dx_eval(0.5, np.array([0.0])))
-
-    def test_two_threads_sharing_one_bump(self):
-        phi = bump_test_function(*BUMP_ARGS)
-        fresh = bump_test_function(*BUMP_ARGS)
-        inputs = (np.linspace(-1.0, 1.0, 512), np.linspace(-0.6, 0.9, 300))
-        times = np.linspace(0.15, 0.85, 50)
-        expected = [[bump_bytes(fresh, t, x) for t in times] for x in inputs]
-        start = threading.Barrier(2)
-        mismatches = []
-
-        def evaluate(k):
-            start.wait()
-            for _ in range(10):
-                for t, want in zip(times, expected[k]):
-                    if bump_bytes(phi, t, inputs[k]) != want:
-                        mismatches.append((k, t))
-
-        threads = [threading.Thread(target=evaluate, args=(k,)) for k in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert mismatches == []
+    monkeypatch.setattr(SpaceTimeTestFunction, "spatial", counting)
+    report = constant_run()  # 80 snapshot pairs meet the support
+    phi = bump_test_function(0.25, 0.2, 0.5, 1.0)
+    weak_residual(report, linear_velocity(), "nonlocal", phi)
+    assert built == [(512,)]
+    entropy_residual(report, FluxModel(velocity=linear_velocity()), 0.5, phi)
+    assert built == [(512,)] * 2
 
 
 class TestResidualBitPins:

@@ -1112,8 +1112,11 @@ class TestCli:
             "(killed by SIGKILL)\n")
         no_child_left()
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
-    def test_sigterm_ends_a_sweep_and_its_workers(self, tmp_path):
+    def sigterm_a_stalled_sweep(self, tmp_path, n_cpus, patch=""):
+        """Run a sweep on ``n_cpus`` patched CPUs whose tasks stall, after
+        ``patch``, in a subprocess; SIGTERM it once its ``n_cpus - 1``
+        children run, and check that it ends by SIGTERM, silently, and that
+        no child is left."""
         import subprocess
         import textwrap
         from pathlib import Path
@@ -1122,29 +1125,32 @@ class TestCli:
             pytest.skip("the tasks would run in this process")
         src = str(Path(cli.__file__).resolve().parents[1])
         config = self.write_config(tmp_path, {**SMALL_DOC, "eta_list": [0.3, 0.15]})
-        # a sweep on two CPUs whose tasks stall: this process and one child
         code = textwrap.dedent(f"""
-            import os, time
+            import os, signal, time
             import nonlocal_limit.cli as cli
             import nonlocal_limit.harness as harness
-            os.sched_getaffinity = lambda pid: {{0, 1}}
+            os.sched_getaffinity = lambda pid: set(range({n_cpus}))
             harness._run_reference = harness._run_eta = lambda *args: time.sleep(60)
+        """) + textwrap.dedent(patch) + textwrap.dedent(f"""
             raise SystemExit(cli.main(["sweep", "--config", {str(config)!r},
                                        "--out", {str(tmp_path / "out")!r}]))
         """)
-        proc = subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.PIPE,
-                                env={**os.environ, "PYTHONPATH": src})
+        # a file, not a pipe, so that a surviving child cannot hold up the read
+        err = tmp_path / "stderr"
+        with open(err, "wb") as stderr:
+            proc = subprocess.Popen([sys.executable, "-c", code], stderr=stderr,
+                                    env={**os.environ, "PYTHONPATH": src})
         children = set()
         try:
             deadline = time.monotonic() + 30
-            while not children and proc.poll() is None and time.monotonic() < deadline:
+            while (len(children) < n_cpus - 1 and proc.poll() is None
+                   and time.monotonic() < deadline):
                 time.sleep(0.05)
                 children = children_of(proc.pid)
-            assert len(children) == 1
+            assert len(children) == n_cpus - 1
             proc.terminate()
-            _, err = proc.communicate(timeout=30)
-            assert proc.returncode == -signal.SIGTERM
-            assert err == b""
+            assert proc.wait(timeout=30) == -signal.SIGTERM
+            assert err.read_bytes() == b""
             assert not [pid for pid in children if os.path.exists(f"/proc/{pid}")]
         finally:
             for pid in children:
@@ -1152,6 +1158,27 @@ class TestCli:
                     os.kill(pid, signal.SIGKILL)
             proc.kill()
             proc.wait()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_sigterm_ends_a_sweep_and_its_workers(self, tmp_path):
+        # two CPUs: this process and one child
+        self.sigterm_a_stalled_sweep(tmp_path, 2)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_second_sigterm_during_cleanup_still_reaps_every_worker(self, tmp_path):
+        # three CPUs, two children; the first SIGKILL of a child comes with a
+        # second SIGTERM to the sweep
+        self.sigterm_a_stalled_sweep(tmp_path, 3, """
+            kill, seconds = os.kill, []
+
+            def kill_then_sigterm(pid, sig):
+                kill(pid, sig)
+                if sig == signal.SIGKILL and not seconds:
+                    seconds.append(pid)
+                    kill(os.getpid(), signal.SIGTERM)
+
+            os.kill = kill_then_sigterm
+        """)
 
     @pytest.mark.parametrize("status, how", [
         (3 << 8, "exit status 3"), (signal.SIGKILL, "killed by SIGKILL"),
