@@ -25,6 +25,8 @@ if TYPE_CHECKING:  # avoid an import cycle; FluxModel is only a type here
 # snapshot intervals for the space-time quadrature to be meaningful.
 MIN_SNAPSHOTS_PER_SUPPORT = 50
 
+_L1_BLOCK_BYTES = 1 << 15  # bytes of stacked coarse-grid rows per sup_time_l1 block
+
 
 @dataclass(frozen=True)
 class Window:
@@ -152,17 +154,17 @@ def _window_weights(grid, window: Window) -> np.ndarray:
     return np.maximum(overlap, 0.0)
 
 
-def _compatible_values(ga, b: CellField) -> np.ndarray:
-    """Values of ``b`` on grid ``ga``; ``b`` may be an integer refinement."""
-    gb = b.grid
+def _coarsened(ga, gb, values: np.ndarray) -> np.ndarray:
+    """``values`` on grid ``gb`` (one row, or rows stacked) on grid ``ga``;
+    ``gb`` may be an integer refinement, cell-averaged down row by row."""
     span = ga.x_max - ga.x_min
     if abs(ga.x_min - gb.x_min) > 1e-12 * span or abs(ga.x_max - gb.x_max) > 1e-12 * span:
         raise ValueError("fields live on different domains")
     if gb.n_cells == ga.n_cells:
-        return b.values
+        return values
     if gb.n_cells % ga.n_cells == 0:
         factor = gb.n_cells // ga.n_cells
-        return b.values.reshape(ga.n_cells, factor).mean(axis=1)
+        return values.reshape(values.shape[:-1] + (ga.n_cells, factor)).mean(axis=-1)
     raise ValueError(
         f"grids are incompatible: {gb.n_cells} cells is not an integer "
         f"refinement of {ga.n_cells}"
@@ -175,14 +177,11 @@ def l1_distance(a: CellField, b: CellField, window: Window) -> float:
     ``b`` may live on an integer refinement of ``a``'s grid; it is then
     cell-averaged down before comparison.
     """
-    return _weighted_l1(_window_weights(a.grid, window), a.grid, a.values, b)
+    weights = _window_weights(a.grid, window)
+    return float(np.sum(weights * np.abs(a.values - _coarsened(a.grid, b.grid, b.values))))
 
 
-def _weighted_l1(weights: np.ndarray, grid, values: np.ndarray, b: CellField) -> float:
-    return float(np.sum(weights * np.abs(values - _compatible_values(grid, b))))
-
-
-def _paired_snapshots(report_a: RunReport, report_b: RunReport):
+def _paired_snapshots(report_a: RunReport, report_b: RunReport) -> list:
     if len(report_a.snapshots) != len(report_b.snapshots):
         raise ValueError(
             f"snapshot schedules differ: {len(report_a.snapshots)} vs "
@@ -194,7 +193,7 @@ def _paired_snapshots(report_a: RunReport, report_b: RunReport):
             raise ValueError(
                 f"snapshot times diverge: {snap_a.time} vs {snap_b.time}"
             )
-        yield snap_a, snap_b
+    return list(zip(report_a.snapshots, report_b.snapshots))
 
 
 def sup_time_l1(report_a: RunReport, report_b: RunReport, window: Window,
@@ -204,23 +203,25 @@ def sup_time_l1(report_a: RunReport, report_b: RunReport, window: Window,
     ``compare="q"`` measures the densities of both runs; ``compare="w"``
     measures report_a's nonlocal term (restricted to cells) against
     report_b's density, which is how a nonlocal term is held against a local
-    reference.
+    reference.  Pairs go in blocks of stacked rows, each summed with a 1-D sum's bits.
     """
     if compare not in ("q", "w"):
         raise ValueError(f"unknown comparison {compare!r}")
+    pairs = _paired_snapshots(report_a, report_b)  # bad pairings are reported first
+    if compare == "w" and any(snap_a.w is None for snap_a, _ in pairs):
+        raise ValueError("report_a carries no nonlocal term to compare")
     grid = report_a.grid
-    weights = None  # built at the first pair, so bad pairings are reported first
+    weights = _window_weights(grid, window)
+    rows = max(1, _L1_BLOCK_BYTES // (8 * grid.n_cells))
     worst = 0.0
-    for snap_a, snap_b in _paired_snapshots(report_a, report_b):
-        if compare == "w":
-            if snap_a.w is None:
-                raise ValueError("report_a carries no nonlocal term to compare")
-            values_a = snap_a.w.values[:-1]  # interface_to_cells without the copy
-        else:
-            values_a = snap_a.q.values
-        if weights is None:
-            weights = _window_weights(grid, window)
-        worst = max(worst, _weighted_l1(weights, grid, values_a, snap_b.q))
+    for start in range(0, len(pairs), rows):
+        block = pairs[start:start + rows]
+        values_a = np.stack([snap_a.q.values if compare == "q"
+                             else snap_a.w.values[:-1]  # interface_to_cells without the copy
+                             for snap_a, _ in block])
+        values_b = _coarsened(grid, report_b.grid, np.stack([b.q.values for _, b in block]))
+        gap = np.abs(np.subtract(values_a, values_b, out=values_a), out=values_a)
+        worst = max(worst, *np.sum(np.multiply(gap, weights, out=gap), axis=1).tolist())
     return worst
 
 
@@ -259,22 +260,24 @@ def _check_snapshot_density(report: RunReport, t_lo: float, t_hi: float):
         )
 
 
-def _spacetime_quadrature(report: RunReport, phi: TestFunction,
-                          integrand, initial_integrand) -> float:
-    """Midpoint-rule quadrature of a weak form over the report's snapshots.
+def _spacetime_quadrature(report: RunReport, phi: TestFunction, forms,
+                          flux: "FluxModel | None" = None) -> list[float]:
+    """Midpoint-rule quadratures of weak forms in one pass over the report's
+    snapshots; one total per form ``(integrand, initial)``.
 
-    ``integrand(phi_t, phi_x, q_mid, left, right)`` returns the pointwise
-    integrand on cell centers, given phi's derivatives at the midpoint time
-    and q averaged between the consecutive snapshots ``left`` and ``right``.
-    ``initial_integrand(phi_0, q0)`` is the initial term's, with phi at
-    t = 0 and the t = 0 snapshot.  phi's spatial factors are built once.
+    ``integrand(phi_t, phi_x, q_mid, f_mid, left, right)`` is the pointwise
+    integrand on cell centers from phi's derivatives at the midpoint time, q
+    averaged between the consecutive snapshots ``left`` and ``right`` and
+    ``flux.f(q_mid)`` (None without ``flux``); ``initial(phi_0, q0)`` the
+    initial term's, from phi at t = 0 and the t = 0 snapshot.  phi's spatial
+    factors are built once; its time factor, q_mid and f_mid once per pair.
     """
     t_lo, t_hi, _, _ = phi.support
     _check_snapshot_density(report, t_lo, t_hi)
     grid = report.grid
     bx, dbx = phi.spatial(grid.cell_centers)
     dx = grid.dx
-    total = 0.0
+    totals = [0.0] * len(forms)
     snaps = report.snapshots
     for left, right in zip(snaps[:-1], snaps[1:]):
         dt = right.time - left.time
@@ -285,10 +288,44 @@ def _spacetime_quadrature(report: RunReport, phi: TestFunction,
             continue
         _, phi_t, phi_x = phi.at(t_mid, bx, dbx)
         q_mid = 0.5 * (left.q.values + right.q.values)
-        total += dt * dx * float(np.sum(integrand(phi_t, phi_x, q_mid, left, right)))
-    q0 = snaps[0].q.values
-    total += dx * float(np.sum(initial_integrand(phi.at(0.0, bx, dbx)[0], q0)))
-    return total
+        f_mid = None if flux is None else flux.f(q_mid)
+        for i, (term, _) in enumerate(forms):
+            totals[i] += dt * dx * float(np.sum(term(phi_t, phi_x, q_mid, f_mid, left, right)))
+    phi_0, q0 = phi.at(0.0, bx, dbx)[0], snaps[0].q.values
+    return [total + dx * float(np.sum(initial(phi_0, q0)))
+            for total, (_, initial) in zip(totals, forms)]
+
+
+def _weak_form(velocity: VelocityModel, mode: str):
+    if mode not in ("nonlocal", "local"):
+        raise ValueError(f"unknown weak-form mode {mode!r}")
+
+    def integrand(phi_t, phi_x, q, _f_q, left, right):
+        if mode == "nonlocal":
+            if left.w is None or right.w is None:
+                raise ValueError("nonlocal weak form needs recorded nonlocal terms")
+            speed = velocity.eval(_midpoint_cells(0.5 * (left.w.values + right.w.values)))
+        else:
+            speed = velocity.eval(q)
+        return phi_t * q + phi_x * speed * q
+
+    return integrand, lambda phi_0, q0: phi_0 * q0
+
+
+def _entropy_forms(flux: "FluxModel", levels, phi: TestFunction) -> list:
+    if phi.amplitude < 0:
+        raise ValueError("entropy residual requires a nonnegative test function")
+
+    def form(k):
+        f_k = float(flux.f(k))
+
+        def integrand(phi_t, phi_x, q, f_q, *_):
+            gap = q - k
+            return np.abs(gap) * phi_t + np.sign(gap) * (f_q - f_k) * phi_x
+
+        return integrand, lambda phi_0, q0: np.abs(q0 - k) * phi_0
+
+    return [form(k) for k in levels]
 
 
 def weak_residual(report: RunReport, velocity: VelocityModel, mode: str,
@@ -298,22 +335,7 @@ def weak_residual(report: RunReport, velocity: VelocityModel, mode: str,
     ``mode="nonlocal"`` uses the recorded nonlocal term in the flux velocity;
     ``mode="local"`` evaluates the velocity on the density itself.
     """
-    if mode not in ("nonlocal", "local"):
-        raise ValueError(f"unknown weak-form mode {mode!r}")
-
-    def integrand(phi_t, phi_x, q, left, right):
-        if mode == "nonlocal":
-            if left.w is None or right.w is None:
-                raise ValueError("nonlocal weak form needs recorded nonlocal terms")
-            speed = velocity.eval(_midpoint_cells(0.5 * (left.w.values + right.w.values)))
-        else:
-            speed = velocity.eval(q)
-        return phi_t * q + phi_x * speed * q
-
-    def initial(phi_0, q0):
-        return phi_0 * q0
-
-    return abs(_spacetime_quadrature(report, phi, integrand, initial))
+    return abs(_spacetime_quadrature(report, phi, [_weak_form(velocity, mode)])[0])
 
 
 def entropy_residual(report: RunReport, flux: "FluxModel", k: float,
@@ -323,18 +345,16 @@ def entropy_residual(report: RunReport, flux: "FluxModel", k: float,
     Quadrature of |q-k| dphi/dt + sgn(q-k)(f(q)-f(k)) dphi/dx plus the
     initial term with |q0-k|.  ``phi`` must be nonnegative.
     """
-    if phi.amplitude < 0:
-        raise ValueError("entropy residual requires a nonnegative test function")
-    f_k = float(flux.f(k))
+    return _spacetime_quadrature(report, phi, _entropy_forms(flux, (k,), phi), flux)[0]
 
-    def integrand(phi_t, phi_x, q, *_):
-        sign = np.sign(q - k)
-        return np.abs(q - k) * phi_t + sign * (flux.f(q) - f_k) * phi_x
 
-    def initial(phi_0, q0):
-        return np.abs(q0 - k) * phi_0
-
-    return _spacetime_quadrature(report, phi, integrand, initial)
+def weak_and_entropy_residuals(report: RunReport, velocity: VelocityModel, mode: str, flux:
+                               "FluxModel", levels, phi: TestFunction) -> tuple[float, list]:
+    """``weak_residual`` and ``entropy_residual`` at each of ``levels`` from
+    one pass over the snapshots, each with the bits of its own call."""
+    forms = [_weak_form(velocity, mode)] + _entropy_forms(flux, levels, phi)
+    weak, *entropy = _spacetime_quadrature(report, phi, forms, flux)
+    return abs(weak), entropy
 
 
 def transport_residual_w(report: RunReport, velocity: VelocityModel,

@@ -45,10 +45,9 @@ from .diagnostics import (
     Window,
     bump,
     bump_test_function,
-    entropy_residual,
     sup_time_l1,
     transport_residual_w,
-    weak_residual,
+    weak_and_entropy_residuals,
     wq_identity_gap,
 )
 from .errors import ConfigError, NumericalBlowupError
@@ -496,16 +495,15 @@ def _run_diagnostics(cfg: ExperimentConfig, report: RunReport, q0: CellField,
     if phi is None:
         # run too coarse in time for the residual quadratures
         return values
-    values["weak_residual"] = weak_residual(report, velocity, "nonlocal", phi)
+    s_max = dict(cfg.velocity_params)["s_max"]
+    values["weak_residual"], entropy = weak_and_entropy_residuals(
+        report, velocity, "nonlocal", cfg.flux,
+        [frac * s_max for frac in _ENTROPY_LEVEL_FRACTIONS], phi)
+    values["entropy_residual_min"] = min(entropy)
     if cfg.kernel_family == "exponential" and cfg.kernel_orientation == "downstream":
         # the transport identity is specific to the downstream exponential kernel
         band = _restrict_snapshots(report, phi.support[0], phi.support[1])
         values["transport_residual_W"] = transport_residual_w(band, velocity, eta)
-    s_max = dict(cfg.velocity_params)["s_max"]
-    values["entropy_residual_min"] = min(
-        entropy_residual(report, cfg.flux, frac * s_max, phi)
-        for frac in _ENTROPY_LEVEL_FRACTIONS
-    )
     return values
 
 

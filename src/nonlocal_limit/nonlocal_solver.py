@@ -74,13 +74,17 @@ def _upwind_flux(cfg: NonlocalSchemeConfig):
 
     Downstream mode upwinds from the left (the flux velocity is nonnegative
     there); upstream mode mirrors this.  Inflow at the upwind boundary uses
-    the far-field state.  Every call checks the sign of V(W).
+    the far-field state.  Every call checks the sign of V(W); NaN never trips it.
     """
     slack = _SIGN_SLACK * max(1.0, cfg.velocity.max_abs_speed())
     downstream = cfg.kernel.orientation == "downstream"
+    speed = cfg.velocity.eval
 
     def interface_flux(states: np.ndarray, w: np.ndarray, out: np.ndarray):
-        speeds = _interface_speeds(w, cfg, slack)
+        speeds = speed(w)
+        if (np.minimum.reduce(speeds) < -slack if downstream
+                else np.maximum.reduce(speeds) > slack):
+            _interface_speeds(w, cfg, slack)  # raises the mode violation
         np.multiply(speeds, states[:-1] if downstream else states[1:], out=out)
 
     return interface_flux

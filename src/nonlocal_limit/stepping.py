@@ -14,6 +14,8 @@ buffer belongs to one call, so runs are safe to execute concurrently.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import CellField, InterfaceField
@@ -86,7 +88,8 @@ def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
     grid = q0.grid
     left, right = grid.left_farfield, grid.right_farfield
     n = grid.n_cells
-    lam = dt / grid.dx
+    dx = grid.dx
+    lam = dt / dx
     rows = min(_block_rows(n), n_steps + 1)
     q_block = _padded_rows(rows, n, left, right)
     q_block[0, 1:-1] = q0.values
@@ -116,7 +119,7 @@ def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
             states = q_block[row]
             values = states[1:-1]
             w = nonlocal_term(values, w_block[row, 1:-1]) if nonlocal_term is not None else None
-            mass[step] = grid.dx * float(total)
+            mass[step] = dx * float(total)
             if wanted[step]:
                 snap = Snapshot(time=step * dt, q=CellField(grid=grid, values=values),
                                 w=None if w is None else InterfaceField(grid=grid, values=w))
@@ -132,14 +135,14 @@ def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
             if step == n_steps:
                 break
             interface_flux(states, w, fluxes)
-            boundary_flux += dt * (fluxes[-1] - fluxes[0])
+            boundary_flux += dt * (fluxes.item(-1) - fluxes.item(0))
             np.subtract(fluxes[1:], fluxes[:-1], out=jumps)
             jumps *= lam
             values = np.subtract(values, jumps, out=q_block[step + 1 - first, 1:-1])
-            # a finite sum proves every entry finite; only a non-finite one
-            # needs the full scan (the sum can overflow on finite entries)
-            total = values.sum()
-            if not np.isfinite(total) and not np.all(np.isfinite(values)):
+            # a finite sum (np.add.reduce, as values.sum() runs it) proves every entry
+            # finite; only a non-finite one needs the full scan (it can overflow)
+            total = np.add.reduce(values)
+            if not math.isfinite(total) and not np.all(np.isfinite(values)):
                 raise NumericalBlowupError(
                     f"non-finite density after step {step + 1} (t = {(step + 1) * dt:g})",
                     step=step + 1,

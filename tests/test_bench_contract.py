@@ -44,6 +44,9 @@ def test_tracer_misses_only_the_known_stale_targets(bench):
             "nonlocal_limit.nonlocal_solver.nonlocal_term",
             "nonlocal_limit.nonlocal_solver.total_variation_of",
             "nonlocal_limit.local_reference.total_variation_of",
+            # the harness takes both from weak_and_entropy_residuals' one pass
+            "nonlocal_limit.harness.weak_residual",
+            "nonlocal_limit.harness.entropy_residual",
         }
     finally:
         tracer.uninstall()

@@ -20,6 +20,7 @@ from nonlocal_limit import (
     bump_test_function,
     constant_velocity,
     entropy_residual,
+    interface_to_cells,
     l1_distance,
     linear_velocity,
     nonlocal_exponential,
@@ -33,7 +34,8 @@ from nonlocal_limit import (
     weak_residual,
     wq_identity_gap,
 )
-from nonlocal_limit.diagnostics import total_variation_of
+from nonlocal_limit import diagnostics
+from nonlocal_limit.diagnostics import total_variation_of, weak_and_entropy_residuals
 
 from conftest import aligned_datum_field, constant_profile
 
@@ -178,6 +180,19 @@ class TestSupTimeL1:
         with pytest.raises(ValueError, match="diverge"):
             sup_time_l1(report_a, report_c, Window(-1.0, 2.0))
 
+    def test_pairing_errors_come_before_the_window_check(self):
+        field = aligned_datum_field()
+        outside = Window(-3.0, 2.0)
+        times = [0.0, 1.0, 2.0]
+        report_a = report_from_snapshots([Snapshot(t, field, None) for t in times])
+        with pytest.raises(ValueError, match="schedules"):
+            sup_time_l1(report_a, report_from_snapshots([Snapshot(0.0, field, None)]), outside)
+        late = report_from_snapshots([Snapshot(t, field, None) for t in (0.0, 1.0, 5.0)])
+        with pytest.raises(ValueError, match="diverge"):
+            sup_time_l1(report_a, late, outside)
+        with pytest.raises(ValueError, match="window"):
+            sup_time_l1(report_a, report_a, outside)
+
     @settings(max_examples=25, deadline=None)
     @given(
         lo=st.floats(min_value=-1.0, max_value=0.4, allow_nan=False),
@@ -195,6 +210,48 @@ class TestSupTimeL1:
         big = Window(max(-1.0, lo - growth), min(2.0, lo + width + growth))
         ra, rb = report_from_snapshots(snaps_a), report_from_snapshots(snaps_b)
         assert sup_time_l1(ra, rb, small) <= sup_time_l1(ra, rb, big) + 1e-14
+
+
+def paired_random_reports(factor, n_pairs=300, n_cells=64):
+    """A coarse run with q and W and a run on a ``factor``-fold refinement,
+    ``n_pairs`` snapshots of uniform random values each."""
+    rng = np.random.default_rng(factor)
+    coarse, fine = Grid1D(-1.0, 2.0, n_cells), Grid1D(-1.0, 2.0, n_cells * factor)
+    times = 0.5 * np.arange(n_pairs)
+    report_a = report_from_snapshots([
+        Snapshot(t, CellField(grid=coarse, values=rng.uniform(0, 1, n_cells)),
+                 InterfaceField(grid=coarse, values=rng.uniform(0, 1, n_cells + 1)))
+        for t in times])
+    report_b = report_from_snapshots([
+        Snapshot(t, CellField(grid=fine, values=rng.uniform(0, 1, n_cells * factor)), None)
+        for t in times])
+    return report_a, report_b
+
+
+class TestSupTimeL1Blocks:
+    """sup_time_l1 compares stacked blocks of pairs; its result keeps the bits
+    of the per-pair formula (l1_distance of each pair) and of the values
+    recorded before the blocks."""
+
+    PINNED = {
+        (1, "q"): "0x1.d07242e0ee2f1p-1", (1, "w"): "0x1.bdacd8c02d384p-1",
+        (2, "q"): "0x1.879e077dc439ap-1", (2, "w"): "0x1.821e33cb86820p-1",
+        (8, "q"): "0x1.5276aa90842b6p-1", (8, "w"): "0x1.41eb2568d131bp-1",
+    }
+
+    @pytest.mark.parametrize("compare", ["q", "w"])
+    @pytest.mark.parametrize("factor", [1, 2, 8])
+    def test_blocks_keep_the_per_pair_bits(self, factor, compare):
+        report_a, report_b = paired_random_reports(factor)
+        # a partial last block: 300 pairs over blocks of this many rows
+        assert len(report_a.snapshots) % (diagnostics._L1_BLOCK_BYTES // (8 * 64)) != 0
+        window = Window(-0.3, 1.7)  # fractional end cells
+        per_pair = 0.0
+        for snap_a, snap_b in zip(report_a.snapshots, report_b.snapshots):
+            values_a = snap_a.q if compare == "q" else interface_to_cells(snap_a.w)
+            per_pair = max(per_pair, l1_distance(values_a, snap_b.q, window))
+        got = sup_time_l1(report_a, report_b, window, compare=compare)
+        assert got.hex() == per_pair.hex() == self.PINNED[factor, compare]
 
 
 class TestWqIdentityGap:
@@ -295,19 +352,73 @@ def test_dx_eval_zero_at_the_centre_keeps_the_slope_sign():
 
 def test_each_quadrature_builds_the_spatial_factors_once(monkeypatch):
     built = []
-    spatial = SpaceTimeTestFunction.spatial
+    timed = []
+    spatial, at = SpaceTimeTestFunction.spatial, SpaceTimeTestFunction.at
 
     def counting(phi, x):
         built.append(np.shape(x))
         return spatial(phi, x)
 
+    def counting_at(phi, t, bx, dbx):
+        timed.append(t)
+        return at(phi, t, bx, dbx)
+
     monkeypatch.setattr(SpaceTimeTestFunction, "spatial", counting)
+    monkeypatch.setattr(SpaceTimeTestFunction, "at", counting_at)
     report = constant_run()  # 80 snapshot pairs meet the support
     phi = bump_test_function(0.25, 0.2, 0.5, 1.0)
+    flux = FluxModel(velocity=linear_velocity())
+    # phi's time factor: once per pair in the support, once more at t = 0
     weak_residual(report, linear_velocity(), "nonlocal", phi)
-    assert built == [(512,)]
-    entropy_residual(report, FluxModel(velocity=linear_velocity()), 0.5, phi)
-    assert built == [(512,)] * 2
+    assert built == [(512,)] and len(timed) == 81
+    entropy_residual(report, flux, 0.5, phi)
+    assert built == [(512,)] * 2 and len(timed) == 2 * 81
+    weak_and_entropy_residuals(report, linear_velocity(), "nonlocal", flux,
+                               (0.25, 0.5, 0.75), phi)
+    assert built == [(512,)] * 3 and len(timed) == 3 * 81
+
+
+class TestOnePassResiduals:
+    """weak_and_entropy_residuals against the one-residual functions, as
+    float.hex, on a dense-band 1024-cell nonlocal run with 111 snapshots."""
+
+    LEVELS = (0.25, 0.5, 0.75)
+
+    @pytest.fixture(scope="class")
+    def run(self, datum_profile, default_velocity):
+        scheme = NonlocalSchemeConfig(kernel=KernelSpec("exponential", 0.03),
+                                      velocity=default_velocity, cfl=0.5, t_end=1.1,
+                                      snapshot_times=np.round(np.linspace(0.0, 1.1, 111), 12))
+        return solve_nonlocal(sample_profile(datum_profile, Grid1D(-1.0, 2.0, 1024)), scheme)
+
+    @pytest.mark.parametrize("mode", ["nonlocal", "local"])
+    def test_shared_pass_has_the_bits_of_each_residual(self, run, default_velocity, mode):
+        flux = FluxModel(velocity=default_velocity)
+        phi = bump_test_function(t_center=0.5, t_radius=0.4, x_center=0.5, x_radius=0.75)
+        weak, entropy = weak_and_entropy_residuals(run, default_velocity, mode, flux,
+                                                   self.LEVELS, phi)
+        assert weak.hex() == weak_residual(run, default_velocity, mode, phi).hex()
+        assert [value.hex() for value in entropy] == [
+            entropy_residual(run, flux, k, phi).hex() for k in self.LEVELS]
+
+    def test_errors_are_the_single_residuals_errors(self, run, default_velocity):
+        flux = FluxModel(velocity=default_velocity)
+        phi = bump_test_function(0.5, 0.4, 0.5, 0.75)
+
+        def shared(report, phi=phi):
+            return weak_and_entropy_residuals(report, default_velocity, "nonlocal", flux,
+                                              self.LEVELS, phi)
+
+        without_w = dataclasses.replace(run, snapshots=tuple(
+            dataclasses.replace(snap, w=None) for snap in run.snapshots))
+        with pytest.raises(ValueError, match="needs recorded nonlocal terms"):
+            shared(without_w)
+        with pytest.raises(ValueError, match="too coarse"):
+            shared(dataclasses.replace(run, snapshots=run.snapshots[::20]))
+        with pytest.raises(ValueError, match="initial snapshot at t = 0"):
+            shared(dataclasses.replace(run, snapshots=run.snapshots[1:]))
+        with pytest.raises(ValueError, match="nonnegative test function"):
+            shared(run, bump_test_function(0.5, 0.4, 0.5, 0.75, amplitude=-1.0))
 
 
 class TestResidualBitPins:

@@ -150,6 +150,30 @@ class TestStepUpwind:
         with pytest.raises(ModeViolationError):
             step_upwind(q0, make_config(velocity=dipping), dt=0.001)
 
+    @pytest.mark.parametrize("mode, orientation, message", [
+        ("decreasing", "downstream", "fell to -0.5 < 0 in downstream mode"),
+        ("increasing", "upstream", "rose to 0.5 > 0 in upstream mode"),
+    ])
+    def test_mode_violation_names_the_extreme_speed(self, mode, orientation, message):
+        # V(W) = +-(0.5 - W) on a full state: -0.5 downstream, 0.5 upstream
+        sign = 1.0 if mode == "decreasing" else -1.0
+        velocity = VelocityModel(
+            eval=lambda s: sign * (0.5 - np.asarray(s, dtype=float)),
+            deriv=lambda s: np.full_like(np.asarray(s, dtype=float), -sign),
+            admissible_range=(0.0, 1.0),
+            mode=mode,
+        )
+        grid = Grid1D(0.0, 1.0, 32, left_farfield=1.0, right_farfield=1.0)
+        cfg = make_config(velocity=velocity, orientation=orientation)
+        with pytest.raises(ModeViolationError, match=message):
+            step_upwind(sample_profile(constant_profile(1.0), grid), cfg, dt=0.001)
+
+    def test_nan_velocity_never_trips_the_sign_check(self):
+        flux = nonlocal_solver_module._upwind_flux(make_config())
+        out = np.empty(3)
+        flux(np.array([0.0, 0.5, 0.5, 0.0]), np.array([0.5, np.nan, 0.5]), out)
+        assert out[0] == 0.0 and np.isnan(out[1]) and out[2] == 0.25
+
 
 class TestSolveNonlocal:
     def test_constant_state_run(self):
