@@ -139,8 +139,8 @@ def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
             np.subtract(fluxes[1:], fluxes[:-1], out=jumps)
             jumps *= lam
             values = np.subtract(values, jumps, out=q_block[step + 1 - first, 1:-1])
-            # a finite sum (np.add.reduce, as values.sum() runs it) proves every entry
-            # finite; only a non-finite one needs the full scan (it can overflow)
+            # a finite sum (np.add.reduce, as .sum() runs it) proves every entry finite;
+            # only a non-finite one needs the full scan (finite entries can overflow it)
             total = np.add.reduce(values)
             if not math.isfinite(total) and not np.all(np.isfinite(values)):
                 raise NumericalBlowupError(

@@ -230,8 +230,8 @@ def paired_random_reports(factor, n_pairs=300, n_cells=64):
 
 class TestSupTimeL1Blocks:
     """sup_time_l1 compares stacked blocks of pairs; its result keeps the bits
-    of the per-pair formula (l1_distance of each pair) and of the values
-    recorded before the blocks."""
+    of the per-pair formula (the largest l1_distance of a pair), pinned as
+    float.hex."""
 
     PINNED = {
         (1, "q"): "0x1.d07242e0ee2f1p-1", (1, "w"): "0x1.bdacd8c02d384p-1",
