@@ -54,7 +54,8 @@ class TestFunction:
     C^2 with compact support ``support``, the rectangle (t_lo, t_hi, x_lo,
     x_hi) outside which it vanishes; the derivatives are exact closed forms.
     A quadrature builds the spatial factors once with ``spatial`` and takes
-    phi and its derivatives at each time from them with ``at``.
+    phi's derivatives at each time from them with ``at``, phi itself with
+    ``value``.
     """
 
     t_center: float
@@ -86,23 +87,28 @@ class TestFunction:
         u = (np.asarray(x) - self.x_center) / self.x_radius
         return bump(u), self._db(u)
 
+    def _u_t(self, t):
+        return (np.asarray(t) - self.t_center) / self.t_radius
+
+    def value(self, t, bx):
+        """phi at ``t`` from the spatial factor ``bx = self.spatial(x)[0]``."""
+        return self.amplitude * bump(self._u_t(t)) * bx
+
     def at(self, t, bx, dbx):
-        """phi, dphi/dt and dphi/dx at ``t`` from the spatial factors
+        """dphi/dt and dphi/dx at ``t`` from the spatial factors
         ``bx, dbx = self.spatial(x)``."""
-        u = (np.asarray(t) - self.t_center) / self.t_radius
-        bt = bump(u)
-        return (self.amplitude * bt * bx,
-                self.amplitude / self.t_radius * self._db(u) * bx,
-                self.amplitude / self.x_radius * bt * dbx)
+        u = self._u_t(t)
+        return (self.amplitude / self.t_radius * self._db(u) * bx,
+                self.amplitude / self.x_radius * bump(u) * dbx)
 
     def eval(self, t, x):
-        return self.at(t, *self.spatial(x))[0]
+        return self.value(t, self.spatial(x)[0])
 
     def dt_eval(self, t, x):
-        return self.at(t, *self.spatial(x))[1]
+        return self.at(t, *self.spatial(x))[0]
 
     def dx_eval(self, t, x):
-        return self.at(t, *self.spatial(x))[2]
+        return self.at(t, *self.spatial(x))[1]
 
 
 bump_test_function = TestFunction
@@ -286,12 +292,12 @@ def _spacetime_quadrature(report: RunReport, phi: TestFunction, forms,
         t_mid = 0.5 * (left.time + right.time)
         if t_mid >= t_hi or t_mid <= t_lo:
             continue
-        _, phi_t, phi_x = phi.at(t_mid, bx, dbx)
+        phi_t, phi_x = phi.at(t_mid, bx, dbx)
         q_mid = 0.5 * (left.q.values + right.q.values)
         f_mid = None if flux is None else flux.f(q_mid)
         for i, (term, _) in enumerate(forms):
             totals[i] += dt * dx * float(np.sum(term(phi_t, phi_x, q_mid, f_mid, left, right)))
-    phi_0, q0 = phi.at(0.0, bx, dbx)[0], snaps[0].q.values
+    phi_0, q0 = phi.value(0.0, bx), snaps[0].q.values
     return [total + dx * float(np.sum(initial(phi_0, q0)))
             for total, (_, initial) in zip(totals, forms)]
 

@@ -251,7 +251,7 @@ class ExperimentConfig:
         round to whole steps.  Returns None when no such support fits in
         (0, t_end): the run is then too coarse for residual measurement.
         """
-        v_max = self.velocity.max_abs_speed()
+        v_max = self.velocity.max_abs_speed
         if v_max == 0.0:
             return None
         dt_estimate = self.cfl * (self.x_max - self.x_min) / self.n_cells / v_max
@@ -495,7 +495,7 @@ def _run_diagnostics(cfg: ExperimentConfig, report: RunReport, q0: CellField,
     if phi is None:
         # run too coarse in time for the residual quadratures
         return values
-    s_max = dict(cfg.velocity_params)["s_max"]
+    s_max = velocity.admissible_range[1]
     values["weak_residual"], entropy = weak_and_entropy_residuals(
         report, velocity, "nonlocal", cfg.flux,
         [frac * s_max for frac in _ENTROPY_LEVEL_FRACTIONS], phi)

@@ -8,7 +8,6 @@ interface flux; the shared driver in ``stepping`` runs it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,78 +16,23 @@ from .core import CellField, VelocityModel, data_range
 from .report import RunReport
 from .stepping import check_time_settings, frozen_step, integrate
 
-_GOLDEN_TOL = 1e-12
-_UNIMODAL_SAMPLES = 2001
-_RANGE_SLACK = 1e-12
-
-
-def _golden_section_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
-    """Argmax of a unimodal f on [lo, hi] to absolute tolerance ``tol``."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _validate_unimodal(f, s_range: tuple[float, float], s_star: float):
-    s = np.linspace(*s_range, _UNIMODAL_SAMPLES)
-    values = np.asarray(f(s), dtype=float)
-    slack = _RANGE_SLACK * max(1.0, float(np.max(np.abs(values))))
-    rising = s[:-1] < s_star
-    diffs = np.diff(values)
-    if np.any(diffs[rising] < -slack) or np.any(diffs[~rising] > slack):
-        raise ValueError(
-            "flux is not unimodal on the admissible range; only velocity "
-            "models whose flux s -> V(s)*s has a single extremum are supported"
-        )
-
 
 def critical_density(velocity: VelocityModel) -> float:
     """Density at the extremum of the flux V(s)*s on the admissible range:
-    its maximum for a decreasing V, its minimum for an increasing V.
-
-    Golden-section search to 1e-12 absolute; validates by sampling that the
-    flux has a single extremum and raises on failure.
-    """
-    sign = 1.0 if velocity.mode == "decreasing" else -1.0  # sign * flux has a maximum
-
-    def f(s):
-        return sign * velocity.eval(s) * np.asarray(s, dtype=float)
-
-    s_star = _golden_section_max(f, *velocity.admissible_range)
-    _validate_unimodal(f, velocity.admissible_range, s_star)
-    return s_star
+    its maximum for a decreasing V, its minimum for an increasing V.  Each
+    velocity family gives it in closed form."""
+    return velocity.critical_density
 
 
 @dataclass(frozen=True)
 class FluxModel:
-    """Flux f(s) = V(s)*s with its precomputed critical density."""
+    """Flux f(s) = V(s)*s; its critical density and largest |f'| are its
+    velocity's."""
 
     velocity: VelocityModel
-    critical_density: float = dataclasses.field(init=False, default=np.nan)
-
-    def __post_init__(self):
-        object.__setattr__(self, "critical_density", critical_density(self.velocity))
 
     def f(self, s):
         return self.velocity.eval(s) * np.asarray(s, dtype=float)
-
-    def max_wave_speed(self) -> float:
-        """Largest |f'| on the admissible range (sampled)."""
-        s = np.linspace(*self.velocity.admissible_range, _UNIMODAL_SAMPLES)
-        f_prime = self.velocity.eval(s) + s * self.velocity.deriv(s)
-        return float(np.max(np.abs(f_prime)))
 
 
 def _godunov_select(a, b, f_a, f_b, s_star: float, f_star: float, out: np.ndarray):
@@ -110,7 +54,7 @@ def _godunov_select(a, b, f_a, f_b, s_star: float, f_star: float, out: np.ndarra
 def _godunov(a, b, f_a, f_b, flux: FluxModel, f_star: float, out: np.ndarray):
     """Godunov flux for either flux shape: a flux with a minimum (increasing V)
     is the mirror image F_f(a, b) = -F_{-f}(b, a) of one with a maximum."""
-    s_star = flux.critical_density
+    s_star = flux.velocity.critical_density
     if flux.velocity.mode == "decreasing":
         return _godunov_select(a, b, f_a, f_b, s_star, f_star, out)
     _godunov_select(b, a, -f_b, -f_a, s_star, -f_star, out)
@@ -125,8 +69,8 @@ def godunov_flux(a, b, flux: FluxModel):
     flux.velocity.check_admissible(a, "left state")
     flux.velocity.check_admissible(b, "right state")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    result = _godunov(a, b, flux.f(a), flux.f(b), flux, float(flux.f(flux.critical_density)),
-                      np.empty(np.broadcast(a, b).shape))
+    f_star = float(flux.f(flux.velocity.critical_density))
+    result = _godunov(a, b, flux.f(a), flux.f(b), flux, f_star, np.empty(np.broadcast(a, b).shape))
     if np.ndim(result) == 0:
         return float(result)
     return result
@@ -135,7 +79,7 @@ def godunov_flux(a, b, flux: FluxModel):
 def _godunov_interface_flux(flux: FluxModel):
     """The Godunov scheme as an interface flux: f is evaluated once per step
     on the padded states, f(s*) once per run."""
-    f_star = float(flux.f(flux.critical_density))
+    f_star = float(flux.f(flux.velocity.critical_density))
 
     def interface_flux(states: np.ndarray, w, out: np.ndarray):
         f_states = flux.f(states)
@@ -150,6 +94,6 @@ def solve_local(q0: CellField, flux: FluxModel, cfl: float, t_end: float,
     nonlocal solver with the nonlocal-term fields omitted."""
     times = check_time_settings(cfl, t_end, snapshot_times)
     flux.velocity.check_admissible(data_range(q0), "initial data")
-    dt = frozen_step(cfl, q0.grid.dx, flux.max_wave_speed(), t_end)
+    dt = frozen_step(cfl, q0.grid.dx, flux.velocity.max_wave_speed, t_end)
     n_steps = max(1, int(round(t_end / dt)))
     return integrate(q0, _godunov_interface_flux(flux), dt, n_steps, times)

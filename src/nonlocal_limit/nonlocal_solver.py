@@ -46,7 +46,7 @@ def cfl_dt(q0: CellField, cfg: NonlocalSchemeConfig) -> float:
     """Frozen time step cfl * dx / max|V|, shrunk so t_end is a whole number
     of steps.  A velocity bound of zero means stasis: dt = t_end."""
     cfg.velocity.check_admissible(data_range(q0), "initial data")
-    return frozen_step(cfg.cfl, q0.grid.dx, cfg.velocity.max_abs_speed(), cfg.t_end)
+    return frozen_step(cfg.cfl, q0.grid.dx, cfg.velocity.max_abs_speed, cfg.t_end)
 
 
 def _interface_speeds(w_values: np.ndarray, cfg: NonlocalSchemeConfig,
@@ -76,7 +76,7 @@ def _upwind_flux(cfg: NonlocalSchemeConfig):
     there); upstream mode mirrors this.  Inflow at the upwind boundary uses
     the far-field state.  Every call checks the sign of V(W); NaN never trips it.
     """
-    slack = _SIGN_SLACK * max(1.0, cfg.velocity.max_abs_speed())
+    slack = _SIGN_SLACK * max(1.0, cfg.velocity.max_abs_speed)
     downstream = cfg.kernel.orientation == "downstream"
     speed = cfg.velocity.eval
 

@@ -9,7 +9,6 @@ from nonlocal_limit import (
     CellField,
     Grid1D,
     PiecewiseConstantProfile,
-    VelocityModel,
     constant_velocity,
     linear_increasing_velocity,
     linear_velocity,
@@ -143,66 +142,109 @@ class TestVelocityModel:
         assert constant_velocity(0.0).mode == "decreasing"
         assert constant_velocity(-1.0).mode == "increasing"
 
-    def test_lipschitz_constant_recorded(self):
-        assert linear_velocity().lipschitz_constant == pytest.approx(1.0)
-        assert constant_velocity(3.0).lipschitz_constant == 0.0
-        assert quadratic_velocity().lipschitz_constant == pytest.approx(2.0)
-
-    def test_mode_violation_is_constructor_error(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            VelocityModel(
-                eval=lambda s: np.asarray(s, dtype=float),
-                deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                admissible_range=(0.0, 1.0),
-                mode="decreasing",
-            )
-        with pytest.raises(ValueError, match="increasing"):
-            VelocityModel(
-                eval=lambda s: -np.asarray(s, dtype=float),
-                deriv=lambda s: -np.ones_like(np.asarray(s, dtype=float)),
-                admissible_range=(0.0, 1.0),
-                mode="increasing",
-            )
-
     def test_max_abs_speed(self):
-        assert linear_velocity(v_max=2.0).max_abs_speed() == pytest.approx(2.0)
-        assert constant_velocity(0.0).max_abs_speed() == 0.0
+        assert linear_velocity(v_max=2.0).max_abs_speed == 2.0
+        assert constant_velocity(0.0).max_abs_speed == 0.0
 
-    def test_max_abs_speed_is_recorded_at_construction(self):
-        # the same 1001 samples the mode check takes; V is not called again
-        calls = []
-        base = quadratic_velocity(v_max=1.5)
-        velocity = VelocityModel(eval=lambda s: calls.append(1) or base.eval(s),
-                                 deriv=base.deriv, admissible_range=(0.0, 1.0))
-        calls.clear()
-        s = np.linspace(0.0, 1.0, 1001)
-        assert velocity.max_abs_speed() == float(np.max(np.abs(base.eval(s))))
-        assert velocity.max_abs_speed() == velocity.max_abs_speed()
-        assert calls == []
+    @pytest.mark.parametrize("build, params", [
+        (quadratic_velocity, {"s_max": 1e-200}),
+        (linear_velocity, {"v_max": 1e300, "s_max": 1e-300}),
+        (linear_increasing_velocity, {"v_max": 1e300, "s_max": 1e-300}),
+    ])
+    def test_out_of_range_parameters_are_refused_without_warnings(self, build, params):
+        # V' divides by an underflowed s_max**2 or overflows; the refusal
+        # raises no numpy warning (warnings are errors in this suite)
+        with pytest.raises(ValueError, match="non-finite on the admissible range"):
+            build(**params)
+
+
+# Every family's closed-form constants for the TestVelocityBitPins parameter
+# sets: name -> (builder, critical density, max |f'|), as functions of
+# (v_max, s_max); max |V| is v_max for all three.
+CLOSED_FORMS = {
+    "linear": (linear_velocity, lambda v, s: s / 2.0, lambda v, s: v),
+    "quadratic": (quadratic_velocity, lambda v, s: s / np.sqrt(3.0), lambda v, s: 2.0 * v),
+    "linear_increasing": (linear_increasing_velocity, lambda v, s: s / 2.0, lambda v, s: v),
+}
+PIN_PARAMETERS = [(1.0, 1.0), (2.0, 1.0), (1.0, 0.8), (1.5, 0.7)]
+FAMILY_CASES = [(name, v_max, s_max) for name in CLOSED_FORMS
+                for v_max, s_max in PIN_PARAMETERS]
+
+
+def family_case(name, v_max, s_max):
+    build, s_star, wave = CLOSED_FORMS[name]
+    return build(v_max=v_max, s_max=s_max), s_star(v_max, s_max), wave(v_max, s_max)
+
+
+class TestClosedFormConstants:
+    @pytest.mark.parametrize("name, v_max, s_max", FAMILY_CASES)
+    def test_family_constants_are_exact(self, name, v_max, s_max):
+        velocity, s_star, wave = family_case(name, v_max, s_max)
+        assert velocity.critical_density == s_star
+        assert velocity.max_abs_speed == v_max
+        assert velocity.max_wave_speed == wave
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, -1.0])
+    def test_constant_constants_are_exact(self, value):
+        velocity = constant_velocity(value, s_max=0.8)
+        assert velocity.critical_density == 0.8
+        assert velocity.max_abs_speed == abs(value)
+        assert velocity.max_wave_speed == abs(value)
+
+    @pytest.mark.parametrize("name, v_max, s_max", FAMILY_CASES)
+    def test_closed_forms_agree_with_a_fine_sample(self, name, v_max, s_max):
+        # s* within one sample spacing of the sampled extremum; max|V| and
+        # max|f'| within one spacing times |V'| <= 2 v_max/s_max and
+        # |f''| <= 6 v_max/s_max
+        velocity, s_star, wave = family_case(name, v_max, s_max)
+        s = np.linspace(0.0, s_max, 1_000_001)
+        spacing = s_max / 1_000_000
+        sign = 1.0 if velocity.mode == "decreasing" else -1.0
+        flux = sign * velocity.eval(s) * s
+        assert abs(s[np.argmax(flux)] - s_star) <= spacing
+        assert abs(np.max(np.abs(velocity.eval(s))) - v_max) <= 2.0 * v_max / s_max * spacing
+        f_prime = velocity.eval(s) + s * velocity.deriv(s)
+        assert abs(np.max(np.abs(f_prime)) - wave) <= 6.0 * v_max / s_max * spacing
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, -1.0])
+    def test_constant_agrees_with_a_fine_sample(self, value):
+        velocity = constant_velocity(value)
+        s = np.linspace(0.0, 1.0, 1_000_001)
+        sign = 1.0 if velocity.mode == "decreasing" else -1.0
+        flux = sign * velocity.eval(s) * s
+        # a flat flux (value 0) is maximal everywhere, s_max included
+        assert flux[-1] == np.max(flux)
+        assert np.max(np.abs(velocity.eval(s))) == velocity.max_abs_speed
+        assert np.max(np.abs(velocity.eval(s) + s * velocity.deriv(s))) == velocity.max_wave_speed
 
 
 class TestVelocityBitPins:
     """sha256 of V on 1001 densities, of V at one scalar density and of the
     Godunov flux on a 41x41 grid of states, recorded before the builders
-    started skipping their exact multiplications and divisions by 1.0."""
+    started skipping their exact multiplications and divisions by 1.0.
+
+    Three were re-recorded when the searched critical density gave way to
+    the closed form: f(s*) is now the flux at the exact s*, which moved 420,
+    420 and 408 of the 1681 Godunov fluxes of (linear, 1.0, 0.8),
+    (linear_increasing, 1.0, 0.8) and (quadratic, 1.5, 0.7) by one ulp."""
 
     BUILDERS = {"linear": linear_velocity, "quadratic": quadratic_velocity,
                 "linear_increasing": linear_increasing_velocity}
     DIGESTS = {
         ("linear", 1.0, 1.0): "92fa3997b85afc8238a093a67aa015b31639da5663bcf107bed7611a26baafff",
         ("linear", 2.0, 1.0): "113c01e79e63fa0e056272f19777aad93bd0a181ac246883465beba9351aae4a",
-        ("linear", 1.0, 0.8): "061e68a3e7548953a3efd53ec6bac51990225156ace51869c35a3759bf1583b4",
+        ("linear", 1.0, 0.8): "75ac00c7de1478716c9358775a5a0f761cefc5b1969d35d9b15afa553ec4a76c",
         ("linear", 1.5, 0.7): "a256b1fd6dfff6be032188d676b1be9dfdb3a64fc4a137084b2b028ee50ddb8d",
         ("quadratic", 1.0, 1.0): "d4f218ecc5eb3fddb82cfffc8525a60e5ca3505daf70df9d2944a24759d90a5e",
         ("quadratic", 2.0, 1.0): "e9c079da84c5190c4d54bbab864a213ecbe367398d6cb658868981e30dff74b0",
         ("quadratic", 1.0, 0.8): "66712cb5c5e86d4ceb9f66d7b84ae9b25c8e4ff032574f642c0190f0386ed3bb",
-        ("quadratic", 1.5, 0.7): "6c162a43117e552285345de9ef3b0bfc265bb2cd4ed15f164ed63317f7f4a8ea",
+        ("quadratic", 1.5, 0.7): "7593db31e54a5f478afc5ef44e2819554c0703b8c4ab5165791e8488cce0a2eb",
         ("linear_increasing", 1.0, 1.0):
             "246140fb446888f42878de050fb940c682899db2e3050bd3829434ecbc1c4c6f",
         ("linear_increasing", 2.0, 1.0):
             "c6cbe35ede38951c936c06594c939b310e9f31917868ab9bb7c7355353d762c3",
         ("linear_increasing", 1.0, 0.8):
-            "105b375f94b4515feb1ce04ba43418e264be7d3a90bffe6cf0035491700aba4b",
+            "6f0775ffa7839dc032966840407b5fac87983ea8752d7b5baf63451f4998a5ed",
         ("linear_increasing", 1.5, 0.7):
             "42574fba00b6b457348100038bcb7354375b7a4c85eb0cc845193c6007ede823",
     }

@@ -353,7 +353,8 @@ def test_dx_eval_zero_at_the_centre_keeps_the_slope_sign():
 def test_each_quadrature_builds_the_spatial_factors_once(monkeypatch):
     built = []
     timed = []
-    spatial, at = SpaceTimeTestFunction.spatial, SpaceTimeTestFunction.at
+    spatial, at, value = (SpaceTimeTestFunction.spatial, SpaceTimeTestFunction.at,
+                          SpaceTimeTestFunction.value)
 
     def counting(phi, x):
         built.append(np.shape(x))
@@ -363,12 +364,18 @@ def test_each_quadrature_builds_the_spatial_factors_once(monkeypatch):
         timed.append(t)
         return at(phi, t, bx, dbx)
 
+    def counting_value(phi, t, bx):
+        timed.append(t)
+        return value(phi, t, bx)
+
     monkeypatch.setattr(SpaceTimeTestFunction, "spatial", counting)
     monkeypatch.setattr(SpaceTimeTestFunction, "at", counting_at)
+    monkeypatch.setattr(SpaceTimeTestFunction, "value", counting_value)
     report = constant_run()  # 80 snapshot pairs meet the support
     phi = bump_test_function(0.25, 0.2, 0.5, 1.0)
     flux = FluxModel(velocity=linear_velocity())
-    # phi's time factor: once per pair in the support, once more at t = 0
+    # phi's time factor: its derivatives once per pair in the support, phi
+    # itself once at t = 0
     weak_residual(report, linear_velocity(), "nonlocal", phi)
     assert built == [(512,)] and len(timed) == 81
     entropy_residual(report, flux, 0.5, phi)

@@ -964,6 +964,22 @@ class TestCli:
         assert code == 1
         assert "eta_list[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("velocity", [
+        {"name": "quadratic", "s_max": 1e-200},
+        {"name": "linear", "v_max": 1e300, "s_max": 1e-300},
+    ], ids=["quadratic-underflowing-s_max", "linear-overflowing-slope"])
+    def test_out_of_range_velocity_is_refused_without_warnings(self, tmp_path, capsys,
+                                                               velocity):
+        config = self.write_config(tmp_path, {**SMALL_DOC, "velocity": velocity})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--config", str(config), "--eta", "0.3",
+                             "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == "error: velocity model is non-finite on the admissible range\n"
+
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: command"),
         (["stability", "--delta", "-inf", "--config", "c.json", "--out", "o"],
@@ -1215,15 +1231,15 @@ class TestCli:
     ], ids=["sweep", "run", "stability"])
     def test_command_builds_models_once(self, tmp_path, monkeypatch, command, most):
         # VelocityModel, FluxModel and TestFunction constructions in one
-        # command, parsing included; each validates itself on construction
+        # command, parsing included
         classes = (VelocityModel, FluxModel, SpaceTimeTestFunction)
         counts = dict.fromkeys(classes, 0)
         for cls in classes:
-            def counting(model, cls=cls, original=cls.__post_init__):
+            def counting(model, *args, cls=cls, original=cls.__init__, **kwargs):
                 counts[cls] += 1
-                original(model)
+                original(model, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         config = self.write_config(tmp_path, {"grid": {"n_cells": 256},
                                               "eta_list": [0.1, 0.05, 0.03],
                                               "reference_refinement": 4})

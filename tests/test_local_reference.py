@@ -4,7 +4,6 @@ import pytest
 from nonlocal_limit import (
     FluxModel,
     Grid1D,
-    VelocityModel,
     constant_velocity,
     critical_density,
     godunov_flux,
@@ -27,38 +26,23 @@ def grid_search_argmax(velocity, n=1_000_001):
 
 class TestCriticalDensity:
     def test_linear_velocity(self):
-        # interior smooth max: search interval shrinks to 1e-12 but flat
-        # float comparisons limit the location to ~sqrt(eps)
         velocity = linear_velocity()
         s_star = critical_density(velocity)
-        assert s_star == pytest.approx(0.5, abs=1e-7)
+        assert s_star == 0.5
         assert s_star == pytest.approx(grid_search_argmax(velocity), abs=2e-6)
 
     def test_constant_velocity_maximizes_at_boundary(self):
-        assert critical_density(constant_velocity(2.0)) == pytest.approx(1.0, abs=1e-9)
+        assert critical_density(constant_velocity(2.0)) == 1.0
 
     def test_quadratic_velocity(self):
         velocity = quadratic_velocity()
         s_star = critical_density(velocity)
-        assert s_star == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-7)
+        assert s_star == 1.0 / np.sqrt(3.0)
         assert s_star == pytest.approx(grid_search_argmax(velocity), abs=2e-6)
 
     def test_increasing_velocity_takes_the_flux_minimum(self):
         # f(s) = s(s - 1) is convex with its minimum at 1/2
-        assert critical_density(linear_increasing_velocity()) == pytest.approx(0.5, abs=1e-7)
-
-    def test_bimodal_flux_rejected(self):
-        # decreasing velocity whose flux s*V(s) has two humps
-        wobble = VelocityModel(
-            eval=lambda s: 1.0 - np.asarray(s, dtype=float)
-            + 0.05 * np.sin(6.0 * np.pi * np.asarray(s, dtype=float)),
-            deriv=lambda s: -1.0
-            + 0.3 * np.pi * np.cos(6.0 * np.pi * np.asarray(s, dtype=float)),
-            admissible_range=(0.0, 1.0),
-            mode="decreasing",
-        )
-        with pytest.raises(ValueError, match="unimodal"):
-            critical_density(wobble)
+        assert critical_density(linear_increasing_velocity()) == 0.5
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +86,22 @@ class TestGodunovFlux:
         table = godunov_flux(a, b, flux)
         assert float(np.min(np.diff(table, axis=0))) >= -1e-12  # nondecreasing in a
         assert float(np.max(np.diff(table, axis=1))) <= 1e-12  # nonincreasing in b
+
+
+class TestConstantVelocity:
+    """V = 1: the flux f(s) = s is increasing, so its maximum over any
+    interval of states sits at the interval's right end."""
+
+    flux = FluxModel(velocity=constant_velocity(1.0))
+
+    def test_godunov_flux_of_a_full_left_state_is_f_of_one(self):
+        assert godunov_flux(1.0, 0.0, self.flux) == 1.0
+
+    def test_unit_jump_keeps_the_maximum_principle_exactly(self):
+        grid = Grid1D(0.0, 1.0, 1000)
+        q0 = sample_profile(step_profile(0.5, left=1.0, right=0.0), grid)
+        report = solve_local(q0, self.flux, cfl=0.5, t_end=0.5)
+        assert report.q_max_overall == 1.0
 
 
 class TestSolveLocal:

@@ -17,7 +17,6 @@ from nonlocal_limit import (
     ModeViolationError,
     NonlocalSchemeConfig,
     NumericalBlowupError,
-    VelocityModel,
     Window,
     cfl_dt,
     constant_velocity,
@@ -137,32 +136,21 @@ class TestStepUpwind:
         np.testing.assert_allclose(stepped.values, [0.0, 0.5, 0.5], atol=1e-15)
 
     def test_mode_violation_detected(self):
-        # velocity admits negative values on the data range, so the
-        # downstream upwind orientation is wrong
-        dipping = VelocityModel(
-            eval=lambda s: 0.5 - np.asarray(s, dtype=float),
-            deriv=lambda s: np.full_like(np.asarray(s, dtype=float), -1.0),
-            admissible_range=(0.0, 1.0),
-            mode="decreasing",
-        )
-        grid = Grid1D(0.0, 1.0, 32, right_farfield=1.0)
-        q0 = sample_profile(step_profile(0.5), grid)
+        # V(s) = 0.5 (1 - s/0.5) is negative on a full state beyond its
+        # admissible range, so the downstream upwind orientation is wrong
+        dipping = linear_velocity(0.5, 0.5)
+        grid = Grid1D(0.0, 1.0, 32, left_farfield=1.0, right_farfield=1.0)
+        q0 = sample_profile(constant_profile(1.0), grid)
         with pytest.raises(ModeViolationError):
             step_upwind(q0, make_config(velocity=dipping), dt=0.001)
 
-    @pytest.mark.parametrize("mode, orientation, message", [
-        ("decreasing", "downstream", "fell to -0.5 < 0 in downstream mode"),
-        ("increasing", "upstream", "rose to 0.5 > 0 in upstream mode"),
+    @pytest.mark.parametrize("build, orientation, message", [
+        (linear_velocity, "downstream", "fell to -0.5 < 0 in downstream mode"),
+        (linear_increasing_velocity, "upstream", "rose to 0.5 > 0 in upstream mode"),
     ])
-    def test_mode_violation_names_the_extreme_speed(self, mode, orientation, message):
+    def test_mode_violation_names_the_extreme_speed(self, build, orientation, message):
         # V(W) = +-(0.5 - W) on a full state: -0.5 downstream, 0.5 upstream
-        sign = 1.0 if mode == "decreasing" else -1.0
-        velocity = VelocityModel(
-            eval=lambda s: sign * (0.5 - np.asarray(s, dtype=float)),
-            deriv=lambda s: np.full_like(np.asarray(s, dtype=float), -sign),
-            admissible_range=(0.0, 1.0),
-            mode=mode,
-        )
+        velocity = build(0.5, 0.5)
         grid = Grid1D(0.0, 1.0, 32, left_farfield=1.0, right_farfield=1.0)
         cfg = make_config(velocity=velocity, orientation=orientation)
         with pytest.raises(ModeViolationError, match=message):
@@ -284,14 +272,9 @@ class TestSolveNonlocal:
         down_cfg = make_config(eta=0.05, t_end=0.5, snapshot_times=[0.5])
         down = solve_nonlocal(q0, down_cfg)
 
-        mirrored_velocity = VelocityModel(
-            eval=lambda s: -(1.0 - np.asarray(s, dtype=float)),
-            deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-            admissible_range=(0.0, 1.0),
-            mode="increasing",
-        )
+        # -(1 - s) = s - 1 exactly
         up_cfg = make_config(eta=0.05, t_end=0.5, snapshot_times=[0.5],
-                             orientation="upstream", velocity=mirrored_velocity)
+                             orientation="upstream", velocity=linear_increasing_velocity())
         up = solve_nonlocal(mirror_field(q0), up_cfg)
         np.testing.assert_allclose(
             up.snapshots[-1].q.values,
