@@ -38,8 +38,8 @@ from .kernels import (
     nonlocal_term,
     reconstruct_density,
 )
-from .local_reference import FluxModel, critical_density, godunov_flux, solve_local
-from .nonlocal_solver import NonlocalSchemeConfig, cfl_dt, solve_nonlocal, step_upwind
+from .local_reference import FluxModel, godunov_flux, solve_local
+from .nonlocal_solver import NonlocalSchemeConfig, solve_nonlocal, step_upwind
 from .report import RunReport, Snapshot
 
 __all__ = [
@@ -59,9 +59,7 @@ __all__ = [
     "VelocityModel",
     "Window",
     "bump_test_function",
-    "cfl_dt",
     "constant_velocity",
-    "critical_density",
     "entropy_residual",
     "godunov_flux",
     "interface_to_cells",

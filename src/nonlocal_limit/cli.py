@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success; 1 on validation errors (bad config or arguments,
-argparse's usage errors included, missing files) or a dead worker process; 2
-when a solver blows up or meets a wrong-signed flux velocity.
+argparse's usage errors included, missing files), a run too long to record
+or a dead worker process; 2 when a solver blows up or meets a wrong-signed
+flux velocity.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ def main(argv=None) -> int:
         print(f"mode violation: {exc}, or the density left the velocity model's "
               "admissible range", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

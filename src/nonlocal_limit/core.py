@@ -42,8 +42,8 @@ class Grid1D:
     right_farfield: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ValueError("grid bounds must be finite")
+        if not math.isfinite(float(self.x_max) - float(self.x_min)):  # floats: no numpy warning
+            raise ValueError("grid bounds and their span must be finite")
         if not self.x_min < self.x_max:
             raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_cells < 2:

@@ -354,11 +354,11 @@ def entropy_residual(report: RunReport, flux: "FluxModel", k: float,
     return _spacetime_quadrature(report, phi, _entropy_forms(flux, (k,), phi), flux)[0]
 
 
-def weak_and_entropy_residuals(report: RunReport, velocity: VelocityModel, mode: str, flux:
-                               "FluxModel", levels, phi: TestFunction) -> tuple[float, list]:
-    """``weak_residual`` and ``entropy_residual`` at each of ``levels`` from
-    one pass over the snapshots, each with the bits of its own call."""
-    forms = [_weak_form(velocity, mode)] + _entropy_forms(flux, levels, phi)
+def weak_and_entropy_residuals(report: RunReport, mode: str, flux: "FluxModel", levels,
+                               phi: TestFunction) -> tuple[float, list]:
+    """``weak_residual`` (with ``flux.velocity``) and ``entropy_residual`` at
+    each of ``levels`` from one pass, each with the bits of its own call."""
+    forms = [_weak_form(flux.velocity, mode)] + _entropy_forms(flux, levels, phi)
     weak, *entropy = _spacetime_quadrature(report, phi, forms, flux)
     return abs(weak), entropy
 

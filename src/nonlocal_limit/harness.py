@@ -322,6 +322,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**values)
     if cfg.x_min >= cfg.x_max:
         raise ConfigError(f"grid.x_min must be < grid.x_max, got [{cfg.x_min}, {cfg.x_max}]")
+    if not np.isfinite(cfg.x_max - cfg.x_min):
+        raise ConfigError(f"grid.x_max - grid.x_min overflows, got [{cfg.x_min}, {cfg.x_max}]")
     if len(cfg.levels) != len(cfg.breakpoints) + 1:
         raise ConfigError(
             f"profile.levels needs {len(cfg.breakpoints) + 1} entries (one more than "
@@ -495,10 +497,9 @@ def _run_diagnostics(cfg: ExperimentConfig, report: RunReport, q0: CellField,
     if phi is None:
         # run too coarse in time for the residual quadratures
         return values
-    s_max = velocity.admissible_range[1]
-    values["weak_residual"], entropy = weak_and_entropy_residuals(
-        report, velocity, "nonlocal", cfg.flux,
-        [frac * s_max for frac in _ENTROPY_LEVEL_FRACTIONS], phi)
+    levels = [frac * velocity.admissible_range[1] for frac in _ENTROPY_LEVEL_FRACTIONS]
+    values["weak_residual"], entropy = weak_and_entropy_residuals(report, "nonlocal", cfg.flux,
+                                                                  levels, phi)
     values["entropy_residual_min"] = min(entropy)
     if cfg.kernel_family == "exponential" and cfg.kernel_orientation == "downstream":
         # the transport identity is specific to the downstream exponential kernel

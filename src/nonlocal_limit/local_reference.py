@@ -3,7 +3,7 @@
 The monotone Godunov flux makes this solver TV-diminishing with an exact
 discrete maximum principle, so it serves as the entropy-solution target that
 the nonlocal runs are measured against on refined grids.  The scheme is its
-interface flux; the shared driver in ``stepping`` runs it.
+interface flux and its speed bound max|f'|; ``stepping`` runs it.
 """
 
 from __future__ import annotations
@@ -12,16 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellField, VelocityModel, data_range
+from .core import CellField, VelocityModel
 from .report import RunReport
-from .stepping import check_time_settings, frozen_step, integrate
-
-
-def critical_density(velocity: VelocityModel) -> float:
-    """Density at the extremum of the flux V(s)*s on the admissible range:
-    its maximum for a decreasing V, its minimum for an increasing V.  Each
-    velocity family gives it in closed form."""
-    return velocity.critical_density
+from .stepping import solve
 
 
 @dataclass(frozen=True)
@@ -90,10 +83,7 @@ def _godunov_interface_flux(flux: FluxModel):
 
 def solve_local(q0: CellField, flux: FluxModel, cfl: float, t_end: float,
                 snapshot_times=()) -> RunReport:
-    """Godunov integration of the local law; same report contract as the
-    nonlocal solver with the nonlocal-term fields omitted."""
-    times = check_time_settings(cfl, t_end, snapshot_times)
-    flux.velocity.check_admissible(data_range(q0), "initial data")
-    dt = frozen_step(cfl, q0.grid.dx, flux.velocity.max_wave_speed, t_end)
-    n_steps = max(1, int(round(t_end / dt)))
-    return integrate(q0, _godunov_interface_flux(flux), dt, n_steps, times)
+    """Godunov integration of the local law, dt bounded by max|f'|; the
+    nonlocal solver's report with the nonlocal-term fields omitted."""
+    return solve(q0, flux.velocity, flux.velocity.max_wave_speed,
+                 _godunov_interface_flux(flux), cfl, t_end, snapshot_times)

@@ -4,8 +4,8 @@ The scheme is its interface flux: the flux velocity at each interface is the
 kernel average of the current density, times the upwind cell value.  The
 shared driver in ``stepping`` applies it conservatively, so mass change
 equals the boundary-flux integral exactly (up to rounding).  A run uses one
-frozen time step: the velocity range over the run is contained in the
-velocity range over the initial data, so a single bound suffices.
+time step frozen from max|V|: the velocity range over the run is contained
+in the velocity range over the initial data, so a single bound suffices.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CellField, VelocityModel, data_range
+from .core import CellField, VelocityModel
 from .errors import ModeViolationError
 from .kernels import KernelSpec, check_pairing, kernel_operator
 from .report import RunReport
-from .stepping import check_time_settings, frozen_step, integrate
+from .stepping import check_time_settings, integrate, solve
 
 # Rounding-level negative velocities are admitted; anything beyond this slack
 # (relative to the velocity scale) signals a mispaired orientation.
@@ -42,33 +42,6 @@ class NonlocalSchemeConfig:
         check_pairing(self.kernel.orientation, self.velocity.mode)
 
 
-def cfl_dt(q0: CellField, cfg: NonlocalSchemeConfig) -> float:
-    """Frozen time step cfl * dx / max|V|, shrunk so t_end is a whole number
-    of steps.  A velocity bound of zero means stasis: dt = t_end."""
-    cfg.velocity.check_admissible(data_range(q0), "initial data")
-    return frozen_step(cfg.cfl, q0.grid.dx, cfg.velocity.max_abs_speed, cfg.t_end)
-
-
-def _interface_speeds(w_values: np.ndarray, cfg: NonlocalSchemeConfig,
-                      slack: float) -> np.ndarray:
-    speeds = np.asarray(cfg.velocity.eval(w_values), dtype=float)
-    if cfg.kernel.orientation == "downstream":
-        if float(speeds.min()) < -slack:
-            raise ModeViolationError(
-                f"flux velocity fell to {float(speeds.min()):g} < 0 in "
-                "downstream mode; kernel orientation and velocity model are "
-                "mispaired"
-            )
-    else:
-        if float(speeds.max()) > slack:
-            raise ModeViolationError(
-                f"flux velocity rose to {float(speeds.max()):g} > 0 in "
-                "upstream mode; kernel orientation and velocity model are "
-                "mispaired"
-            )
-    return speeds
-
-
 def _upwind_flux(cfg: NonlocalSchemeConfig):
     """Interface flux V(W) * q, with q taken from the upwind cell.
 
@@ -78,13 +51,18 @@ def _upwind_flux(cfg: NonlocalSchemeConfig):
     """
     slack = _SIGN_SLACK * max(1.0, cfg.velocity.max_abs_speed)
     downstream = cfg.kernel.orientation == "downstream"
+    # V(W)'s min below -slack downstream, its max above slack upstream (-max < -slack)
+    reduce, sign = (np.minimum.reduce, 1.0) if downstream else (np.maximum.reduce, -1.0)
+    moved = "fell to {:g} < 0" if downstream else "rose to {:g} > 0"
     speed = cfg.velocity.eval
 
     def interface_flux(states: np.ndarray, w: np.ndarray, out: np.ndarray):
         speeds = speed(w)
-        if (np.minimum.reduce(speeds) < -slack if downstream
-                else np.maximum.reduce(speeds) > slack):
-            _interface_speeds(w, cfg, slack)  # raises the mode violation
+        extreme = reduce(speeds)
+        if sign * extreme < -slack:
+            raise ModeViolationError(f"flux velocity {moved.format(float(extreme))} in "
+                                     f"{cfg.kernel.orientation} mode; kernel orientation "
+                                     "and velocity model are mispaired")
         np.multiply(speeds, states[:-1] if downstream else states[1:], out=out)
 
     return interface_flux
@@ -98,15 +76,7 @@ def step_upwind(q: CellField, cfg: NonlocalSchemeConfig, dt: float) -> CellField
 
 def solve_nonlocal(q0: CellField, cfg: NonlocalSchemeConfig) -> RunReport:
     """Integrate to t_end, recording TV/mass every step and the requested
-    snapshots at their nearest completed steps.
-
-    Requires nonnegative initial data (far-fields included), matching the
-    admissibility assumptions behind the declared orientation pairing.
-    """
-    floor, _ = data_range(q0)
-    if floor < -1e-12 * max(1.0, float(np.max(np.abs(q0.values)))):
-        raise ValueError("initial data must be nonnegative")
-    dt = cfl_dt(q0, cfg)
-    n_steps = max(1, int(round(cfg.t_end / dt)))
-    return integrate(q0, _upwind_flux(cfg), dt, n_steps, cfg.snapshot_times,
-                     nonlocal_term=kernel_operator(cfg.kernel, q0.grid))
+    snapshots at their nearest completed steps; the initial data must lie in
+    the velocity's admissible range, which starts at 0 for every family."""
+    return solve(q0, cfg.velocity, cfg.velocity.max_abs_speed, _upwind_flux(cfg), cfg.cfl,
+                 cfg.t_end, cfg.snapshot_times, kernel_operator(cfg.kernel, q0.grid))

@@ -4,12 +4,14 @@ A scheme is an interface-flux function: from the cell values padded by the
 two far-field states, and for nonlocal schemes the current nonlocal term, it
 writes the numerical flux at all n_cells + 1 interfaces.  This is the
 conservative form in which Friedrich, Kolb & Goettlich (NHM 13, 2018) write
-their nonlocal Godunov-type scheme.  The driver owns everything around the
-flux: the update, the per-step records, the boundary-flux integral, the
-snapshot schedule and the blowup check.  The states of consecutive steps
-fill the rows of one preallocated block, and TV and the extremes are taken
-once per block, row by row, with the bits of a per-step computation.  Every
-buffer belongs to one call, so runs are safe to execute concurrently.
+their nonlocal Godunov-type scheme.  A solver passes ``solve`` its flux and
+its CFL speed bound; the run set-up and the driver own the rest: the time
+settings, the initial-data range, the frozen step, the update, the per-step
+records, the boundary-flux integral, the snapshots and the blowup check.
+The states of consecutive steps fill the rows of one preallocated block, and
+TV and the extremes are taken once per block, row by row, with the bits of a
+per-step computation.  Every buffer belongs to one call, so runs are safe to
+execute concurrently.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import CellField, InterfaceField
+from .core import CellField, InterfaceField, VelocityModel, data_range
 from .diagnostics import total_variation_of
 from .errors import ConfigError, NumericalBlowupError
 from .report import RunReport, Snapshot
@@ -45,13 +47,30 @@ def check_time_settings(cfl: float, t_end: float, snapshot_times=()) -> np.ndarr
     return times
 
 
-def frozen_step(cfl: float, dx: float, speed: float, t_end: float) -> float:
+def frozen_step(cfl: float, dx: float, speed: float, t_end: float) -> tuple[float, int]:
     """Time step cfl * dx / speed, shrunk so t_end is a whole number of
-    steps.  A speed bound of zero means stasis: dt = t_end."""
+    steps, and that number; a speed bound of zero means stasis, one step of
+    t_end.  Refuses a count whose records no array can index."""
     if speed == 0.0:
-        return t_end
+        return t_end, 1
     dt = cfl * dx / speed
-    return t_end / max(1, int(np.ceil(t_end / dt - 1e-9)))
+    count = t_end / dt - 1e-9 if dt > 0 else math.inf  # dt can underflow to 0
+    if not count < np.iinfo(np.intp).max - 1:  # n_steps + 1 records
+        raise ConfigError(f"cfl = {cfl:g}, t_end = {t_end:g} and dt = {dt:g} need "
+                          f"{count:.3g} steps, more than an array can index")
+    n_steps = max(1, math.ceil(count))
+    return t_end / n_steps, n_steps
+
+
+def solve(q0: CellField, velocity: VelocityModel, speed: float, interface_flux,
+          cfl: float, t_end: float, snapshot_times=(), nonlocal_term=None) -> RunReport:
+    """Check the time settings and that ``q0``, far-fields included, lies in
+    ``velocity``'s admissible range, freeze dt from ``speed``, the scheme's
+    bound on its wave speeds, and ``integrate`` to t_end."""
+    times = check_time_settings(cfl, t_end, snapshot_times)
+    velocity.check_admissible(data_range(q0), "initial data")
+    dt, n_steps = frozen_step(cfl, q0.grid.dx, speed, t_end)
+    return integrate(q0, interface_flux, dt, n_steps, times, nonlocal_term)
 
 
 def _block_rows(n_cells: int) -> int:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import nonlocal_limit.nonlocal_solver as nonlocal_solver
+import nonlocal_limit.stepping as stepping
 from nonlocal_limit import (
     CellField,
     Grid1D,
@@ -49,3 +51,14 @@ def mirror_field(q):
         right_farfield=q.grid.left_farfield,
     )
     return CellField(grid=mirrored_grid, values=q.values[::-1])
+
+
+def force_nonlocal_steps(monkeypatch, n_steps):
+    """Make solve_nonlocal take ``n_steps`` steps whatever its CFL bound, by
+    handing the run set-up the speed bound that gives dt = t_end / n_steps;
+    solve_local keeps its own step."""
+    def solve(q0, velocity, speed, interface_flux, cfl, t_end, *args):
+        forced = n_steps * cfl * q0.grid.dx / t_end
+        return stepping.solve(q0, velocity, forced, interface_flux, cfl, t_end, *args)
+
+    monkeypatch.setattr(nonlocal_solver, "solve", solve)

@@ -37,6 +37,9 @@ class TestGrid:
             dict(x_min=0.0, x_max=0.0, n_cells=4),
             dict(x_min=0.0, x_max=1.0, n_cells=1),
             dict(x_min=0.0, x_max=np.inf, n_cells=4),
+            # a span that overflows; as numpy scalars too, which must not warn
+            dict(x_min=-1e308, x_max=1e308, n_cells=4),
+            dict(x_min=np.float64(-1e308), x_max=np.float64(1e308), n_cells=4),
         ],
     )
     def test_invalid_grids(self, kwargs):
@@ -283,3 +286,10 @@ def test_sampled_mass_matches_exact_integral(shift, n_cells):
     field = sample_profile(profile, grid)
     exact = 0.25 * (shift - (-1.0)) + 1.5 * (1.0 - shift)
     assert total_mass(field) == pytest.approx(exact, rel=1e-12)
+
+
+def test_every_public_name_resolves():
+    # a stale __all__ entry breaks only ``from nonlocal_limit import *``
+    import nonlocal_limit
+
+    assert [name for name in nonlocal_limit.__all__ if not hasattr(nonlocal_limit, name)] == []

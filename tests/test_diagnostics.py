@@ -380,8 +380,7 @@ def test_each_quadrature_builds_the_spatial_factors_once(monkeypatch):
     assert built == [(512,)] and len(timed) == 81
     entropy_residual(report, flux, 0.5, phi)
     assert built == [(512,)] * 2 and len(timed) == 2 * 81
-    weak_and_entropy_residuals(report, linear_velocity(), "nonlocal", flux,
-                               (0.25, 0.5, 0.75), phi)
+    weak_and_entropy_residuals(report, "nonlocal", flux, (0.25, 0.5, 0.75), phi)
     assert built == [(512,)] * 3 and len(timed) == 3 * 81
 
 
@@ -402,8 +401,7 @@ class TestOnePassResiduals:
     def test_shared_pass_has_the_bits_of_each_residual(self, run, default_velocity, mode):
         flux = FluxModel(velocity=default_velocity)
         phi = bump_test_function(t_center=0.5, t_radius=0.4, x_center=0.5, x_radius=0.75)
-        weak, entropy = weak_and_entropy_residuals(run, default_velocity, mode, flux,
-                                                   self.LEVELS, phi)
+        weak, entropy = weak_and_entropy_residuals(run, mode, flux, self.LEVELS, phi)
         assert weak.hex() == weak_residual(run, default_velocity, mode, phi).hex()
         assert [value.hex() for value in entropy] == [
             entropy_residual(run, flux, k, phi).hex() for k in self.LEVELS]
@@ -413,8 +411,7 @@ class TestOnePassResiduals:
         phi = bump_test_function(0.5, 0.4, 0.5, 0.75)
 
         def shared(report, phi=phi):
-            return weak_and_entropy_residuals(report, default_velocity, "nonlocal", flux,
-                                              self.LEVELS, phi)
+            return weak_and_entropy_residuals(report, "nonlocal", flux, self.LEVELS, phi)
 
         without_w = dataclasses.replace(run, snapshots=tuple(
             dataclasses.replace(snap, w=None) for snap in run.snapshots))

@@ -17,7 +17,6 @@ import pytest
 
 import nonlocal_limit.cli as cli
 import nonlocal_limit.harness as harness
-import nonlocal_limit.nonlocal_solver as nonlocal_solver
 import nonlocal_limit.plot_script as plot_script
 from nonlocal_limit import (
     ConfigError,
@@ -48,6 +47,8 @@ from nonlocal_limit.harness import (
     serialize_config,
     sweep_cells_for_eta,
 )
+
+from conftest import force_nonlocal_steps
 
 SMALL_DOC = {
     "grid": {"n_cells": 256},
@@ -162,6 +163,8 @@ class TestParseConfig:
         ({"output_dir": "out"}, "unknown key output_dir"),
         ({"grid": {"x_min": 2.0, "x_max": -1.0}},
          "grid.x_min must be < grid.x_max, got [2.0, -1.0]"),
+        ({"grid": {"x_min": -1e308, "x_max": 1e308}},
+         "grid.x_max - grid.x_min overflows, got [-1e+308, 1e+308]"),
         ({"profile": {"breakpoints": [], "levels": [-0.5]}},
          "profile.levels[0] must be nonnegative, got -0.5"),
         ({"profile": {"breakpoints": [0.5, 0.2], "levels": [0.0, 1.0, 0.0]}},
@@ -1205,6 +1208,54 @@ class TestCli:
         assert str(error) == (
             f"reference run: worker process ended before sending its result ({how})")
 
+    @pytest.mark.parametrize("doc", [{"cfl": 1e-30},
+                                     {"velocity": {"name": "constant", "value": 1e300}}],
+                             ids=["tiny-cfl", "huge-speed"])
+    def test_run_too_long_to_record_exits_one(self, tmp_path, capsys, doc):
+        # about 3e31 and 6e301 steps: refused before any record is allocated
+        config = self.write_config(tmp_path, {"grid": {"n_cells": 64}, "eta_list": [0.3], **doc})
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", str(config), "--eta", "0.3", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cfl = ")
+        assert err.endswith(" steps, more than an array can index\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 233. TiB for an array with shape "
+                     "(32000000000001,) and data type int64"),
+         "error: Unable to allocate 233. TiB for an array with shape "
+         "(32000000000001,) and data type int64\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch, error, line):
+        # a run whose records no host can hold, without asking for them
+        def exhaust(cfg, eta, output_dir=None):
+            raise error
+
+        monkeypatch.setattr(cli, "run_single", exhaust)
+        code = cli.main(["run", "--config", str(self.write_config(tmp_path)), "--eta", "0.3",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == line
+
+    @pytest.mark.parametrize("command", [["run", "--eta", "0.3"], ["sweep"]])
+    def test_overflowing_grid_span_exits_one(self, tmp_path, capsys, command):
+        config = self.write_config(tmp_path, {**SMALL_DOC,
+                                              "grid": {"x_min": -1e308, "x_max": 1e308}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command[0], "--config", str(config), "--out", str(out),
+                             *command[1:]])
+        assert code == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: grid.x_max - grid.x_min overflows, got [-1e+308, 1e+308]\n")
+        assert not out.exists()
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
                          "--eta", "0.3", "--out", str(tmp_path / "out")])
@@ -1254,7 +1305,7 @@ class TestCli:
     def run_blowup(self, tmp_path, monkeypatch, command):
         # a step far past the CFL limit makes the upwind oscillation overflow;
         # 128 cells and cfl 1 keep the sweep's Godunov reference cheap
-        monkeypatch.setattr(nonlocal_solver, "cfl_dt", lambda q, cfg: cfg.t_end / 400)
+        force_nonlocal_steps(monkeypatch, 400)
         config = self.write_config(tmp_path, {**SMALL_DOC, "grid": {"n_cells": 128}, "cfl": 1.0,
                                               "velocity": {"name": "constant", "value": 1.0},
                                               "t_end": 200.0})

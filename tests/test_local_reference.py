@@ -5,7 +5,6 @@ from nonlocal_limit import (
     FluxModel,
     Grid1D,
     constant_velocity,
-    critical_density,
     godunov_flux,
     linear_increasing_velocity,
     linear_velocity,
@@ -27,22 +26,22 @@ def grid_search_argmax(velocity, n=1_000_001):
 class TestCriticalDensity:
     def test_linear_velocity(self):
         velocity = linear_velocity()
-        s_star = critical_density(velocity)
+        s_star = velocity.critical_density
         assert s_star == 0.5
         assert s_star == pytest.approx(grid_search_argmax(velocity), abs=2e-6)
 
     def test_constant_velocity_maximizes_at_boundary(self):
-        assert critical_density(constant_velocity(2.0)) == 1.0
+        assert constant_velocity(2.0).critical_density == 1.0
 
     def test_quadratic_velocity(self):
         velocity = quadratic_velocity()
-        s_star = critical_density(velocity)
+        s_star = velocity.critical_density
         assert s_star == 1.0 / np.sqrt(3.0)
         assert s_star == pytest.approx(grid_search_argmax(velocity), abs=2e-6)
 
     def test_increasing_velocity_takes_the_flux_minimum(self):
         # f(s) = s(s - 1) is convex with its minimum at 1/2
-        assert critical_density(linear_increasing_velocity()) == 0.5
+        assert linear_increasing_velocity().critical_density == 0.5
 
 
 @pytest.fixture(scope="module")

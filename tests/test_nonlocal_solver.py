@@ -11,6 +11,7 @@ import nonlocal_limit.nonlocal_solver as nonlocal_solver_module
 import nonlocal_limit.stepping as stepping
 from nonlocal_limit import (
     CellField,
+    ConfigError,
     FluxModel,
     Grid1D,
     KernelSpec,
@@ -18,7 +19,6 @@ from nonlocal_limit import (
     NonlocalSchemeConfig,
     NumericalBlowupError,
     Window,
-    cfl_dt,
     constant_velocity,
     linear_increasing_velocity,
     linear_velocity,
@@ -31,7 +31,7 @@ from nonlocal_limit import (
     total_variation,
 )
 
-from conftest import constant_profile, mirror_field, step_profile
+from conftest import constant_profile, force_nonlocal_steps, mirror_field, step_profile
 
 
 def make_config(eta=0.05, velocity=None, cfl=0.5, t_end=0.5, snapshot_times=(),
@@ -86,38 +86,68 @@ class TestConfig:
         make_config(orientation="upstream", velocity=linear_increasing_velocity())
 
 
-class TestCflDt:
+class TestFrozenStep:
     def test_unit_speed(self):
-        grid = Grid1D(0.0, 1.0, 100)  # dx = 0.01
-        q0 = sample_profile(constant_profile(0.5), grid)
-        cfg = make_config(t_end=1.0, cfl=0.5)
-        assert cfl_dt(q0, cfg) == pytest.approx(0.005)
+        dt, n_steps = stepping.frozen_step(0.5, 0.01, 1.0, 1.0)
+        assert dt == pytest.approx(0.005) and n_steps == 200
 
-    def test_zero_speed_returns_t_end(self):
-        grid = Grid1D(0.0, 1.0, 100)
-        q0 = sample_profile(constant_profile(0.5), grid)
-        cfg = make_config(velocity=constant_velocity(0.0), t_end=2.5)
-        assert cfl_dt(q0, cfg) == 2.5
+    def test_zero_speed_is_one_step_of_t_end(self):
+        assert stepping.frozen_step(0.5, 0.01, 0.0, 2.5) == (2.5, 1)
 
     def test_speed_two(self):
-        grid = Grid1D(0.0, 1.0, 50)  # dx = 0.02
-        q0 = sample_profile(constant_profile(0.5), grid)
-        cfg = make_config(velocity=constant_velocity(2.0), cfl=0.25, t_end=1.0)
-        assert cfl_dt(q0, cfg) == pytest.approx(0.0025)
+        dt, n_steps = stepping.frozen_step(0.25, 0.02, 2.0, 1.0)
+        assert dt == pytest.approx(0.0025) and n_steps == 400
 
     def test_dt_divides_t_end(self):
-        grid = Grid1D(0.0, 1.0, 30)
-        q0 = sample_profile(constant_profile(0.5), grid)
-        cfg = make_config(t_end=0.1, cfl=0.9)
-        dt = cfl_dt(q0, cfg)
-        assert (0.1 / dt) == pytest.approx(round(0.1 / dt), abs=1e-9)
-        assert dt <= 0.9 * grid.dx + 1e-15
+        dx = 1.0 / 30
+        dt, n_steps = stepping.frozen_step(0.9, dx, 1.0, 0.1)
+        assert dt == 0.1 / n_steps
+        assert dt <= 0.9 * dx + 1e-15
 
-    def test_range_must_cover_data(self):
-        grid = Grid1D(0.0, 1.0, 10)
-        q0 = sample_profile(constant_profile(3.0), grid)
-        with pytest.raises(ValueError, match="admissible"):
-            cfl_dt(q0, make_config())
+    @settings(max_examples=300, deadline=None)
+    @given(cfl=st.floats(1e-6, 1.0), cells=st.integers(2, 1 << 20),
+           span=st.floats(1e-3, 1e3), speed=st.floats(1e-6, 1e3),
+           t_end=st.floats(1e-3, 1e3))
+    def test_count_is_the_step_count(self, cfl, cells, span, speed, t_end):
+        # the count handed to integrate is the one dt implies
+        dx = span / cells
+        if t_end * speed / (cfl * dx) > 1e12:
+            return
+        dt, n_steps = stepping.frozen_step(cfl, dx, speed, t_end)
+        assert dt == t_end / n_steps
+        assert round(t_end / dt) == n_steps
+        assert dt <= cfl * dx / speed * (1 + 1e-9)
+
+    @pytest.mark.parametrize("cfl, dx, speed", [
+        (1e-30, 3.0 / 64, 1.0),  # about 3e31 steps
+        (0.5, 3.0 / 64, 1e300),  # about 6e301 steps
+        (5e-324, 1e-10, 1.0),  # dt underflows to 0
+    ])
+    def test_refuses_a_count_no_array_can_index(self, cfl, dx, speed):
+        with pytest.raises(ConfigError, match=r"cfl = .*, t_end = 1\.5 and dt = .* need "
+                                              r".* steps, more than an array can index"):
+            stepping.frozen_step(cfl, dx, speed, 1.5)
+
+    def test_largest_indexable_count_is_accepted(self):
+        # dt = 1 / 2**62: 2**62 steps, one record more still indexes
+        assert stepping.frozen_step(1.0, 1.0, 2.0**62, 1.0) == (2.0**-62, 1 << 62)
+
+
+class TestInitialDataRange:
+    """Both solvers check the initial data, far-fields included, in the one
+    run set-up, against the velocity's admissible range [0, 1]."""
+
+    @pytest.mark.parametrize("cells, farfield", [(-0.5, 0.0), (3.0, 0.0), (0.5, -1e-3),
+                                                 (0.5, 1.5)])
+    @pytest.mark.parametrize("solver", ["nonlocal", "local"])
+    def test_data_outside_the_range_is_refused(self, solver, cells, farfield):
+        grid = Grid1D(0.0, 1.0, 16, left_farfield=farfield, right_farfield=farfield)
+        q0 = CellField(grid=grid, values=np.full(16, cells))
+        with pytest.raises(ValueError, match=r"initial data \[.*\] leaves the admissible range"):
+            if solver == "nonlocal":
+                solve_nonlocal(q0, make_config())
+            else:
+                local_run(q0=q0)
 
 
 class TestStepUpwind:
@@ -205,15 +235,14 @@ class TestSolveNonlocal:
     def test_rejects_negative_data(self):
         grid = Grid1D(0.0, 1.0, 16)
         field = CellField(grid=grid, values=np.full(16, -0.5))
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="admissible range"):
             solve_nonlocal(field, make_config())
 
     def test_blowup_reports_step(self, monkeypatch, datum_profile):
         # force a CFL-violating step so the oscillation overflows
         grid = Grid1D(-1.0, 2.0, 64)
         q0 = sample_profile(datum_profile, grid)
-        monkeypatch.setattr(nonlocal_solver_module, "cfl_dt",
-                            lambda q, cfg: cfg.t_end / 400)
+        force_nonlocal_steps(monkeypatch, 400)
         cfg = make_config(velocity=constant_velocity(1.0), t_end=200.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalBlowupError) as err:
