@@ -42,14 +42,19 @@ class Grid1D:
     right_farfield: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(float(self.x_max) - float(self.x_min)):  # floats: no numpy warning
-            raise ValueError("grid bounds and their span must be finite")
-        if not self.x_min < self.x_max:
-            raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
+        x_min, x_max = float(self.x_min), float(self.x_max)  # floats: no numpy warning
+        if not x_min < x_max:
+            raise ValueError(f"grid.x_min must be < grid.x_max, got [{x_min}, {x_max}]")
+        if not math.isfinite(x_max - x_min):
+            raise ValueError(f"grid.x_max - grid.x_min overflows, got [{x_min}, {x_max}]")
+        # a cell centre is half the sum of two edges: finite doubled bounds keep it finite
+        if not (math.isfinite(2.0 * x_min) and math.isfinite(2.0 * x_max)):
+            raise ValueError(f"grid cell centres overflow, got [{x_min}, {x_max}]; the "
+                             f"bounds must lie within +-{np.finfo(float).max / 2:g}")
         if self.n_cells < 2:
-            raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
+            raise ValueError(f"grid.n_cells must be >= 2, got {self.n_cells}")
         if not (np.isfinite(self.left_farfield) and np.isfinite(self.right_farfield)):
-            raise ValueError("far-field values must be finite")
+            raise ValueError("grid far-field values must be finite")
 
     @property
     def dx(self) -> float:
@@ -116,12 +121,16 @@ class PiecewiseConstantProfile:
     levels: np.ndarray
 
     def __post_init__(self):
-        bp = _as_readonly_array(self.breakpoints, name="breakpoints")
-        lv = _as_readonly_array(self.levels, name="levels", length=bp.shape[0] + 1)
-        if bp.shape[0] > 0 and not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        bp = _as_readonly_array(self.breakpoints, name="profile.breakpoints")
+        lv = _as_readonly_array(self.levels, name="profile.levels")
+        if lv.shape[0] != bp.shape[0] + 1:
+            raise ValueError(f"profile.levels needs {bp.shape[0] + 1} entries (one more "
+                             f"than breakpoints), got {lv.shape[0]}")
+        if not np.all(np.diff(bp) > 0):
+            raise ValueError("profile.breakpoints must be strictly increasing")
         if np.any(lv < 0):
-            raise ValueError("levels must be nonnegative")
+            i = int(np.argmax(lv < 0))
+            raise ValueError(f"profile.levels[{i}] must be nonnegative, got {float(lv[i])}")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
 

@@ -39,6 +39,13 @@ class Window:
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"invalid window [{self.lo}, {self.hi}]")
 
+    def check_inside(self, grid):
+        """Raise ValueError unless the window lies in ``grid``'s domain, to 1e-12 of its span."""
+        tol = 1e-12 * (grid.x_max - grid.x_min)
+        if self.lo < grid.x_min - tol or self.hi > grid.x_max + tol:
+            raise ValueError(f"window [{self.lo}, {self.hi}] must sit inside the grid "
+                             f"domain [{grid.x_min}, {grid.x_max}]")
+
 
 def bump(u, height=1.0):
     """``height * (1 - u**2) ** 3`` where |u| < 1, else 0."""
@@ -148,13 +155,7 @@ def interface_to_cells(w: InterfaceField) -> CellField:
 
 
 def _window_weights(grid, window: Window) -> np.ndarray:
-    span = grid.x_max - grid.x_min
-    tol = 1e-12 * span
-    if window.lo < grid.x_min - tol or window.hi > grid.x_max + tol:
-        raise ValueError(
-            f"window [{window.lo}, {window.hi}] exceeds the grid domain "
-            f"[{grid.x_min}, {grid.x_max}]"
-        )
+    window.check_inside(grid)
     edges = grid.interfaces
     overlap = np.minimum(edges[1:], window.hi) - np.maximum(edges[:-1], window.lo)
     return np.maximum(overlap, 0.0)

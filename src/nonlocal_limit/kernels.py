@@ -77,6 +77,10 @@ def _require_positive_eta(eta: float):
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
+def _exponential_weight(dx: float, eta: float) -> float:
+    return float(np.exp(-dx / eta))  # alpha, the exponential kernel's weight across a cell
+
+
 @functools.cache
 def _linear_filter():
     """scipy's C recursion behind ``lfilter``, as ``(b, a, x, axis, zi)`` ->
@@ -159,7 +163,7 @@ def _exponential_operator(dx: float, n_cells: int, eta: float, farfield: float):
     seed is exact because the density is constant beyond x_max.
     """
     linear_filter = _linear_filter()
-    alpha = float(np.exp(-dx / eta))
+    alpha = _exponential_weight(dx, eta)
     numerator = np.array([1.0 - alpha])
     denominator = np.array([1.0, -alpha])
     initial = np.array([alpha * farfield])
@@ -263,7 +267,7 @@ def reconstruct_density(w: InterfaceField, eta: float) -> CellField:
     """
     _require_positive_eta(eta)
     grid = w.grid
-    alpha = float(np.exp(-grid.dx / eta))
+    alpha = _exponential_weight(grid.dx, eta)
     if alpha == 1.0:
         raise ValueError(
             f"reconstruction is ill-conditioned: dx/eta = {grid.dx / eta:g} "

@@ -34,16 +34,17 @@ _BLOCK_BYTES = 1 << 18
 
 
 def check_time_settings(cfl: float, t_end: float, snapshot_times=()) -> np.ndarray:
-    """Require cfl in (0, 1], a positive t_end and snapshot times ascending
-    within [0, t_end]; return the times as a new float array."""
+    """Require cfl in (0, 1], a positive t_end and snapshot times strictly
+    increasing within [0, t_end + 1e-12]; return them as a new float array."""
     if not (0.0 < cfl <= 1.0):
         raise ConfigError(f"cfl must lie in (0, 1], got {cfl}")
     if not (np.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"t_end must be positive, got {t_end}")
     times = np.array(snapshot_times, dtype=float)
-    if times.size and (np.any(np.diff(times) < 0) or times[0] < 0
-                       or times[-1] > t_end + 1e-12):
-        raise ConfigError("snapshot_times must ascend within [0, t_end]")
+    if not np.all(np.diff(times) > 0):
+        raise ConfigError("snapshot_times must be strictly increasing")
+    if times.size and not (times[0] >= 0 and times[-1] <= t_end + 1e-12):
+        raise ConfigError(f"snapshot_times must lie in [0, t_end], got [{times[0]}, {times[-1]}]")
     return times
 
 

@@ -46,12 +46,37 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(x_min=0.0, x_max=1.7e308, n_cells=64),
+         "grid cell centres overflow, got [0.0, 1.7e+308]; the bounds must lie within "
+         "+-8.98847e+307"),
+        (dict(x_min=0.0, x_max=1.0, n_cells=4, left_farfield=np.inf),
+         "grid far-field values must be finite"),
+        (dict(x_min=0.0, x_max=1.0, n_cells=4, right_farfield=np.nan),
+         "grid far-field values must be finite"),
+    ])
+    def test_refusal_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            Grid1D(**kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n_cells", [2, 64, 4097])
+    def test_largest_bounds_keep_every_centre_finite(self, n_cells):
+        # an overflow would warn, and warnings are errors in this suite
+        half = np.finfo(float).max / 2
+        assert np.all(np.isfinite(Grid1D(-half, half, n_cells).cell_centers))
+
 
 class TestCellField:
     def test_length_enforced(self):
         grid = Grid1D(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             CellField(grid=grid, values=np.zeros(5))
+
+    def test_one_dimensional_enforced(self):
+        with pytest.raises(ValueError) as info:
+            CellField(grid=Grid1D(0.0, 1.0, 4), values=np.zeros((2, 2)))
+        assert str(info.value) == "cell values must be one-dimensional, got shape (2, 2)"
 
     def test_finite_enforced(self):
         grid = Grid1D(0.0, 1.0, 4)
@@ -82,6 +107,16 @@ class TestProfile:
             PiecewiseConstantProfile(
                 breakpoints=np.array([0.0]), levels=np.array([1.0])
             )
+
+    @pytest.mark.parametrize("breakpoints, levels, message", [
+        ([0.0], [1.0], "profile.levels needs 2 entries (one more than breakpoints), got 1"),
+        ([0.5, 0.2], [0.0, 1.0, 0.0], "profile.breakpoints must be strictly increasing"),
+        ([0.0, 1.0], [1.0, 0.0, -0.5], "profile.levels[2] must be nonnegative, got -0.5"),
+    ])
+    def test_refusal_messages_name_the_key(self, breakpoints, levels, message):
+        with pytest.raises(ValueError) as info:
+            PiecewiseConstantProfile(breakpoints=np.array(breakpoints), levels=np.array(levels))
+        assert str(info.value) == message
 
     def test_value_at(self):
         datum = default_datum_profile()
@@ -144,6 +179,11 @@ class TestVelocityModel:
         assert linear_increasing_velocity().mode == "increasing"
         assert constant_velocity(0.0).mode == "decreasing"
         assert constant_velocity(-1.0).mode == "increasing"
+
+    def test_empty_admissible_range_refused(self):
+        with pytest.raises(ValueError) as info:
+            linear_velocity(s_max=-1.0)
+        assert str(info.value) == "invalid admissible_range [0.0, -1.0]"
 
     def test_max_abs_speed(self):
         assert linear_velocity(v_max=2.0).max_abs_speed == 2.0

@@ -69,6 +69,20 @@ def report_from_snapshots(snapshots, dt=0.5):
     )
 
 
+class TestRunReport:
+    def test_series_needs_an_entry_per_step(self):
+        report = report_from_snapshots([Snapshot(0.0, aligned_datum_field(), None)] * 3)
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(report, tv_q_series=np.zeros(2))
+        assert str(info.value) == "tv_q_series must have one entry per step plus the initial state"
+
+    def test_needs_a_snapshot(self):
+        report = report_from_snapshots([Snapshot(0.0, aligned_datum_field(), None)])
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(report, snapshots=())
+        assert str(info.value) == "a run report needs at least one snapshot"
+
+
 class TestTotalVariation:
     def test_constant_with_matching_farfields(self):
         grid = Grid1D(0.0, 1.0, 8, left_farfield=0.4, right_farfield=0.4)
@@ -143,6 +157,25 @@ class TestL1Distance:
             l1_distance(a, a, Window(-0.5, 0.5))
 
 
+class TestWindow:
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0)])
+    def test_invalid_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError) as info:
+            Window(lo, hi)
+        assert str(info.value) == f"invalid window [{lo}, {hi}]"
+
+    @pytest.mark.parametrize("x_max", [1e-3, 1.0, 1e3])
+    def test_slack_is_1e_12_of_the_span(self, x_max):
+        grid = Grid1D(0.0, x_max, 8)
+        tol = 1e-12 * x_max
+        Window(-0.5 * tol, x_max + 0.5 * tol).check_inside(grid)
+        for window in (Window(-2.0 * tol, x_max), Window(0.0, x_max + 2.0 * tol)):
+            with pytest.raises(ValueError) as info:
+                window.check_inside(grid)
+            assert str(info.value) == (f"window [{window.lo}, {window.hi}] must sit inside "
+                                       f"the grid domain [0.0, {x_max}]")
+
+
 class TestSupTimeL1:
     def test_identical_reports(self):
         field = aligned_datum_field()
@@ -179,6 +212,18 @@ class TestSupTimeL1:
         )
         with pytest.raises(ValueError, match="diverge"):
             sup_time_l1(report_a, report_c, Window(-1.0, 2.0))
+
+    def test_unknown_comparison_rejected(self):
+        report = report_from_snapshots([Snapshot(0.0, aligned_datum_field(), None)])
+        with pytest.raises(ValueError) as info:
+            sup_time_l1(report, report, Window(-1.0, 2.0), compare="W")
+        assert str(info.value) == "unknown comparison 'W'"
+
+    def test_w_comparison_needs_a_nonlocal_term(self):
+        report = report_from_snapshots([Snapshot(0.0, aligned_datum_field(), None)])
+        with pytest.raises(ValueError) as info:
+            sup_time_l1(report, report, Window(-1.0, 2.0), compare="w")
+        assert str(info.value) == "report_a carries no nonlocal term to compare"
 
     def test_pairing_errors_come_before_the_window_check(self):
         field = aligned_datum_field()
@@ -521,6 +566,14 @@ class TestWeakResidual:
         with pytest.raises(ValueError, match="coarse"):
             weak_residual(report, linear_velocity(), "nonlocal", phi)
 
+    def test_snapshots_must_cover_the_support(self):
+        report = constant_run(n_cells=64, n_snapshots=101)  # snapshots up to t = 0.5
+        phi = bump_test_function(t_center=0.6, t_radius=0.3, x_center=0.5, x_radius=1.0)
+        with pytest.raises(ValueError) as info:
+            weak_residual(report, linear_velocity(), "nonlocal", phi)
+        assert str(info.value) == (
+            "snapshots end at t = 0.5 but the test function is supported up to t = 0.9")
+
     def test_unknown_mode_rejected(self):
         report = constant_run(n_cells=64, n_snapshots=101)
         phi = bump_test_function(0.25, 0.2, 0.5, 1.0)
@@ -551,6 +604,13 @@ class TestTransportResidual:
         report = solve_nonlocal(q0, cfg)
         residual = transport_residual_w(report, velocity, eta)
         assert residual <= 80.0 * grid.dx
+
+    def test_needs_a_nonlocal_term(self):
+        field = aligned_datum_field()
+        local = report_from_snapshots([Snapshot(0.0, field, None), Snapshot(0.5, field, None)])
+        with pytest.raises(ValueError) as info:
+            transport_residual_w(local, linear_velocity(), eta=0.05)
+        assert str(info.value) == "transport residual needs recorded nonlocal terms"
 
     def test_needs_two_snapshots(self):
         report = constant_run(n_cells=64, n_snapshots=101)

@@ -58,6 +58,27 @@ SMALL_DOC = {
 }
 
 
+# Configs that the parse once accepted and that the runs then mishandled,
+# with the message each is now refused with at parse:
+MISHANDLED_DOCS = [
+    # 1e-12 outside the domain passed the parse's absolute slack; a sweep
+    # solved every run, then its L1 window check (1e-12 of the span) failed
+    ({"grid": {"n_cells": 32, "x_min": 0.0, "x_max": 0.001},
+      "profile": {"breakpoints": [0.0005], "levels": [0.2, 0.6]}, "eta_list": [0.001],
+      "t_end": 0.001, "reference_refinement": 4, "window": {"lo": -5e-13, "hi": 0.001}},
+     "window [-5e-13, 0.001] must sit inside the grid domain [0.0, 0.001]"),
+    # a finite span whose last cell centres overflowed to inf in snapshots.csv
+    ({"grid": {"n_cells": 64, "x_min": 0.0, "x_max": 1.7e308}, "eta_list": [0.3],
+      "t_end": 0.1},
+     "grid cell centres overflow, got [0.0, 1.7e+308]; the bounds must lie within "
+     "+-8.98847e+307"),
+    # a time within t_end + 1e-12 whose 12-digit rounding the schedule dropped
+    ({"grid": {"n_cells": 64}, "eta_list": [0.3], "t_end": 0.3,
+      "snapshot_times": [0.0, 0.3000000000009]},
+     "snapshot_times must lie in [0, t_end], got [0.0, 0.300000000001]"),
+]
+
+
 def small_config(**overrides):
     doc = {**SMALL_DOC, **overrides}
     return config_from_dict(doc)
@@ -175,6 +196,43 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             config_from_dict(doc)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc, message", MISHANDLED_DOCS, ids=["window", "grid", "times"])
+    def test_mishandled_configs_are_refused(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc", [{"t_end": 0}, {"t_end": -1.0, "snapshot_times": []}])
+    def test_nonpositive_t_end_refused(self, doc):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == f"t_end must be positive, got {float(doc['t_end'])}"
+
+    @pytest.mark.parametrize("x_max, outside", [(0.001, 5e-16), (1000.0, 5e-10)],
+                             ids=["span-below-1", "span-above-1"])
+    def test_window_slack_is_a_share_of_the_span(self, tmp_path, x_max, outside):
+        # up to 1e-12 of the span outside the domain: accepted at parse and
+        # by the sweep's L1 windows; past it, refused at parse
+        doc = {"grid": {"n_cells": 32, "x_min": 0.0, "x_max": x_max}, "eta_list": [x_max],
+               "t_end": 0.001, "reference_refinement": 4}
+        cfg = config_from_dict({**doc, "window": {"lo": -outside, "hi": x_max + outside}})
+        run_sweep(cfg, tmp_path)
+        assert (tmp_path / "sweep.csv").is_file()
+        with pytest.raises(ConfigError, match="must sit inside the grid domain"):
+            config_from_dict({**doc, "window": {"lo": -4 * outside, "hi": x_max}})
+
+    @pytest.mark.parametrize("k", range(0, 15, 2))
+    def test_configured_time_is_refused_or_written(self, tmp_path, k):
+        doc = {"grid": {"n_cells": 64}, "eta_list": [0.3], "t_end": 0.3,
+               "snapshot_times": [0.0, 0.3 + k * 1e-13]}
+        try:
+            cfg = config_from_dict(doc)
+        except ConfigError:
+            return
+        run_single(cfg, 0.3, tmp_path)
+        _, rows = read_csv(tmp_path / eta_dirname(0.3) / "snapshots.csv")
+        assert len({row[0] for row in rows}) == 2
 
     def test_default_snapshot_times_end_at_t_end(self):
         assert config_from_dict({"t_end": 0.12}).snapshot_times == (0.0, 0.05, 0.1, 0.12)
@@ -388,6 +446,15 @@ class TestRunSweep:
         cfg = small_config(eta_list=[0.3, 0.02])
         with pytest.raises(ConfigError, match="reference_refinement"):
             sweep_cells_for_eta(cfg, 0.02)
+
+    def test_tiny_eta_stops_doubling_past_the_reference_grid(self):
+        # doubling on until dx <= eta/10 made an int too large for a float
+        cfg = small_config(eta_list=[1e-308])
+        with pytest.raises(ConfigError) as info:
+            sweep_cells_for_eta(cfg, 1e-308)
+        assert str(info.value) == (
+            "eta = 1e-308 needs at least 2048 cells but the reference grid of 1024 cells is "
+            "not an integer refinement; raise reference_refinement")
 
     def test_upstream_sweep_mirrors_downstream_sweep(self, tmp_path):
         # x -> -x maps the downstream law with V = 1 - s on [-1, 2] onto the
@@ -959,6 +1026,45 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_plot_command_names_the_script(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, {**SMALL_DOC, "grid": {"n_cells": 64}})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--eta", "0.3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["plot", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out / PLOT_SCRIPT_NAME}\n"
+
+    # every document of TestParseConfig.test_single_fault_message, read from
+    # its parametrize mark so that the table has one copy, and MISHANDLED_DOCS
+    @pytest.mark.parametrize(
+        "doc, message",
+        TestParseConfig.test_single_fault_message.pytestmark[0].args[1] + MISHANDLED_DOCS)
+    @pytest.mark.parametrize("command", [["run", "--eta", "0.1"], ["sweep"],
+                                         ["stability", "--delta", "0.01"]],
+                             ids=["run", "sweep", "stability"])
+    def test_refused_config_exits_one_with_one_line(self, tmp_path, capsys, command, doc,
+                                                   message):
+        config = self.write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command[0], "--config", str(config), "--out", str(out),
+                             *command[1:]])
+        assert code == 1
+        assert caught == []
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_tiny_eta_sweep_exits_one(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, {"grid": {"n_cells": 64}, "eta_list": [1e-308]})
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta = 1e-308 needs at least ") and err.count("\n") == 1
+        assert not out.exists()
+        assert cli.main(["run", "--config", str(config), "--eta", "1e-308",
+                         "--out", str(out)]) == 0
 
     def test_validation_error_exits_one(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"eta_list": [-1.0]})

@@ -175,6 +175,24 @@ class TestConstant:
             nonlocal_constant(field, -0.1)
 
 
+def test_operator_and_inverse_share_one_exponential_weight(monkeypatch):
+    # alpha = exp(-dx/eta) has one home, so the operator and its inverse
+    # cannot drift apart
+    calls = []
+    weight = kernels._exponential_weight
+
+    def recording(dx, eta):
+        calls.append((dx, eta))
+        return weight(dx, eta)
+
+    monkeypatch.setattr(kernels, "_exponential_weight", recording)
+    q = random_field(3)
+    w = nonlocal_exponential(q, 0.05)
+    reconstruct_density(w, 0.05)
+    assert calls == [(q.grid.dx, 0.05)] * 2
+    assert weight(q.grid.dx, 0.05) == float(np.exp(-q.grid.dx / 0.05))
+
+
 class TestReconstruction:
     def test_constant_roundtrip(self):
         field = sample_profile(constant_profile(1.3), Grid1D(0.0, 1.0, 16))

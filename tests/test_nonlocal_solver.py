@@ -71,6 +71,19 @@ class TestConfig:
             with pytest.raises(ValueError, match="snapshot_times"):
                 entry(snapshot_times=[0.3, 0.1])
 
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_rejects_nonpositive_t_end(self, t_end):
+        for entry in TIME_SETTINGS_ENTRY_POINTS:
+            with pytest.raises(ConfigError) as info:
+                entry(t_end=t_end)
+            assert str(info.value) == f"t_end must be positive, got {t_end}"
+
+    def test_rejects_equal_snapshot_times(self):
+        for entry in TIME_SETTINGS_ENTRY_POINTS:
+            with pytest.raises(ConfigError) as info:
+                entry(snapshot_times=[0.0, 0.25, 0.25])
+            assert str(info.value) == "snapshot_times must be strictly increasing"
+
     def test_rejects_snapshots_past_t_end(self):
         for entry in TIME_SETTINGS_ENTRY_POINTS:
             with pytest.raises(ValueError, match="snapshot_times"):
