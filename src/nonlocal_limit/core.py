@@ -9,9 +9,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+
+from . import native
 
 
 def _as_readonly_array(values, *, name: str, length: int | None = None) -> np.ndarray:
@@ -168,9 +169,11 @@ class PiecewiseConstantProfile:
 
 @dataclass(frozen=True)
 class VelocityModel:
-    """Velocity law V with its derivative, admissible density range and the
-    exact constants of its family; built only by the four builders below.
+    """Velocity law V of one of the four families, with its admissible
+    density range and the exact constants of its family; built only by the
+    four builders below.
 
+    ``params`` is (v_max, s_max), or (value, s_max) for the constant family.
     ``mode`` is V's monotonicity on the range: "decreasing" (the default
     modelling assumption, pairs with the downstream kernel orientation) or
     "increasing" (pairs with upstream).  ``max_abs_speed`` is max |V|,
@@ -179,8 +182,8 @@ class VelocityModel:
     increasing one) and ``max_wave_speed`` max |f'|, each in closed form.
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
+    family: str
+    params: tuple[float, float]
     admissible_range: tuple[float, float]
     mode: str
     max_abs_speed: float
@@ -199,6 +202,22 @@ class VelocityModel:
         if not np.all(np.isfinite(ends)):
             raise ValueError("velocity model is non-finite on the admissible range")
 
+    def eval(self, s):
+        """V(s) by the step library's routine; a 0-d input gives a scalar."""
+        s = np.asarray(s, dtype=float, order="C")
+        out = np.empty(s.shape)
+        native.lib.nl_velocity(native.VELOCITY_FAMILIES.index(self.family), *self.params,
+                               s.ctypes.data, out.ctypes.data, s.size)
+        return out if out.ndim else out[()]
+
+    def deriv(self, s):
+        """V'(s)."""
+        s, (v, s_max) = np.asarray(s, dtype=float), self.params
+        if self.family == "quadratic":
+            return -2.0 * v * s / s_max**2
+        return np.full_like(s, {"linear": -v / s_max, "linear_increasing": v / s_max,
+                                "constant": 0.0}[self.family])
+
     def check_admissible(self, values, what: str):
         """Raise ValueError unless every entry of ``values`` lies in the
         admissible range, up to a rounding-level slack (NaN never does);
@@ -212,26 +231,11 @@ class VelocityModel:
             )
 
 
-def _times(v_max: float):
-    """y -> v_max * y, or y itself when v_max is exactly 1.0: x * 1.0 is
-    exact in IEEE 754, so skipping it keeps the bits and saves a pass."""
-    return (lambda y: y) if v_max == 1.0 else (lambda y: v_max * y)
-
-
-def _over(s_max: float):
-    """s -> s / s_max as a float array, skipping the exact division by 1.0."""
-    if s_max == 1.0:
-        return lambda s: np.asarray(s, dtype=float)
-    return lambda s: np.asarray(s, dtype=float) / s_max
-
-
 def linear_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
     """V(s) = v_max * (1 - s/s_max) on [0, s_max]; the default model.  Its
     flux is concave, largest at s_max/2; |f'| is largest, v_max, at both ends."""
-    times, over = _times(v_max), _over(s_max)
     return VelocityModel(
-        eval=lambda s: times(1.0 - over(s)),
-        deriv=lambda s: np.full_like(np.asarray(s, dtype=float), -v_max / s_max),
+        family="linear", params=(v_max, s_max),
         admissible_range=(0.0, s_max), mode="decreasing",
         max_abs_speed=v_max, critical_density=s_max / 2.0, max_wave_speed=v_max,
     )
@@ -243,8 +247,7 @@ def constant_velocity(value: float, s_max: float = 1.0) -> VelocityModel:
     The flux value * s is monotone, so its extremum in the mode's sense sits
     at s_max; |f'| = |value|."""
     return VelocityModel(
-        eval=lambda s: np.full_like(np.asarray(s, dtype=float), value),
-        deriv=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        family="constant", params=(value, s_max),
         admissible_range=(0.0, s_max), mode="decreasing" if value >= 0 else "increasing",
         max_abs_speed=abs(value), critical_density=s_max, max_wave_speed=abs(value),
     )
@@ -254,10 +257,8 @@ def quadratic_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
     """V(s) = v_max * (1 - (s/s_max)^2) on [0, s_max].  Its flux is concave,
     largest at s_max/sqrt(3); |f'| = v_max |1 - 3(s/s_max)^2| peaks, 2 v_max,
     at s_max."""
-    times, over = _times(v_max), _over(s_max)
     return VelocityModel(
-        eval=lambda s: times(1.0 - over(s) ** 2),
-        deriv=lambda s: -2.0 * v_max * np.asarray(s, dtype=float) / s_max**2,
+        family="quadratic", params=(v_max, s_max),
         admissible_range=(0.0, s_max), mode="decreasing",
         max_abs_speed=v_max, critical_density=s_max / math.sqrt(3.0),
         max_wave_speed=2.0 * v_max,
@@ -267,10 +268,8 @@ def quadratic_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
 def linear_increasing_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
     """V(s) = v_max * (s/s_max - 1) on [0, s_max]; pairs with upstream kernels.
     Its flux is convex, smallest at s_max/2; |f'| is largest, v_max, at both ends."""
-    times, over = _times(v_max), _over(s_max)
     return VelocityModel(
-        eval=lambda s: times(over(s) - 1.0),
-        deriv=lambda s: np.full_like(np.asarray(s, dtype=float), v_max / s_max),
+        family="linear_increasing", params=(v_max, s_max),
         admissible_range=(0.0, s_max), mode="increasing",
         max_abs_speed=v_max, critical_density=s_max / 2.0, max_wave_speed=v_max,
     )

@@ -132,6 +132,13 @@ def _nonempty_decreasing(raw, path: str) -> tuple:
     return values
 
 
+def _scheduled(times, t_end: float) -> np.ndarray:
+    """``times`` rounded to 12 decimals, those at or below t_end kept there
+    (rounding lifts a t_end with more decimals past itself)."""
+    times = np.asarray(times, dtype=float)
+    return np.where(times <= t_end, np.minimum(np.round(times, 12), t_end), np.round(times, 12))
+
+
 def _default_snapshot_times(t_end: float) -> list[float]:
     times = list(np.round(np.arange(0.0, t_end + 1e-9, _DEFAULT_SNAPSHOT_SPACING), 12))
     if not times or times[-1] < t_end - 1e-12:
@@ -258,8 +265,9 @@ class ExperimentConfig:
 
         The band reaches two spacings past the support so that snapshot
         requests rounded onto solver steps stay dense over the whole support.
-        Times are rounded to 12 decimals and merged as a sorted set: the first
-        np.unique call imports numpy.ma (15 ms, 0.8 MB), which a parse skips.
+        Times are rounded by ``_scheduled`` and merged as a sorted set: the
+        first np.unique call imports numpy.ma (15 ms, 0.8 MB), which a parse
+        skips.
         """
         phi = self.residual_test_function
         times = np.append(self.snapshot_times, (0.0, self.t_end))
@@ -269,7 +277,7 @@ class ExperimentConfig:
             band = np.linspace(max(0.0, t_lo - pad), min(self.t_end, t_hi + pad),
                                _RESIDUAL_BAND_INTERVALS + 5)
             times = np.append(times, band)
-        merged = np.array(sorted(set(np.round(times, 12).tolist())))
+        merged = np.array(sorted(set(_scheduled(times, self.t_end).tolist())))
         merged.setflags(write=False)
         return merged
 
@@ -410,7 +418,7 @@ def _configured_snapshots(cfg: ExperimentConfig, report: RunReport) -> tuple:
     The driver emits one snapshot per request of cfg.merged_snapshot_times,
     the schedule every run is solved with, in step order; requests that land
     on one step share its snapshot."""
-    configured = np.isin(cfg.merged_snapshot_times, np.round(cfg.snapshot_times, 12))
+    configured = np.isin(cfg.merged_snapshot_times, _scheduled(cfg.snapshot_times, cfg.t_end))
     kept = (snap for snap, keep in zip(report.snapshots, configured, strict=True) if keep)
     return tuple({snap.time: snap for snap in kept}.values())
 
@@ -596,8 +604,8 @@ def _fork_share(tasks, share) -> tuple[int, int]:
             # Python >= 3.12 warns on fork whenever the process has another OS
             # thread, and numpy's OpenBLAS pool always is one.  Forking is safe
             # here all the same: _run_tasks forks only while no other Python
-            # thread is alive, and the children run numpy ufuncs, scipy's
-            # recursion and file writes, never BLAS.
+            # thread is alive, and the children run numpy ufuncs, the step
+            # library and file writes, never BLAS.
             warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
             pid = os.fork()
     except BaseException:

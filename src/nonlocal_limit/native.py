@@ -1,0 +1,154 @@
+"""The compiled step bodies of ``steps.c``, built at import and called
+through ctypes (README, "Install and test").
+
+The library is cached in this package's ``__pycache__/`` under a name hashed
+from the source, the flags, the platform and the CPU.  ``Flux`` and
+``Average`` describe an interface flux and a kernel average to it, and
+evaluate one when called; ``lib.nl_advance`` runs a record block.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import platform
+import sys
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ModeViolationError
+
+SOURCE = Path(__file__).with_name("steps.c")
+VELOCITY_FAMILIES = ("linear", "quadratic", "linear_increasing", "constant")
+UPWIND, GODUNOV = 0, 1
+EXPONENTIAL, CONSTANT = 0, 1
+
+try:  # the CPU's instruction-set line ("Features" on ARM)
+    with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
+        CPU = next((line for line in fh if line.startswith(("flags", "Features"))), "")
+except OSError:
+    CPU = ""
+# -ffp-contract=off: no fused multiply-adds, so every operation rounds as
+# numpy's does; never a fast-math flag, which reassociates and, linked into a
+# shared library by gcc, flushes subnormals for the whole process.  The
+# library is built for this CPU only where its name covers the CPU.
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared") + (("-march=native",) if CPU else ())
+
+
+def _load() -> ctypes.CDLL:
+    directory = SOURCE.parent / "__pycache__"
+    # 64 bits of zlib checksums: numpy loads zlib, where hashlib costs ~5 ms per import
+    key = SOURCE.read_bytes() + "\0".join([*FLAGS, sys.platform, platform.machine(), CPU]).encode()
+    path = directory / f"steps-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+    if not path.exists():
+        import subprocess
+        import tempfile
+
+        command, partial = ["cc", *FLAGS, "-o", str(path), str(SOURCE)], None
+        try:
+            directory.mkdir(exist_ok=True)
+            fd, partial = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=directory)
+            os.close(fd)
+            command[-2] = partial
+            subprocess.run(command, check=True, capture_output=True, text=True)
+            os.chmod(partial, 0o755)  # mkstemp's 0600 would keep other users out
+            os.replace(partial, path)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            # the compiler's first error line, else its last line, else the OS error
+            lines = (getattr(exc, "stderr", None) or "").strip().splitlines()
+            reason = next((line for line in lines if "error" in line), lines[-1] if lines else exc)
+            raise ImportError(f"cannot build the step library: `{' '.join(command)}` in "
+                              f"{directory} failed: {reason}") from None
+        finally:
+            if partial is not None and os.path.exists(partial):
+                os.remove(partial)
+    return ctypes.CDLL(str(path))
+
+
+lib = _load()
+_P, _D, _L = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
+for _name, _args, _result in [
+        ("nl_velocity", [ctypes.c_int, _D, _D, _P, _P, _L], None),
+        ("nl_godunov", [_P, _P, _P, _P, _P, _P, _L], None),
+        ("nl_flux", [_P, _P, _P, _P, _P, _L, _P], ctypes.c_int),
+        ("nl_average", [_P, _P, _P], None),
+        ("nl_advance", [_P, _P, _L, _P, _P, _L, _L, _P, _P, _P, _D, _D, _P], _L)]:
+    getattr(lib, _name).argtypes = _args
+    getattr(lib, _name).restype = _result
+
+
+def _address(array: np.ndarray, size: int, writes: bool = False) -> int:
+    """The address of ``array``'s data, after checking that it is a
+    contiguous float64 array of ``size`` entries, writeable if ``writes``."""
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.flags.c_contiguous and array.size == size
+            and (array.flags.writeable or not writes)):
+        raise ValueError(f"expected a contiguous{' writeable' if writes else ''} float64 "
+                         f"array of {size} values")
+    return array.ctypes.data
+
+
+class Flux(ctypes.Structure):
+    """An interface flux; ``flux(states, w, out)`` writes its values at the
+    n + 1 interfaces of the padded n + 2 ``states`` into ``out``."""
+
+    _fields_ = [("family", ctypes.c_int), ("scheme", ctypes.c_int), ("mirrored", ctypes.c_int),
+                ("v", _D), ("s_max", _D), ("slack", _D), ("s_star", _D), ("f_star", _D)]
+
+    @classmethod
+    def upwind(cls, velocity, upstream: bool, slack: float) -> Flux:
+        return cls(VELOCITY_FAMILIES.index(velocity.family), UPWIND, upstream,
+                   *velocity.params, slack)
+
+    @classmethod
+    def godunov(cls, velocity, f_star: float) -> Flux:
+        return cls(VELOCITY_FAMILIES.index(velocity.family), GODUNOV,
+                   velocity.mode == "increasing", *velocity.params, 0.0,
+                   velocity.critical_density, f_star)
+
+    def violation(self, extreme: float) -> ModeViolationError:
+        """The error of an upwind flux velocity whose sign its orientation forbids."""
+        moved, orientation = (("rose to {:g} > 0", "upstream") if self.mirrored
+                              else ("fell to {:g} < 0", "downstream"))
+        return ModeViolationError(f"flux velocity {moved.format(extreme)} in {orientation} "
+                                  "mode; kernel orientation and velocity model are mispaired")
+
+    def select(self, a: np.ndarray, b: np.ndarray, f_a: np.ndarray, f_b: np.ndarray) -> np.ndarray:
+        """The Godunov flux between states a and b, of flux values f_a and f_b."""
+        out = np.empty(a.shape)
+        lib.nl_godunov(ctypes.byref(self), *(_address(x, a.size) for x in (a, b, f_a, f_b)),
+                       out.ctypes.data, a.size)
+        return out
+
+    def __call__(self, states: np.ndarray, w: np.ndarray | None, out: np.ndarray):
+        n = out.size - 1
+        extreme = _D()
+        if lib.nl_flux(ctypes.byref(self), _address(states, n + 2),
+                       None if self.scheme == GODUNOV else _address(w, n + 1),
+                       _address(out, n + 1, True), np.empty(n + 2).ctypes.data, n,
+                       ctypes.byref(extreme)):
+            raise self.violation(extreme.value)
+
+
+class Average(ctypes.Structure):
+    """A kernel average on a grid of n cells; ``average(values, out=None)``
+    writes W at the n + 1 interfaces into ``out``, or a new array, and
+    returns it.  ``arrays`` keeps alive the arrays it points to."""
+
+    _fields_ = [("kernel", ctypes.c_int), ("upstream", ctypes.c_int), ("n", _L), ("m", _L),
+                ("inside", _L), ("farfield", _D), ("alpha", _D), ("b0", _D), ("dx", _D),
+                ("eta", _D), ("remainder", _D), ("farfield_sum", _P), ("prefix", _P)]
+
+    def __call__(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        w = np.empty(self.n + 1) if out is None else out
+        lib.nl_average(ctypes.byref(self), _address(values, self.n),
+                       _address(w, self.n + 1, True))
+        return w
+
+
+class Status(ctypes.Structure):
+    """What a block call reports back (see steps.c)."""
+
+    _fields_ = [("boundary", _D), ("extreme", _D), ("error", ctypes.c_int)]

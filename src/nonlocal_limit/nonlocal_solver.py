@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import native
 from .core import CellField, VelocityModel
-from .errors import ModeViolationError
 from .kernels import KernelSpec, check_pairing, kernel_operator
 from .report import RunReport
 from .stepping import check_time_settings, integrate, solve
@@ -42,30 +42,16 @@ class NonlocalSchemeConfig:
         check_pairing(self.kernel.orientation, self.velocity.mode)
 
 
-def _upwind_flux(cfg: NonlocalSchemeConfig):
+def _upwind_flux(cfg: NonlocalSchemeConfig) -> native.Flux:
     """Interface flux V(W) * q, with q taken from the upwind cell.
 
     Downstream mode upwinds from the left (the flux velocity is nonnegative
     there); upstream mode mirrors this.  Inflow at the upwind boundary uses
-    the far-field state.  Every call checks the sign of V(W); NaN never trips it.
+    the far-field state.  Every evaluation checks the sign of V(W); NaN never
+    trips it.
     """
-    slack = _SIGN_SLACK * max(1.0, cfg.velocity.max_abs_speed)
-    downstream = cfg.kernel.orientation == "downstream"
-    # V(W)'s min below -slack downstream, its max above slack upstream (-max < -slack)
-    reduce, sign = (np.minimum.reduce, 1.0) if downstream else (np.maximum.reduce, -1.0)
-    moved = "fell to {:g} < 0" if downstream else "rose to {:g} > 0"
-    speed = cfg.velocity.eval
-
-    def interface_flux(states: np.ndarray, w: np.ndarray, out: np.ndarray):
-        speeds = speed(w)
-        extreme = reduce(speeds)
-        if sign * extreme < -slack:
-            raise ModeViolationError(f"flux velocity {moved.format(float(extreme))} in "
-                                     f"{cfg.kernel.orientation} mode; kernel orientation "
-                                     "and velocity model are mispaired")
-        np.multiply(speeds, states[:-1] if downstream else states[1:], out=out)
-
-    return interface_flux
+    return native.Flux.upwind(cfg.velocity, cfg.kernel.orientation == "upstream",
+                              _SIGN_SLACK * max(1.0, cfg.velocity.max_abs_speed))
 
 
 def step_upwind(q: CellField, cfg: NonlocalSchemeConfig, dt: float) -> CellField:

@@ -1,25 +1,27 @@
 """The one time-stepping driver behind both solvers.
 
-A scheme is an interface-flux function: from the cell values padded by the
-two far-field states, and for nonlocal schemes the current nonlocal term, it
-writes the numerical flux at all n_cells + 1 interfaces.  This is the
-conservative form in which Friedrich, Kolb & Goettlich (NHM 13, 2018) write
-their nonlocal Godunov-type scheme.  A solver passes ``solve`` its flux and
-its CFL speed bound; the run set-up and the driver own the rest: the time
-settings, the initial-data range, the frozen step, the update, the per-step
-records, the boundary-flux integral, the snapshots and the blowup check.
-The states of consecutive steps fill the rows of one preallocated block, and
-TV and the extremes are taken once per block, row by row, with the bits of a
-per-step computation.  Every buffer belongs to one call, so runs are safe to
-execute concurrently.
+A scheme is an interface flux (a ``native.Flux``): from the cell values
+padded by the two far-field states, and for nonlocal schemes the current
+nonlocal term, it gives the numerical flux at all n_cells + 1 interfaces.
+This is the conservative form in which Friedrich, Kolb & Goettlich (NHM 13,
+2018) write their nonlocal Godunov-type scheme.  A solver passes ``solve``
+its flux and its CFL speed bound; the run set-up and the driver own the rest:
+the time settings, the initial-data range, the frozen step, the update, the
+per-step records, the boundary-flux integral, the snapshots and the blowup
+check.  The step library advances a preallocated block of consecutive states
+in one call; TV, mass and the extremes are then taken row by row, with the
+bits of a per-step computation.  Every buffer belongs to one call, so runs
+are safe to execute concurrently.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
 
+from . import native
 from .core import CellField, InterfaceField, VelocityModel, data_range
 from .diagnostics import total_variation_of
 from .errors import ConfigError, NumericalBlowupError
@@ -89,33 +91,29 @@ def _padded_rows(rows: int, width: int, left: float, right: float) -> np.ndarray
     return block
 
 
-def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
-              snapshot_times=(), nonlocal_term=None) -> RunReport:
+def integrate(q0: CellField, interface_flux: native.Flux, dt: float, n_steps: int,
+              snapshot_times=(), nonlocal_term: native.Average | None = None) -> RunReport:
     """Integrate ``n_steps`` conservative steps of size ``dt`` from ``q0``.
 
-    ``interface_flux(states, w, out)`` fills ``out`` with the fluxes at every
-    interface; ``nonlocal_term(values, out)``, when given, writes the nonlocal
-    term W at the interfaces into ``out`` and is evaluated at every step, the
-    last included.  TV, mass and the q extremes are recorded every step (TV(W)
-    too when W exists), and each requested snapshot at the completed step
-    nearest its time; requests that land on one step share one Snapshot.
-
-    The states of consecutive steps fill the rows of one block, each update
-    writing the next row, and TV and the extremes are computed once per
-    block: row by row, with the bits of a per-step computation.  Mass, the
-    blowup check and snapshots stay per step.
+    ``nonlocal_term``, the kernel average of an upwind flux, is evaluated at
+    every step, the last included.  TV, mass and the q extremes are recorded
+    every step (TV(W) too when W exists), and each requested snapshot at the
+    completed step nearest its time; requests that land on one step share
+    one Snapshot.  Each library call advances one block; its last step
+    writes row 0 of the other of two blocks, which the next call advances.
     """
     grid = q0.grid
     left, right = grid.left_farfield, grid.right_farfield
     n = grid.n_cells
-    dx = grid.dx
-    lam = dt / dx
+    if (nonlocal_term is None) != (interface_flux.scheme == native.GODUNOV) or (
+            nonlocal_term is not None and nonlocal_term.n != n):
+        raise ValueError("an upwind flux needs the kernel average of its grid, "
+                         "the Godunov flux none")
     rows = min(_block_rows(n), n_steps + 1)
-    q_block = _padded_rows(rows, n, left, right)
-    q_block[0, 1:-1] = q0.values
+    q_blocks = [_padded_rows(rows, n, left, right) for _ in range(2)]
+    q_blocks[0][0, 1:-1] = q0.values
     w_block = _padded_rows(rows, n + 1, left, right) if nonlocal_term is not None else None
-    fluxes = np.empty(n + 1)
-    jumps = np.empty(n)
+    fluxes, scratch = np.empty(n + 1), np.empty(n + 2)
     times = np.asarray(snapshot_times, dtype=float)
     steps = (np.clip(np.rint(times / dt).astype(int), 0, n_steps) if times.size
              else [n_steps])
@@ -125,48 +123,45 @@ def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
     tv_q = np.empty(n_steps + 1)
     tv_w = np.empty(n_steps + 1) if nonlocal_term is not None else None
     mass = np.empty(n_steps + 1)
-    boundary_flux = 0.0
     q_min = np.inf
     q_max = -np.inf
-    total = q_block[0, 1:-1].sum()
+    status = native.Status()
+    schemes = (ctypes.byref(interface_flux),
+               None if nonlocal_term is None else ctypes.byref(nonlocal_term))
+    w_data = None if w_block is None else w_block.ctypes.data
     first = 0  # the step held in row 0 of the block
-
-    # overflow on the way to a blowup is expected: the finiteness check
-    # below reports it once, with its step, instead of numpy warnings
+    # the records of finite states can still overflow; the blowup check is the
+    # library's, on every update
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps + 1):
-            row = step - first
-            states = q_block[row]
-            values = states[1:-1]
-            w = nonlocal_term(values, w_block[row, 1:-1]) if nonlocal_term is not None else None
-            mass[step] = dx * float(total)
-            if wanted[step]:
-                snap = Snapshot(time=step * dt, q=CellField(grid=grid, values=values),
-                                w=None if w is None else InterfaceField(grid=grid, values=w))
-                snapshots.extend([snap] * wanted[step])
-            if row == rows - 1 or step == n_steps:
-                total_variation_of(q_block[:row + 1], out=tv_q[first:step + 1])
-                if w_block is not None:
-                    total_variation_of(w_block[:row + 1], out=tv_w[first:step + 1])
-                block = q_block[:row + 1, 1:-1]
-                q_min = min(q_min, float(block.min()))
-                q_max = max(q_max, float(block.max()))
-                first = step + 1
-            if step == n_steps:
-                break
-            interface_flux(states, w, fluxes)
-            boundary_flux += dt * (fluxes.item(-1) - fluxes.item(0))
-            np.subtract(fluxes[1:], fluxes[:-1], out=jumps)
-            jumps *= lam
-            values = np.subtract(values, jumps, out=q_block[step + 1 - first, 1:-1])
-            # a finite sum (np.add.reduce, as .sum() runs it) proves every entry finite;
-            # only a non-finite one needs the full scan (finite entries can overflow it)
-            total = np.add.reduce(values)
-            if not math.isfinite(total) and not np.all(np.isfinite(values)):
+        for block_index in range(n_steps // rows + 1):
+            q_block, next_block = q_blocks[block_index % 2], q_blocks[1 - block_index % 2]
+            count = min(rows, n_steps + 1 - first)
+            last = first + count - 1
+            updates = count - (last == n_steps)
+            done = native.lib.nl_advance(*schemes, n, q_block.ctypes.data, w_data, count, updates,
+                                         next_block.ctypes.data, fluxes.ctypes.data,
+                                         scratch.ctypes.data, dt / grid.dx, dt,
+                                         ctypes.byref(status))
+            if done < updates:
+                if status.error == 1:
+                    raise interface_flux.violation(status.extreme)
+                step = first + done + 1
                 raise NumericalBlowupError(
-                    f"non-finite density after step {step + 1} (t = {(step + 1) * dt:g})",
-                    step=step + 1,
-                )
+                    f"non-finite density after step {step} (t = {step * dt:g})", step=step)
+            block = q_block[:count, 1:-1]
+            total_variation_of(q_block[:count], out=tv_q[first:last + 1])
+            np.multiply(grid.dx, block.sum(axis=1), out=mass[first:last + 1])
+            q_min = min(q_min, float(block.min()))
+            q_max = max(q_max, float(block.max()))
+            if w_block is not None:
+                total_variation_of(w_block[:count], out=tv_w[first:last + 1])
+            for row, step in enumerate(range(first, last + 1)):
+                if wanted[step]:
+                    w = w_block[row, 1:-1] if w_block is not None else None
+                    snap = Snapshot(time=step * dt, q=CellField(grid=grid, values=block[row]),
+                                    w=None if w is None else InterfaceField(grid=grid, values=w))
+                    snapshots.extend([snap] * wanted[step])
+            first = last + 1
 
     return RunReport(
         dt_used=dt,
@@ -175,7 +170,7 @@ def integrate(q0: CellField, interface_flux, dt: float, n_steps: int,
         tv_q_series=tv_q,
         tv_w_series=tv_w,
         mass_series=mass,
-        boundary_flux_integral=boundary_flux,
+        boundary_flux_integral=status.boundary,
         q_min_overall=q_min,
         q_max_overall=q_max,
     )

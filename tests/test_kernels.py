@@ -1,7 +1,4 @@
-import importlib.machinery
-import sys
 import time
-from types import BuiltinFunctionType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -261,48 +258,16 @@ def lfilter_average(field, spec):
     return w if downstream else w[::-1]
 
 
-class TestDirectFilter:
-    """The exponential operator calls scipy's C recursion, taken from an
-    imported ``scipy.signal._sigtools`` or from its extension file alone, or
-    ``lfilter`` where that private routine is missing or fails the probe;
-    every source gives lfilter's bits."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_loader(self):
-        kernels._linear_filter.cache_clear()
-        yield
-        kernels._linear_filter.cache_clear()
-
-    @pytest.fixture(params=["direct", "imported", "fallback"])
-    def filter_path(self, request, monkeypatch):
-        import scipy.signal._sigtools
-
-        routine = scipy.signal._sigtools._linear_filter
-        if request.param != "imported":
-            # hidden from sys.modules, the loader looks for the extension file
-            monkeypatch.delitem(sys.modules, "scipy.signal._sigtools")
-        if request.param == "fallback":
-            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
-        loaded = kernels._linear_filter()
-        if request.param == "fallback":
-            assert not isinstance(loaded, BuiltinFunctionType)
-        else:
-            # the C routine itself, not a wrapper around lfilter
-            assert isinstance(loaded, BuiltinFunctionType)
-            assert loaded.__name__ == "_linear_filter"
-        if request.param == "imported":
-            assert loaded is routine
-        if request.param == "direct":
-            # loaded alone, the file leaves sys.modules to scipy's own import
-            assert "scipy.signal._sigtools" not in sys.modules
-        return request.param
+class TestExponentialRecursion:
+    """The exponential operator runs the recursion in lfilter's order, so
+    every path through it gives lfilter's bits."""
 
     @pytest.mark.parametrize("orientation", ["downstream", "upstream"])
     @pytest.mark.parametrize("datum", ["random", "zeros"])
     # alpha = exp(-dx/eta) is 0.5 at dx/eta = ln 2 and 0.999 at dx/eta = 1e-3
     @pytest.mark.parametrize("dx_over_eta", [np.log(2.0) * (1 - 1e-12), np.log(2.0),
                                              np.log(2.0) * (1 + 1e-12), 1e-3])
-    def test_equals_lfilter_bit_for_bit(self, filter_path, orientation, datum, dx_over_eta):
+    def test_equals_lfilter_bit_for_bit(self, orientation, datum, dx_over_eta):
         field = random_field(5, n_cells=257)
         if datum == "zeros":
             values = np.where(np.arange(257) % 3 == 0, 0.0, field.values)
@@ -318,55 +283,14 @@ class TestDirectFilter:
         assert np.array_equal(row, expected)
         assert np.array_equal(nonlocal_term(field, spec).values, expected)
 
-    def test_probe_accepts_the_c_routine_and_lfilters_order(self):
-        import scipy.signal._sigtools
-
-        assert kernels._reproduces_recursion(scipy.signal._sigtools._linear_filter)
-        assert kernels._reproduces_recursion(self.recursion_in(
-            lambda alpha, b0, y, x: alpha * y + b0 * x))
-
-    @staticmethod
-    def recursion_in(update):
-        """A stand-in routine running ``update(alpha, b0, y, x)`` per value."""
-        def routine(b, a, x, axis, zi):
-            alpha, b0 = -a[1], b[0]
-            y, out = zi[0] / alpha, []
-            for value in x.tolist():
-                y = update(alpha, b0, y, value)
-                out.append(y)
-            return np.array(out), np.array([alpha * y])
-        return routine
-
-    @pytest.mark.parametrize("stand_in", ["missing", "old_signature", "other_rounding"])
-    def test_failed_probe_falls_back_to_lfilter(self, monkeypatch, stand_in):
-        routines = {
-            "missing": {},
-            "old_signature": {"_linear_filter": lambda b, a, x, axis: (x, None)},
-            # the same recursion algebraically, rounded differently
-            "other_rounding": {"_linear_filter": self.recursion_in(
-                lambda alpha, b0, y, x: y + b0 * (x - y))},
-        }[stand_in]
-        monkeypatch.setattr(kernels, "_sigtools", lambda: SimpleNamespace(**routines))
-        loaded = kernels._linear_filter()
-        assert not isinstance(loaded, BuiltinFunctionType)
-        field = random_field(5, n_cells=257)
-        spec = KernelSpec("exponential", 0.05)
-        assert np.array_equal(kernels.kernel_operator(spec, field.grid)(field.values),
-                              lfilter_average(field, spec))
-
-    def test_operator_builds_reuse_one_loaded_routine(self, monkeypatch):
-        # transport_residual_w builds about 88 operators per residual
-        monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
-        probed = []
-        probe = kernels._reproduces_recursion
-        monkeypatch.setattr(kernels, "_reproduces_recursion",
-                            lambda routine: probed.append(routine) or probe(routine))
-        grid = Grid1D(0.0, 1.0, 64)
-        for eta in np.linspace(0.01, 1.0, 88):
-            kernels.kernel_operator(KernelSpec("exponential", eta), grid)
-        assert len(probed) == 1 and isinstance(probed[0], BuiltinFunctionType)
-        info = kernels._linear_filter.cache_info()
-        assert (info.misses, info.hits) == (1, 87)
+    def test_operator_refuses_arrays_it_cannot_point_at(self):
+        field = random_field(5, n_cells=16)
+        evaluate = kernels.kernel_operator(KernelSpec("exponential", 0.1), field.grid)
+        for values, out in [(field.values[:-1], None), (field.values.astype(np.float32), None),
+                            (np.repeat(field.values, 2)[::2], None),
+                            (field.values, np.empty(16)), (field.values, field.values)]:
+            with pytest.raises(ValueError, match="contiguous.*float64 array of"):
+                evaluate(values, out)
 
 
 @settings(max_examples=40, deadline=None)

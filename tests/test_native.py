@@ -1,0 +1,142 @@
+"""The step library's build: its flags, where it is cached, when it is rebuilt
+and how a failed build is reported.  Each build test imports a copy of the
+package in a fresh process."""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nonlocal_limit.native as native
+from nonlocal_limit import linear_velocity
+
+PACKAGE = Path(native.__file__).parent
+FAST_MATH = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
+             "-freciprocal-math", "-ffinite-math-only", "-fno-signed-zeros")
+
+
+@pytest.fixture
+def package(tmp_path):
+    """A copy of the package without its built library, and a ``cc`` that
+    logs each start to ``cc.log`` and runs the compiler on PATH."""
+    shutil.copytree(PACKAGE, tmp_path / "src" / "nonlocal_limit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "bin").mkdir()
+    wrapper = tmp_path / "bin" / "cc"
+    wrapper.write_text(f"#!/bin/sh\necho started >> '{tmp_path / 'cc.log'}'\n"
+                       f"exec '{shutil.which('cc')}' \"$@\"\n")
+    wrapper.chmod(0o755)
+    return tmp_path
+
+
+def start_import(root: Path, path: str):
+    return subprocess.Popen(
+        [sys.executable, "-c", "import numpy as np, nonlocal_limit; "
+         "print(float(np.float64(2.2250738585072014e-308) * 0.5) > 0.0)"],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PATH": path})
+
+
+def import_copy(root: Path, path: str | None = None) -> subprocess.CompletedProcess:
+    proc = start_import(root, path or f"{root / 'bin'}{os.pathsep}{os.environ['PATH']}")
+    stdout, stderr = proc.communicate(timeout=300)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+def compiler_starts(root: Path) -> int:
+    log = root / "cc.log"
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+def cached(root: Path) -> list[str]:
+    return sorted(p.name for p in (root / "src" / "nonlocal_limit" / "__pycache__").iterdir()
+                  if p.name.startswith("steps"))
+
+
+def test_first_import_builds_once_and_the_next_starts_no_compiler(package):
+    for _ in range(2):
+        proc = import_copy(package)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]  # a subnormal product stays nonzero
+    assert compiler_starts(package) == 1
+    [library] = cached(package)
+    assert library.startswith("steps-") and library.endswith(".so")
+
+
+def test_edited_source_builds_a_new_library(package):
+    assert import_copy(package).returncode == 0
+    first = cached(package)
+    source = package / "src" / "nonlocal_limit" / "steps.c"
+    source.write_text(source.read_text() + "/* edited */\n")
+    assert import_copy(package).returncode == 0
+    assert compiler_starts(package) == 2
+    assert len(cached(package)) == 2 and set(first) < set(cached(package))
+
+
+def test_concurrent_first_imports_both_load_one_library(package):
+    path = f"{package / 'bin'}{os.pathsep}{os.environ['PATH']}"
+    procs = [start_import(package, path) for _ in range(2)]
+    for proc in procs:
+        stdout, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr
+    assert len(cached(package)) == 1  # no temporary file left behind
+
+
+def one_import_error(proc, directory: Path) -> str:
+    assert proc.returncode != 0
+    # the traceback names one exception, with no chained one before it
+    lines = [line for line in proc.stderr.splitlines()
+             if re.match(r"[\w.]*(Error|Exception|Warning)\b", line)]
+    assert len(lines) == 1 and "During handling" not in proc.stderr, proc.stderr
+    assert lines[0].startswith("ImportError: cannot build the step library: `cc -O3 ")
+    assert f"in {directory} failed: " in lines[0]
+    return lines[0]
+
+
+def test_missing_compiler_fails_the_import_in_one_line(package):
+    empty = package / "empty"
+    empty.mkdir()
+    line = one_import_error(import_copy(package, str(empty)),
+                            package / "src" / "nonlocal_limit" / "__pycache__")
+    assert line.endswith("No such file or directory: 'cc'")
+
+
+def test_failed_build_fails_the_import_in_one_line(package):
+    source = package / "src" / "nonlocal_limit" / "steps.c"
+    source.write_text(source.read_text() + "this is not C;\n")
+    cache = package / "src" / "nonlocal_limit" / "__pycache__"
+    line = one_import_error(import_copy(package), cache)
+    assert "error" in line.split("failed: ", 1)[1]
+    assert not cache.exists() or not cached(package)
+
+
+def test_unwritable_cache_directory_fails_the_import_in_one_line(package):
+    (package / "src" / "nonlocal_limit" / "__pycache__").write_text("a file, not a directory")
+    one_import_error(import_copy(package), package / "src" / "nonlocal_limit" / "__pycache__")
+    assert compiler_starts(package) == 0
+
+
+def test_build_flags_keep_every_rounding():
+    assert "-ffp-contract=off" in native.FLAGS and "-O3" in native.FLAGS
+    assert not set(FAST_MATH) & set(native.FLAGS)
+    # a library built for this CPU only where its name covers the CPU
+    assert ("-march=native" in native.FLAGS) == bool(native.CPU)
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    flags = [flag for flag in native.FLAGS if flag != "-march=native"]
+    proc = subprocess.run(["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-pedantic", *flags,
+                           "-o", str(tmp_path / "steps.so"), str(native.SOURCE)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_loaded_library_keeps_subnormals():
+    assert np.float64(2.2250738585072014e-308) * 0.5 > 0.0
+    # a subnormal speed out of the library itself
+    assert linear_velocity(1e-308).eval(np.array([0.5]))[0] == 5e-309 > 0.0

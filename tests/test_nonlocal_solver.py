@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nonlocal_limit.local_reference as local_reference
 import nonlocal_limit.nonlocal_solver as nonlocal_solver_module
 import nonlocal_limit.stepping as stepping
 from nonlocal_limit import (
@@ -30,6 +31,7 @@ from nonlocal_limit import (
     total_mass,
     total_variation,
 )
+from nonlocal_limit.kernels import kernel_operator
 
 from conftest import constant_profile, force_nonlocal_steps, mirror_field, step_profile
 
@@ -372,47 +374,50 @@ class TestRecordBlocks:
         assert report.q_min_overall == min(s.q.values.min() for s in report.snapshots)
         assert report.q_max_overall == max(s.q.values.max() for s in report.snapshots)
 
-    @pytest.mark.parametrize("peak_step", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
-    def test_extremes_of_one_step_are_kept(self, peak_step):
-        # a flux pulse at one interface lifts one cell and lowers its
-        # neighbour by 0.25 for a single step; the next step undoes it
+    @pytest.mark.parametrize("n_steps", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+    def test_extremes_of_an_unstable_run_match_every_snapshot(self, n_steps):
+        # the Godunov scheme at 1.2 times its CFL limit: the oscillation grows
+        # and the extremes move on almost every step, the last rows included
         grid = Grid1D(0.0, 1.0, self.N_CELLS)
-        q0 = CellField(grid=grid, values=np.full(self.N_CELLS, 0.5))
-        calls = []
+        values = np.full(self.N_CELLS, 0.5)
+        values[10] = 0.75
+        q0 = CellField(grid=grid, values=values)
+        dt = 1.2 * grid.dx / 0.7
+        report = stepping.integrate(q0, local_reference._scheme(FluxModel(constant_velocity(0.7))),
+                                    dt, n_steps, np.arange(n_steps + 1) * dt)
+        assert report.q_min_overall == min(s.q.values.min() for s in report.snapshots)
+        assert report.q_max_overall == max(s.q.values.max() for s in report.snapshots)
+        assert report.q_max_overall > 0.75 or n_steps == 1
 
-        def interface_flux(states, w, out):
-            calls.append(w)
-            out[:] = 0.0
-            out[10] = {peak_step: 1.0, peak_step + 1: -1.0}.get(len(calls), 0.0)
-
-        report = stepping.integrate(q0, interface_flux, 0.25 * grid.dx, 2 * self.ROWS + 1)
-        assert (report.q_min_overall, report.q_max_overall) == (0.25, 0.75)
-
-    @pytest.mark.parametrize("blowup_step", [1, ROWS - 1, ROWS, ROWS + 1, ROWS + ROWS // 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
     @pytest.mark.parametrize("with_w", [False, True])
-    def test_blowup_in_a_block_keeps_its_step_and_message(self, blowup_step, with_w):
+    def test_blowup_in_a_block_keeps_its_step_and_message(self, monkeypatch, offset, with_w):
+        # a run at six times its CFL limit overflows at some step B; with
+        # blocks of B + offset rows, B lands on a block's last row, on the
+        # next block's first rows or mid-block, and the error stays the same
         grid = Grid1D(0.0, 1.0, self.N_CELLS)
-        q0 = CellField(grid=grid, values=np.full(self.N_CELLS, 0.5))
-        calls = []
+        q0 = sample_profile(step_profile(0.5, 0.25, 0.75), grid)
+        dt = 6.0 * grid.dx
+        if with_w:
+            cfg = make_config(velocity=constant_velocity(1.0))
+            flux = nonlocal_solver_module._upwind_flux(cfg)
+            average = kernel_operator(cfg.kernel, grid)
+        else:
+            flux, average = local_reference._scheme(FluxModel(constant_velocity(1.0))), None
 
-        def interface_flux(states, w, out):
-            calls.append(w is not None)
-            out[:] = 0.0
-            if len(calls) == blowup_step:
-                out[10] = np.inf
+        def blowup():
+            with pytest.raises(NumericalBlowupError) as err:
+                stepping.integrate(q0, flux, dt, 3000, [], average)
+            return err.value
 
-        def nonlocal_term(values, out):
-            out[:] = 0.5
-            return out
-
-        dt = 0.25 * grid.dx
-        with pytest.raises(NumericalBlowupError) as err:
-            stepping.integrate(q0, interface_flux, dt, 3 * self.ROWS, [],
-                               nonlocal_term if with_w else None)
-        assert err.value.step == blowup_step
-        assert str(err.value) == (f"non-finite density after step {blowup_step} "
-                                  f"(t = {blowup_step * dt:g})")
-        assert calls == [with_w] * blowup_step
+        first = blowup()
+        rows = first.step + offset
+        monkeypatch.setattr(stepping, "_BLOCK_BYTES", rows * 8 * (self.N_CELLS + 2))
+        assert stepping._block_rows(self.N_CELLS) == rows
+        again = blowup()
+        assert again.step == first.step > 1
+        assert str(again) == str(first) == (f"non-finite density after step {first.step} "
+                                            f"(t = {first.step * dt:g})")
 
 
 @settings(max_examples=30, deadline=None)

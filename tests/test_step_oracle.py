@@ -1,0 +1,392 @@
+"""The compiled step bodies against a numpy oracle.
+
+The oracle is the numpy step code the compiled library replaced: the
+velocity laws, the upwind flux with its sign check, the Godunov select, the
+exponential average through ``scipy.signal.lfilter`` and the constant
+kernel's prefix sums, driven one step at a time with per-step records.  Every
+field of every report must equal the oracle's bit for bit.
+"""
+
+import numpy as np
+import pytest
+from scipy.signal import lfilter
+
+import nonlocal_limit.stepping as stepping
+from nonlocal_limit import (
+    CellField,
+    FluxModel,
+    Grid1D,
+    InterfaceField,
+    KernelSpec,
+    ModeViolationError,
+    NonlocalSchemeConfig,
+    NumericalBlowupError,
+    PiecewiseConstantProfile,
+    RunReport,
+    Snapshot,
+    constant_velocity,
+    godunov_flux,
+    linear_increasing_velocity,
+    linear_velocity,
+    quadratic_velocity,
+    sample_profile,
+    solve_local,
+    solve_nonlocal,
+)
+from nonlocal_limit.diagnostics import total_variation_of
+from nonlocal_limit.kernels import kernel_operator
+from nonlocal_limit.local_reference import _scheme
+from nonlocal_limit.nonlocal_solver import _SIGN_SLACK, _upwind_flux
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+# --- the oracle ------------------------------------------------------------
+
+def oracle_speed(velocity, s):
+    """V(s) as numpy evaluated it, skipping the exact * 1.0 and / 1.0."""
+    v, s_max = velocity.params
+    s = np.asarray(s, dtype=float)
+    over = s if s_max == 1.0 else s / s_max
+    times = (lambda y: y) if v == 1.0 else (lambda y: v * y)
+    if velocity.family == "linear":
+        return times(1.0 - over)
+    if velocity.family == "quadratic":
+        return times(1.0 - over ** 2)
+    if velocity.family == "linear_increasing":
+        return times(over - 1.0)
+    return np.full_like(s, v)
+
+
+def oracle_select(a, b, f_a, f_b, s_star, f_star, out):
+    """Godunov flux of a flux whose extremum at s_star is a maximum."""
+    np.maximum(f_a, f_b, out=out)
+    np.copyto(out, f_star, where=(b <= s_star) & (s_star <= a))
+    np.putmask(out, a <= b, np.minimum(f_a, f_b))
+    return out
+
+
+def oracle_godunov(a, b, f_a, f_b, velocity, f_star, out):
+    """Either flux shape: one with a minimum is the mirror image of one with a maximum."""
+    s_star = velocity.critical_density
+    if velocity.mode == "decreasing":
+        return oracle_select(a, b, f_a, f_b, s_star, f_star, out)
+    oracle_select(b, a, -f_b, -f_a, s_star, -f_star, out)
+    return np.negative(out, out=out)
+
+
+def oracle_godunov_flux(velocity):
+    f = lambda s: oracle_speed(velocity, s) * np.asarray(s, dtype=float)  # noqa: E731
+    f_star = float(f(velocity.critical_density))
+
+    def interface_flux(states, w, out):
+        f_states = f(states)
+        oracle_godunov(states[:-1], states[1:], f_states[:-1], f_states[1:], velocity, f_star,
+                       out)
+
+    return interface_flux
+
+
+def oracle_upwind_flux(cfg):
+    """V(W) * q from the upwind cell; the sign check by numpy's reductions."""
+    slack = _SIGN_SLACK * max(1.0, cfg.velocity.max_abs_speed)
+    downstream = cfg.kernel.orientation == "downstream"
+    reduce, sign = (np.minimum.reduce, 1.0) if downstream else (np.maximum.reduce, -1.0)
+    moved = "fell to {:g} < 0" if downstream else "rose to {:g} > 0"
+
+    def interface_flux(states, w, out):
+        speeds = oracle_speed(cfg.velocity, w)
+        extreme = reduce(speeds)
+        if sign * extreme < -slack:
+            raise ModeViolationError(f"flux velocity {moved.format(float(extreme))} in "
+                                     f"{cfg.kernel.orientation} mode; kernel orientation "
+                                     "and velocity model are mispaired")
+        np.multiply(speeds, states[:-1] if downstream else states[1:], out=out)
+
+    return interface_flux
+
+
+def oracle_exponential(dx, n, eta, farfield):
+    """The recursion through the public lfilter."""
+    alpha = float(np.exp(-dx / eta))
+
+    def apply(q, w):
+        filtered, _ = lfilter(np.array([1.0 - alpha]), np.array([1.0, -alpha]), q[::-1],
+                              zi=np.array([alpha * farfield]))
+        w[-1] = farfield
+        w[:-1] = filtered[::-1]
+
+    return apply
+
+
+def oracle_constant(dx, n, eta, farfield):
+    """Prefix sums by np.cumsum, then the window's far-field and fractional parts."""
+    m = int(eta // dx)
+    remainder = min(max(eta - float(m) * dx, 0.0), dx)
+    m_eff = min(m, n + 1)
+    whole_inside = n + 1 - m_eff
+    fraction_inside = max(n - m_eff, 0) if m == m_eff else 0
+    cells_covered = np.minimum(m_eff, n - np.arange(n + 1))
+    farfield_sum = np.maximum((eta - remainder) - cells_covered * dx, 0.0) * farfield
+    prefix = np.zeros(n + 1)
+    fraction = np.full(n + 1, remainder * farfield)
+
+    def apply(q, w):
+        np.cumsum(q, out=prefix[1:])
+        w[:whole_inside] = prefix[m_eff:]
+        w[whole_inside:] = prefix[n]
+        w -= prefix
+        w *= dx
+        w += farfield_sum
+        np.multiply(q[m_eff:m_eff + fraction_inside], remainder, out=fraction[:fraction_inside])
+        w += fraction
+        w /= eta
+
+    return apply
+
+
+def oracle_average(spec, grid):
+    """The average on reversed views for the upstream orientation."""
+    downstream = spec.orientation == "downstream"
+    build = oracle_exponential if spec.family == "exponential" else oracle_constant
+    apply = build(grid.dx, grid.n_cells, spec.eta,
+                  grid.right_farfield if downstream else grid.left_farfield)
+
+    def evaluate(values, out):
+        if downstream:
+            apply(values, out)
+        else:
+            apply(values[::-1], out[::-1])
+        return out
+
+    return evaluate
+
+
+def oracle_integrate(q0, interface_flux, dt, n_steps, snapshot_times=(), nonlocal_term=None):
+    """One step at a time, every record taken on its own step."""
+    grid = q0.grid
+    n, dx = grid.n_cells, grid.dx
+    states = np.concatenate([[grid.left_farfield], q0.values, [grid.right_farfield]])
+    w_padded = np.concatenate([[grid.left_farfield], np.empty(n + 1), [grid.right_farfield]])
+    fluxes = np.empty(n + 1)
+    times = np.asarray(snapshot_times, dtype=float)
+    steps = (np.clip(np.rint(times / dt).astype(int), 0, n_steps) if times.size
+             else [n_steps])
+    wanted = np.bincount(steps, minlength=n_steps + 1)
+    tv_q, tv_w, mass = (np.empty(n_steps + 1) for _ in range(3))
+    snapshots, boundary_flux, q_min, q_max = [], 0.0, np.inf, -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps + 1):
+            values = states[1:-1]
+            w = None
+            if nonlocal_term is not None:
+                w = nonlocal_term(values, w_padded[1:-1])
+                tv_w[step] = total_variation_of(w_padded[np.newaxis])[0]
+            tv_q[step] = total_variation_of(states[np.newaxis])[0]
+            mass[step] = dx * float(np.add.reduce(values))
+            q_min, q_max = min(q_min, float(values.min())), max(q_max, float(values.max()))
+            if wanted[step]:
+                snap = Snapshot(time=step * dt, q=CellField(grid=grid, values=values),
+                                w=None if w is None else InterfaceField(grid=grid, values=w))
+                snapshots.extend([snap] * int(wanted[step]))
+            if step == n_steps:
+                break
+            interface_flux(states, w, fluxes)
+            boundary_flux += dt * (fluxes[-1] - fluxes[0])
+            states[1:-1] = values - (fluxes[1:] - fluxes[:-1]) * (dt / dx)
+            if not np.all(np.isfinite(states)):
+                raise NumericalBlowupError(
+                    f"non-finite density after step {step + 1} (t = {(step + 1) * dt:g})",
+                    step=step + 1)
+    return RunReport(dt_used=dt, n_steps=n_steps, snapshots=tuple(snapshots), tv_q_series=tv_q,
+                     tv_w_series=None if nonlocal_term is None else tv_w, mass_series=mass,
+                     boundary_flux_integral=boundary_flux, q_min_overall=q_min,
+                     q_max_overall=q_max)
+
+
+def oracle_nonlocal(q0, cfg):
+    dt, n_steps = stepping.frozen_step(cfg.cfl, q0.grid.dx, cfg.velocity.max_abs_speed,
+                                       cfg.t_end)
+    return oracle_integrate(q0, oracle_upwind_flux(cfg), dt, n_steps, cfg.snapshot_times,
+                            oracle_average(cfg.kernel, q0.grid))
+
+
+def oracle_local(q0, velocity, cfl, t_end, snapshot_times):
+    dt, n_steps = stepping.frozen_step(cfl, q0.grid.dx, velocity.max_wave_speed, t_end)
+    return oracle_integrate(q0, oracle_godunov_flux(velocity), dt, n_steps, snapshot_times)
+
+
+# --- the comparisons -------------------------------------------------------
+
+def assert_same_bits(got, expected):
+    for name in ("dt_used", "n_steps", "tv_q_series", "tv_w_series", "mass_series",
+                 "boundary_flux_integral", "q_min_overall", "q_max_overall"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    assert len(got.snapshots) == len(expected.snapshots)
+    for a, b in zip(got.snapshots, expected.snapshots):
+        assert a.time == b.time
+        assert a.q.values.tobytes() == b.q.values.tobytes()
+        assert (a.w is None) == (b.w is None)
+        if a.w is not None:
+            assert a.w.values.tobytes() == b.w.values.tobytes()
+
+
+VELOCITIES = {
+    "linear": linear_velocity(),
+    "linear_scaled": linear_velocity(1.3, 0.8),
+    "quadratic": quadratic_velocity(0.9, 1.0),
+    "constant": constant_velocity(0.7),
+    "linear_increasing": linear_increasing_velocity(),
+    "constant_negative": constant_velocity(-0.7),
+    "linear_increasing_scaled": linear_increasing_velocity(0.6, 2.0),
+}
+
+
+def seeded_field(n_cells, seed=47, levels_scale=1.0):
+    rng = np.random.default_rng(seed)
+    profile = PiecewiseConstantProfile(breakpoints=np.sort(rng.uniform(-0.5, 1.0, 3)),
+                                       levels=rng.uniform(0.05, 0.75, 4) * levels_scale)
+    return sample_profile(profile, Grid1D(-1.0, 2.0, n_cells))
+
+
+def vacuum_field(n_cells):
+    """Vacuum around two tiny plateaus: the states and their averages reach
+    subnormal values within a few steps."""
+    profile = PiecewiseConstantProfile(breakpoints=np.array([0.0, 0.4, 0.9]),
+                                       levels=np.array([0.0, 3e-308, 0.0, 1e-307]))
+    return sample_profile(profile, Grid1D(-1.0, 2.0, n_cells))
+
+
+def horizon(n_cells):
+    # a few dozen steps on the one-row 16385-cell grid, hundreds elsewhere
+    return 0.01 if n_cells > 10_000 else 0.4
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 1024, 16385])
+@pytest.mark.parametrize("family", ["exponential", "constant"])
+@pytest.mark.parametrize("velocity", list(VELOCITIES))
+def test_nonlocal_run_equals_the_oracle(n_cells, family, velocity):
+    v = VELOCITIES[velocity]
+    orientation = "downstream" if v.mode == "decreasing" else "upstream"
+    t_end = horizon(n_cells)
+    q0 = seeded_field(n_cells, levels_scale=v.admissible_range[1])
+    for eta in (0.05, 0.0007):
+        cfg = NonlocalSchemeConfig(kernel=KernelSpec(family, eta, orientation), velocity=v,
+                                   cfl=0.5, t_end=t_end,
+                                   snapshot_times=np.array([0.0, t_end / 3, t_end]))
+        assert_same_bits(solve_nonlocal(q0, cfg), oracle_nonlocal(q0, cfg))
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 1024, 16385])
+@pytest.mark.parametrize("velocity", list(VELOCITIES))
+def test_godunov_run_equals_the_oracle(n_cells, velocity):
+    v = VELOCITIES[velocity]
+    t_end = horizon(n_cells)
+    q0 = seeded_field(n_cells, levels_scale=v.admissible_range[1])
+    times = [0.0, t_end / 2, t_end]
+    assert_same_bits(solve_local(q0, FluxModel(velocity=v), 0.5, t_end, times),
+                     oracle_local(q0, v, 0.5, t_end, times))
+
+
+@pytest.mark.parametrize("family", ["exponential", "constant"])
+@pytest.mark.parametrize("velocity", ["linear", "linear_increasing"])
+def test_vacuum_datum_reaches_subnormals_with_the_oracles_bits(family, velocity):
+    v = VELOCITIES[velocity]
+    orientation = "downstream" if v.mode == "decreasing" else "upstream"
+    q0 = vacuum_field(300)
+    cfg = NonlocalSchemeConfig(kernel=KernelSpec(family, 0.05, orientation), velocity=v,
+                               cfl=0.5, t_end=0.5, snapshot_times=np.array([0.1, 0.5]))
+    report = solve_nonlocal(q0, cfg)
+    assert_same_bits(report, oracle_nonlocal(q0, cfg))
+    local = solve_local(q0, FluxModel(velocity=v), 0.5, 0.5, [0.1, 0.5])
+    assert_same_bits(local, oracle_local(q0, v, 0.5, 0.5, [0.1, 0.5]))
+    for values in (report.snapshots[-1].q.values, report.snapshots[-1].w.values,
+                   local.snapshots[-1].q.values):
+        assert np.any((values > 0) & (values < SMALLEST_NORMAL))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, None])
+@pytest.mark.parametrize("solver", ["nonlocal", "local"])
+def test_block_size_leaves_the_bits(monkeypatch, rows, solver):
+    # 40 steps over blocks of 1, 2 and 7 rows and the default budget's 496
+    q0 = seeded_field(64)
+    if rows is not None:
+        monkeypatch.setattr(stepping, "_BLOCK_BYTES", rows * 8 * 66)
+    every_step = np.arange(41) * (q0.grid.dx / 2)
+    if solver == "nonlocal":
+        cfg = NonlocalSchemeConfig(kernel=KernelSpec("exponential", 0.05),
+                                   velocity=VELOCITIES["linear"], cfl=0.5, t_end=every_step[-1],
+                                   snapshot_times=every_step)
+        assert_same_bits(solve_nonlocal(q0, cfg), oracle_nonlocal(q0, cfg))
+    else:
+        v = VELOCITIES["linear"]
+        assert_same_bits(solve_local(q0, FluxModel(velocity=v), 0.5, every_step[-1], every_step),
+                         oracle_local(q0, v, 0.5, every_step[-1], every_step))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 16])
+def test_mode_violation_has_the_oracles_message(monkeypatch, rows):
+    # the upwind scheme at dt = 1.6 dx: its growing oscillation drives W
+    # above s_max, and V(W) below zero, at some step; the message carries
+    # that step's extreme speed
+    monkeypatch.setattr(stepping, "_BLOCK_BYTES", rows * 8 * 66)
+    q0 = seeded_field(64)
+    cfg = NonlocalSchemeConfig(kernel=KernelSpec("exponential", 0.05),
+                               velocity=VELOCITIES["linear"], cfl=1.0, t_end=1.0)
+    dt = 1.6 * q0.grid.dx
+    with pytest.raises(ModeViolationError) as expected:
+        oracle_integrate(q0, oracle_upwind_flux(cfg), dt, 400, [],
+                         oracle_average(cfg.kernel, q0.grid))
+    with pytest.raises(ModeViolationError) as got:
+        stepping.integrate(q0, _upwind_flux(cfg), dt, 400, [],
+                           kernel_operator(cfg.kernel, q0.grid))
+    assert str(got.value) == str(expected.value)
+    assert "fell to" in str(got.value)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 16])
+def test_blowup_has_the_oracles_step_and_message(monkeypatch, rows):
+    # constant speed 1 at dt = 6 dx: the update's diagonal is 1 - 6, so the
+    # oscillation grows about fivefold a step until it overflows
+    monkeypatch.setattr(stepping, "_BLOCK_BYTES", rows * 8 * 66)
+    q0 = seeded_field(64)
+    v = VELOCITIES["constant"]
+    flux = FluxModel(velocity=v)
+    dt = 6 * q0.grid.dx
+    with pytest.raises(NumericalBlowupError) as expected:
+        oracle_integrate(q0, oracle_godunov_flux(v), dt, 2000)
+    with pytest.raises(NumericalBlowupError) as got:
+        stepping.integrate(q0, _scheme(flux), dt, 2000)
+    assert got.value.step == expected.value.step > rows
+    assert str(got.value) == str(expected.value)
+
+
+def test_godunov_flux_equals_the_oracles_select():
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(0.0, 1.0, (2, 4097))
+    a[::7] = b[::7]  # equal states
+    a[1::11], b[2::13] = 0.5, 0.5  # the critical density itself
+    for name, v in VELOCITIES.items():
+        scale = v.admissible_range[1]
+        f = lambda s: oracle_speed(v, s) * s  # noqa: E731
+        expected = oracle_godunov(a * scale, b * scale, f(a * scale), f(b * scale), v,
+                                  float(f(v.critical_density)), np.empty(a.size))
+        got = godunov_flux(a * scale, b * scale, FluxModel(velocity=v))
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def test_velocity_equals_the_oracles_law():
+    s = np.concatenate([np.linspace(0.0, 2.0, 1001), [SMALLEST_NORMAL / 3, np.nan, -0.0]])
+    # powers of two for s_max, the smallest with a reciprocal past float range
+    extra = {f"{family}_{s_max:g}": build(1e-300, s_max) for s_max in (0.25, 2.0 ** -1022,
+                                                                      2.0 ** -1023, 5e-324)
+             for family, build in (("linear", linear_velocity),
+                                   ("linear_increasing", linear_increasing_velocity))}
+    for name, v in {**VELOCITIES, **extra}.items():
+        with np.errstate(over="ignore", invalid="ignore"):  # s far past a tiny s_max
+            expected, scalar = oracle_speed(v, s), oracle_speed(v, 0.25)
+        assert v.eval(s).tobytes() == expected.tobytes(), name
+        assert np.float64(v.eval(0.25)).tobytes() == np.float64(scalar).tobytes(), name
