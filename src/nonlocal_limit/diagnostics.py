@@ -1,7 +1,6 @@
 """Measured quantities: total variation, L1 metrics, residuals, identity gap.
 
-All functions are pure and read-only over immutable fields and run reports,
-apart from the ``out`` row that ``total_variation_of`` may fill.
+All functions are pure and read-only over immutable fields and run reports.
 Total variation always includes the seam jumps to the far-field states, so
 window truncation cannot hide boundary variation.
 """
@@ -121,28 +120,13 @@ class TestFunction:
 bump_test_function = TestFunction
 
 
-def total_variation_of(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Total variation of every row of a 2-D block whose first and last
-    columns hold the left and right far-field states: the sum of the row's
-    inner absolute jumps, then its two seam jumps.
-
-    Each row's inner jumps are summed on their own, in the order a 1-D sum
-    of them uses, so a row's total does not depend on the block it sits in.
-    ``out``, one entry per row, receives the totals instead of a new array.
-    """
-    jumps = np.subtract(padded[:, 1:], padded[:, :-1])
-    np.abs(jumps, out=jumps)
-    tv = jumps[:, 1:-1].sum(axis=1, out=out)
-    tv += jumps[:, 0]
-    tv += jumps[:, -1]
-    return tv
-
-
 def total_variation(field: CellField | InterfaceField) -> float:
-    """Total variation of a stored field, far-field seam jumps included."""
+    """Total variation of a stored field, far-field seam jumps included: the
+    sum of the inner absolute jumps, then the left seam, then the right."""
     grid = field.grid
-    padded = np.concatenate([[grid.left_farfield], field.values, [grid.right_farfield]])
-    return float(total_variation_of(padded[np.newaxis])[0])
+    jumps = np.abs(np.diff(np.concatenate([[grid.left_farfield], field.values,
+                                           [grid.right_farfield]])))
+    return float(jumps[1:-1].sum() + jumps[0] + jumps[-1])
 
 
 def interface_to_cells(w: InterfaceField) -> CellField:

@@ -4,7 +4,7 @@ through ctypes (README, "Install and test").
 The library is cached in this package's ``__pycache__/`` under a name hashed
 from the source, the flags, the platform and the CPU.  ``Flux`` and
 ``Average`` describe an interface flux and a kernel average to it, and
-evaluate one when called; ``lib.nl_advance`` runs a record block.
+``Run`` a run's rows and records; ``lib.nl_advance`` makes a run's steps.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ _P, _D, _L = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
 for _name, _args, _result in [
         ("nl_velocity", [ctypes.c_int, _D, _D, _P, _P, _L], None),
         ("nl_godunov", [_P, _P, _P, _P, _P, _P, _L], None),
-        ("nl_flux", [_P, _P, _P, _P, _P, _L, _P], ctypes.c_int),
         ("nl_average", [_P, _P, _P], None),
-        ("nl_advance", [_P, _P, _L, _P, _P, _L, _L, _P, _P, _P, _D, _D, _P], _L)]:
+        ("nl_advance", [_P, _L, _L], _L)]:
     getattr(lib, _name).argtypes = _args
     getattr(lib, _name).restype = _result
 
@@ -91,8 +90,7 @@ def _address(array: np.ndarray, size: int, writes: bool = False) -> int:
 
 
 class Flux(ctypes.Structure):
-    """An interface flux; ``flux(states, w, out)`` writes its values at the
-    n + 1 interfaces of the padded n + 2 ``states`` into ``out``."""
+    """An interface flux: the velocity law, the scheme and its orientation."""
 
     _fields_ = [("family", ctypes.c_int), ("scheme", ctypes.c_int), ("mirrored", ctypes.c_int),
                 ("v", _D), ("s_max", _D), ("slack", _D), ("s_star", _D), ("f_star", _D)]
@@ -122,15 +120,6 @@ class Flux(ctypes.Structure):
                        out.ctypes.data, a.size)
         return out
 
-    def __call__(self, states: np.ndarray, w: np.ndarray | None, out: np.ndarray):
-        n = out.size - 1
-        extreme = _D()
-        if lib.nl_flux(ctypes.byref(self), _address(states, n + 2),
-                       None if self.scheme == GODUNOV else _address(w, n + 1),
-                       _address(out, n + 1, True), np.empty(n + 2).ctypes.data, n,
-                       ctypes.byref(extreme)):
-            raise self.violation(extreme.value)
-
 
 class Average(ctypes.Structure):
     """A kernel average on a grid of n cells; ``average(values, out=None)``
@@ -148,7 +137,12 @@ class Average(ctypes.Structure):
         return w
 
 
-class Status(ctypes.Structure):
-    """What a block call reports back (see steps.c)."""
+class Run(ctypes.Structure):
+    """A run as ``lib.nl_advance`` advances it (see steps.c): addresses of
+    its flux, kernel average, rows, record series and scratch, and the
+    boundary-flux integral, q extremes and error the library keeps."""
 
-    _fields_ = [("boundary", _D), ("extreme", _D), ("error", ctypes.c_int)]
+    _fields_ = [("flux", _P), ("average", _P), ("n", _L), ("dx", _D), ("dt", _D),
+                *((name, _P) for name in ("q", "w", "tv_q", "tv_w", "mass", "fluxes", "scratch")),
+                ("boundary", _D), ("q_min", _D), ("q_max", _D), ("extreme", _D),
+                ("error", ctypes.c_int)]

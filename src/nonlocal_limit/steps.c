@@ -1,17 +1,18 @@
 /* The step bodies of both solvers: the four velocity laws, the two kernel
- * averages, the upwind and Godunov interface fluxes and the conservative
- * update, run for every step of a record block in one call.
+ * averages, the upwind and Godunov interface fluxes, the conservative update
+ * and each step's records, run for every step up to a snapshot in one call.
  *
  * Bits.  Each result equals the numpy evaluation it replaced, bit for bit.
- * The body uses only +, -, *, /, comparisons and selects.  Each is one IEEE
- * 754 operation, correctly rounded on its own, and the operations run in
+ * The body uses only +, -, *, /, fabs, comparisons and selects.  Each is one
+ * IEEE 754 operation, correctly rounded on its own, and the operations run in
  * numpy's order: no contraction into fused multiply-adds
  * (-ffp-contract=off) and no reassociation (never -ffast-math, -Ofast or
  * -funsafe-math-optimizations; on gcc a -ffast-math link of a shared library
  * also pulls in crtfastmath.o, which flushes subnormals for the whole
  * process).  A vectorised loop applies the same correctly rounded operation
- * in every lane, so the bits do not depend on the SIMD width.  The sums whose
- * order numpy fixes pairwise (mass, total variation) stay in numpy.
+ * in every lane, so the bits do not depend on the SIMD width.  The sums of
+ * the records (mass, total variation) add in the pairwise order of numpy's
+ * float64 x.sum() (see `pairwise`).
  */
 #include <math.h>
 
@@ -110,8 +111,8 @@ void nl_godunov(const Flux *flux, const double *a, const double *b, const double
  * with n + 2 values of scratch.  Returns 1, with the extreme speed in
  * *extreme, when V(W) has the wrong sign beyond the slack; a NaN speed
  * makes the extreme NaN, which never does. */
-int nl_flux(const Flux *flux, const double *states, const double *w, double *out,
-            double *scratch, long n, double *extreme)
+static int nl_flux(const Flux *flux, const double *states, const double *w, double *out,
+                   double *scratch, long n, double *extreme)
 {
     long j;
     if (flux->scheme == GODUNOV) {
@@ -188,45 +189,103 @@ void nl_average(const Average *k, const double *q, double *w)
     }
 }
 
-/* What a block reports back: the boundary-flux integral so far, and why it
- * stopped early: 1 for a wrong-signed flux velocity (its extreme as
+/* numpy's pairwise sum of x[0], ..., x[n - 1], float64 x.sum() less its
+ * leading 0.0 +: the sums of two halves split at n / 2 rounded down to a
+ * multiple of 8 above 128 values; else from 8 values on 8 accumulators,
+ * and the last n % 8 values (all of them below 8) added in order */
+static double pairwise(const double *x, long n)
+{
+    if (n > 128) {
+        const long half = n / 2 - n / 2 % 8;
+        return pairwise(x, half) + pairwise(x + half, n - half);
+    }
+    double r[8], s = 0.0;
+    long i = 0, j;
+    if (n >= 8) {
+        for (j = 0; j < 8; j++) r[j] = x[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++) r[j] += x[i + j];
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++) s += x[i];
+    return s;
+}
+
+/* Total variation of a row of m + 2 values, far fields at both ends, with
+ * m + 1 values of scratch for its jumps: the sum of the inner jumps as
+ * numpy sums them, then the left seam, then the right seam */
+static double total_variation(const double *row, long m, double *jumps)
+{
+    for (long i = 0; i <= m; i++) jumps[i] = fabs(row[i + 1] - row[i]);
+    return 0.0 + pairwise(jumps + 1, m - 1) + jumps[0] + jumps[m];
+}
+
+/* A run: its flux and kernel average (NULL with the Godunov flux); its rows
+ * of q (n + 2 values) and W (n + 3; NULL without an average), far fields in
+ * their end columns; its record series, one entry per step (tv_w NULL
+ * without an average); scratch for the fluxes (n + 1 values), and for the
+ * Godunov flux and the jumps of a total variation (n + 2).  The library
+ * keeps the boundary-flux integral and the running q extremes, and says why
+ * a call stopped early: 1 for a wrong-signed flux velocity (its extreme as
  * nl_flux gives it), 2 for a non-finite update. */
 typedef struct {
-    double boundary, extreme;
+    const Flux *flux;
+    const Average *average;
+    long n;
+    double dx, dt;
+    double *q, *w, *tv_q, *tv_w, *mass, *fluxes, *scratch;
+    double boundary, q_min, q_max, extreme;
     int error;
-} Status;
+} Run;
 
-/* Advance a record block.  Row r of q (n + 2 wide, far fields in its end
- * columns) holds the block's r-th state, row 0 on entry.  For each of the
- * `rows` rows the average goes to row r of w (n + 3 wide, far fields at its
- * ends; NULL without a kernel), and for the first `updates` rows the step
- * from row r goes to row r + 1, the last to row 0 of the block `next`.
- * fluxes and scratch hold n + 1 and n + 2 values.  Returns the number of
- * steps made, fewer than `updates` when a step stopped the block. */
-long nl_advance(const Flux *flux, const Average *average, long n, double *q, double *w,
-                long rows, long updates, double *next, double *fluxes, double *scratch,
-                double lam, double dt, Status *status)
+/* Evaluate step k, which q holds: its average into w, then its records */
+static void evaluate(Run *run, long k)
 {
-    for (long r = 0; r < rows; r++) {
-        const double *states = q + r * (n + 2);
-        double *wr = average ? w + r * (n + 3) + 1 : 0;
-        if (average) nl_average(average, states + 1, wr);
-        if (r == updates) break;
-        if (nl_flux(flux, states, wr, fluxes, scratch, n, &status->extreme)) {
-            status->error = 1;
-            return r;
+    const long n = run->n;
+    const double *q = run->q;
+    if (run->average) {
+        nl_average(run->average, q + 1, run->w + 1);
+        run->tv_w[k] = total_variation(run->w, n + 1, run->scratch);
+    }
+    run->tv_q[k] = total_variation(q, n, run->scratch);
+    run->mass[k] = run->dx * (0.0 + pairwise(q + 1, n));
+    double lo = run->q_min, hi = run->q_max;
+    for (long i = 1; i <= n; i++) {
+        lo = q[i] < lo ? q[i] : lo;
+        hi = q[i] > hi ? q[i] : hi;
+    }
+    run->q_min = lo;
+    run->q_max = hi;
+}
+
+/* Make `steps` steps from step k, which q holds, with w holding its
+ * average.  Each step computes every interface flux, then updates q in
+ * place and evaluates the new step.  With steps == 0, evaluate step k
+ * itself: a run's first call, for step 0.  Returns the step q holds, the
+ * one before the failed step when a step stopped the call. */
+long nl_advance(Run *run, long k, long steps)
+{
+    const long n = run->n;
+    const double lam = run->dt / run->dx;
+    double *q = run->q, *fluxes = run->fluxes;
+    if (steps == 0) evaluate(run, k);
+    for (; steps > 0; steps--, k++) {
+        if (nl_flux(run->flux, q, run->average ? run->w + 1 : 0, fluxes, run->scratch, n,
+                    &run->extreme)) {
+            run->error = 1;
+            return k;
         }
-        status->boundary += dt * (fluxes[n] - fluxes[0]);
-        double *out = (r + 1 < rows ? q + (r + 1) * (n + 2) : next) + 1;
+        run->boundary += run->dt * (fluxes[n] - fluxes[0]);
         int finite = 1;
-        for (long i = 0; i < n; i++) {
-            out[i] = states[i + 1] - (fluxes[i + 1] - fluxes[i]) * lam;
-            finite &= isfinite(out[i]) != 0;
+        for (long i = 1; i <= n; i++) {
+            q[i] -= (fluxes[i] - fluxes[i - 1]) * lam;
+            finite &= isfinite(q[i]) != 0;
         }
         if (!finite) {
-            status->error = 2;
-            return r;
+            run->error = 2;
+            return k;
         }
+        evaluate(run, k + 1);
     }
-    return updates;
+    return k;
 }

@@ -1390,6 +1390,27 @@ class TestCli:
             "error: grid.x_max - grid.x_min overflows, got [-1e+308, 1e+308]\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run", "--eta", "0.3"], ["sweep"],
+                                         ["stability", "--delta", "0.01"]],
+                             ids=["run", "sweep", "stability"])
+    def test_datum_outside_the_admissible_range_exits_one(self, tmp_path, capsys, command):
+        # the parse accepts the config; each solve's set-up refuses the
+        # default datum, which reaches 1, before any file is written
+        doc = {"grid": {"n_cells": 64}, "eta_list": [0.3],
+               "velocity": {"name": "linear", "s_max": 0.5}}
+        parse_config(json.dumps(doc))
+        config = self.write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command[0], "--config", str(config), "--out", str(out),
+                             *command[1:]])
+        assert code == 1
+        assert caught == []
+        assert capsys.readouterr() == (
+            "", "error: initial data [0, 1] leaves the admissible range [0.0, 0.5]\n")
+        assert not out.exists()
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
                          "--eta", "0.3", "--out", str(tmp_path / "out")])

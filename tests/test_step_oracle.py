@@ -7,8 +7,14 @@ kernel's prefix sums, driven one step at a time with per-step records.  Every
 field of every report must equal the oracle's bit for bit.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 from scipy.signal import lfilter
 
 import nonlocal_limit.stepping as stepping
@@ -33,7 +39,6 @@ from nonlocal_limit import (
     solve_local,
     solve_nonlocal,
 )
-from nonlocal_limit.diagnostics import total_variation_of
 from nonlocal_limit.kernels import kernel_operator
 from nonlocal_limit.local_reference import _scheme
 from nonlocal_limit.nonlocal_solver import _SIGN_SLACK, _upwind_flux
@@ -162,6 +167,12 @@ def oracle_average(spec, grid):
     return evaluate
 
 
+def oracle_total_variation(padded):
+    """The sum of a padded row's inner absolute jumps, then its two seams."""
+    jumps = np.abs(np.subtract(padded[1:], padded[:-1]))
+    return jumps[1:-1].sum() + jumps[0] + jumps[-1]
+
+
 def oracle_integrate(q0, interface_flux, dt, n_steps, snapshot_times=(), nonlocal_term=None):
     """One step at a time, every record taken on its own step."""
     grid = q0.grid
@@ -181,8 +192,8 @@ def oracle_integrate(q0, interface_flux, dt, n_steps, snapshot_times=(), nonloca
             w = None
             if nonlocal_term is not None:
                 w = nonlocal_term(values, w_padded[1:-1])
-                tv_w[step] = total_variation_of(w_padded[np.newaxis])[0]
-            tv_q[step] = total_variation_of(states[np.newaxis])[0]
+                tv_w[step] = oracle_total_variation(w_padded)
+            tv_q[step] = oracle_total_variation(states)
             mass[step] = dx * float(np.add.reduce(values))
             q_min, q_max = min(q_min, float(values.min())), max(q_max, float(values.max()))
             if wanted[step]:
@@ -308,31 +319,103 @@ def test_vacuum_datum_reaches_subnormals_with_the_oracles_bits(family, velocity)
         assert np.any((values > 0) & (values < SMALLEST_NORMAL))
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7, None])
-@pytest.mark.parametrize("solver", ["nonlocal", "local"])
-def test_block_size_leaves_the_bits(monkeypatch, rows, solver):
-    # 40 steps over blocks of 1, 2 and 7 rows and the default budget's 496
+def run_both(solver, q0, t_end, times):
+    """The report of ``solver`` (a kernel family, or "local" for the
+    Godunov scheme) and the oracle's, on the linear velocity at cfl 0.5."""
+    v = VELOCITIES["linear"]
+    if solver == "local":
+        return (solve_local(q0, FluxModel(velocity=v), 0.5, t_end, times),
+                oracle_local(q0, v, 0.5, t_end, times))
+    cfg = NonlocalSchemeConfig(kernel=KernelSpec(solver, 0.05), velocity=v, cfl=0.5,
+                               t_end=t_end, snapshot_times=times)
+    return solve_nonlocal(q0, cfg), oracle_nonlocal(q0, cfg)
+
+
+def rough_field(n_cells, seed=5):
+    """Random cells between far-field states unlike the end cells, so that
+    every TV record has two nonzero seams."""
+    rng = np.random.default_rng(seed)
+    return CellField(grid=Grid1D(-1.0, 2.0, n_cells, left_farfield=0.02, right_farfield=0.9),
+                     values=rng.uniform(0.1, 0.8, n_cells))
+
+
+@pytest.mark.parametrize("n_cells", [7, 8, 9, 127, 128, 129, 136, 137, 255, 256, 257])
+@pytest.mark.parametrize("solver", ["exponential", "constant", "local"])
+@pytest.mark.parametrize("datum", [seeded_field, rough_field])
+def test_records_across_the_pairwise_thresholds_equal_the_oracle(n_cells, solver, datum):
+    # numpy sums below 8 values in a loop, up to 128 in 8 accumulators and
+    # splits longer sums; the mass sums n values, TV(q) n - 1 inner jumps
+    # and TV(W) n, then the two seams
+    assert_same_bits(*run_both(solver, datum(n_cells), 0.2, [0.0, 0.1, 0.2]))
+
+
+@pytest.mark.parametrize("n_cells", [5, 300])
+@pytest.mark.parametrize("solver", ["exponential", "local"])
+def test_vacuum_of_negative_zeros_has_mass_plus_zero(n_cells, solver):
+    # numpy's sum of -0.0 values is +0.0: its reduction starts from 0.0
+    grid = Grid1D(-1.0, 2.0, n_cells)
+    q0 = CellField(grid=grid, values=np.full(n_cells, -0.0))
+    report, expected = run_both(solver, q0, 0.1, [0.0, 0.1])
+    assert_same_bits(report, expected)
+    assert np.signbit(report.snapshots[-1].q.values).any()
+    assert not np.signbit(report.mass_series).any()
+
+
+# steps of dx / 2 on a 64-cell grid: 20 steps to t_end
+SNAPSHOT_STEPS = {
+    "every_step": np.arange(21),
+    "adjacent": np.array([5, 6]),
+    "duplicated": np.array([3.0, 3.2, 3.4, 9.0]),
+    "zero_only": np.array([0.0]),
+}
+
+
+@pytest.mark.parametrize("requests", list(SNAPSHOT_STEPS))
+@pytest.mark.parametrize("solver", ["exponential", "local"])
+def test_snapshot_stops_equal_the_oracle(requests, solver):
+    # each distinct requested step is a stop of the library's run; the
+    # records between stops and after the last one are the oracle's
     q0 = seeded_field(64)
-    if rows is not None:
-        monkeypatch.setattr(stepping, "_BLOCK_BYTES", rows * 8 * 66)
-    every_step = np.arange(41) * (q0.grid.dx / 2)
-    if solver == "nonlocal":
-        cfg = NonlocalSchemeConfig(kernel=KernelSpec("exponential", 0.05),
-                                   velocity=VELOCITIES["linear"], cfl=0.5, t_end=every_step[-1],
-                                   snapshot_times=every_step)
-        assert_same_bits(solve_nonlocal(q0, cfg), oracle_nonlocal(q0, cfg))
+    dt = q0.grid.dx / 2
+    steps = SNAPSHOT_STEPS[requests]
+    report, expected = run_both(solver, q0, 20 * dt, steps * dt)
+    assert_same_bits(report, expected)
+    assert report.n_steps == 20 and len(report.snapshots) == steps.size
+    landed = np.rint(steps).astype(int).tolist()
+    for a, b, k, j in zip(report.snapshots, report.snapshots[1:], landed, landed[1:]):
+        assert (a is b) == (k == j)
+
+
+@pytest.mark.parametrize("solver", ["nonlocal", "local"])
+def test_blowup_right_after_a_snapshot_stop_has_the_oracles_step(solver):
+    # constant speed at dt = 6 dx overflows at some step B; a snapshot at
+    # B - 1 ends a library call there, and the next call's first step fails
+    q0 = seeded_field(64)
+    v = VELOCITIES["constant"]
+    dt = 6 * q0.grid.dx
+    if solver == "local":
+        flux, average = _scheme(FluxModel(velocity=v)), None
+        oracle_flux, oracle_term = oracle_godunov_flux(v), None
     else:
-        v = VELOCITIES["linear"]
-        assert_same_bits(solve_local(q0, FluxModel(velocity=v), 0.5, every_step[-1], every_step),
-                         oracle_local(q0, v, 0.5, every_step[-1], every_step))
+        cfg = NonlocalSchemeConfig(kernel=KernelSpec("exponential", 0.05), velocity=v,
+                                   cfl=1.0, t_end=1.0)
+        flux, average = _upwind_flux(cfg), kernel_operator(cfg.kernel, q0.grid)
+        oracle_flux, oracle_term = oracle_upwind_flux(cfg), oracle_average(cfg.kernel, q0.grid)
+    with pytest.raises(NumericalBlowupError) as first:
+        oracle_integrate(q0, oracle_flux, dt, 2000, [], oracle_term)
+    times = [0.0, (first.value.step - 1) * dt]
+    with pytest.raises(NumericalBlowupError) as expected:
+        oracle_integrate(q0, oracle_flux, dt, 2000, times, oracle_term)
+    with pytest.raises(NumericalBlowupError) as got:
+        stepping.integrate(q0, flux, dt, 2000, times, average)
+    assert got.value.step == expected.value.step == first.value.step > 1
+    assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("rows", [1, 3, 16])
-def test_mode_violation_has_the_oracles_message(monkeypatch, rows):
+def test_mode_violation_has_the_oracles_message():
     # the upwind scheme at dt = 1.6 dx: its growing oscillation drives W
     # above s_max, and V(W) below zero, at some step; the message carries
     # that step's extreme speed
-    monkeypatch.setattr(stepping, "_BLOCK_BYTES", rows * 8 * 66)
     q0 = seeded_field(64)
     cfg = NonlocalSchemeConfig(kernel=KernelSpec("exponential", 0.05),
                                velocity=VELOCITIES["linear"], cfl=1.0, t_end=1.0)
@@ -347,11 +430,9 @@ def test_mode_violation_has_the_oracles_message(monkeypatch, rows):
     assert "fell to" in str(got.value)
 
 
-@pytest.mark.parametrize("rows", [1, 3, 16])
-def test_blowup_has_the_oracles_step_and_message(monkeypatch, rows):
-    # constant speed 1 at dt = 6 dx: the update's diagonal is 1 - 6, so the
-    # oscillation grows about fivefold a step until it overflows
-    monkeypatch.setattr(stepping, "_BLOCK_BYTES", rows * 8 * 66)
+def test_blowup_has_the_oracles_step_and_message():
+    # constant speed 0.7 at dt = 6 dx, a CFL number of 4.2: the oscillation
+    # grows on every step until it overflows
     q0 = seeded_field(64)
     v = VELOCITIES["constant"]
     flux = FluxModel(velocity=v)
@@ -360,7 +441,7 @@ def test_blowup_has_the_oracles_step_and_message(monkeypatch, rows):
         oracle_integrate(q0, oracle_godunov_flux(v), dt, 2000)
     with pytest.raises(NumericalBlowupError) as got:
         stepping.integrate(q0, _scheme(flux), dt, 2000)
-    assert got.value.step == expected.value.step > rows
+    assert got.value.step == expected.value.step > 1
     assert str(got.value) == str(expected.value)
 
 
@@ -390,3 +471,53 @@ def test_velocity_equals_the_oracles_law():
             expected, scalar = oracle_speed(v, s), oracle_speed(v, 0.25)
         assert v.eval(s).tobytes() == expected.tobytes(), name
         assert np.float64(v.eval(0.25)).tobytes() == np.float64(scalar).tobytes(), name
+
+
+BASELINE_SUMS = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from nonlocal_limit import (FluxModel, Grid1D, KernelSpec, NonlocalSchemeConfig,
+                            PiecewiseConstantProfile, linear_velocity, sample_profile,
+                            solve_local, solve_nonlocal, total_variation)
+
+assert not any(__cpu_features__[name] for name in sys.argv[1:])
+bits = lambda x: np.float64(x).tobytes()
+checked = 0
+for n_cells in (9, 130, 300):
+    q0 = sample_profile(PiecewiseConstantProfile(np.array([0.0, 0.5]),
+                                                 np.array([0.1, 0.9, 0.0])),
+                        Grid1D(-1.0, 2.0, n_cells))
+    t_end = 12 * q0.grid.dx / 2
+    every_step = np.arange(13) * (q0.grid.dx / 2)
+    v = linear_velocity()
+    reports = [solve_local(q0, FluxModel(velocity=v), 0.5, t_end, every_step)]
+    for family in ("exponential", "constant"):
+        reports.append(solve_nonlocal(q0, NonlocalSchemeConfig(
+            kernel=KernelSpec(family, 0.05), velocity=v, cfl=0.5, t_end=t_end,
+            snapshot_times=every_step)))
+    for report in reports:
+        assert report.n_steps == 12
+        for k, snap in enumerate(report.snapshots):
+            assert bits(report.tv_q_series[k]) == bits(total_variation(snap.q)), (n_cells, k)
+            assert bits(report.mass_series[k]) == bits(q0.grid.dx * snap.q.values.sum())
+            if snap.w is not None:
+                assert bits(report.tv_w_series[k]) == bits(total_variation(snap.w))
+            checked += 1
+print(checked)
+"""
+
+
+def test_records_equal_numpys_sums_with_its_dispatch_at_baseline():
+    # numpy picks the kernels of its sums by the CPU features it may use;
+    # with every dispatched feature this host has turned off, its sums of
+    # each snapshot must still equal the library's records
+    disabled = [name for name in _multiarray_umath.__cpu_dispatch__
+                if _multiarray_umath.__cpu_features__.get(name)]
+    source = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", BASELINE_SUMS, *disabled], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": str(source),
+                          "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(3 * 3 * 13)]
