@@ -4,8 +4,9 @@ Configs are JSON documents.  ExperimentConfig declares each key once, with
 its check and default; unknown keys are rejected with their key path, and
 the defaults reproduce the reference experiment.
 
-All CSV output is deterministic: floats carry 17 significant digits, rows are
-ordered, and nothing time- or host-dependent is written.
+All CSV output is deterministic: floats carry 17 significant digits, written
+by the step library (``native.rows``), rows are ordered, and nothing time- or
+host-dependent is written.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .core import (
     CellField,
     Grid1D,
@@ -67,10 +69,11 @@ _DEFAULT_SNAPSHOT_SPACING = 0.05
 _RESIDUAL_BAND_INTERVALS = 75
 _RESIDUAL_MIN_RADIUS_STEPS = 76.0
 _ENTROPY_LEVEL_FRACTIONS = (0.25, 0.5, 0.75)
-# Bytes of NUL-padded row text per block of CSV rows formatted at once: each
-# block costs a fixed number of numpy calls, and its buffers grow with it.
+# Bytes of row text per block of CSV rows formatted at once, which bound the
+# block's buffer, and the most bytes of a number's text with its separator.
 _CSV_BLOCK_BYTES = 1 << 18
-_NAN_TEXT = np.frombuffer(b"nan", dtype=np.uint8)
+_NUMBER_BYTES = native.REAL_WIDTH + 1
+_NAN = np.array([np.nan])  # the W column of a local run: one entry for every row
 
 
 # Checks of single config keys: each takes the raw value and its key path and
@@ -348,52 +351,24 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _text(column) -> np.ndarray:
-    """NUL-padded ASCII text of ``column``, one uint8 row per entry: float64
-    entries as '%.17g' (``floatfmt``), others as str().  A 2-D uint8 array
-    is text already and passes through."""
-    column = np.asarray(column)
-    if column.dtype == np.float64:
-        # imported at first use: a process that writes no CSV does not
-        # build the formatter's tables (about 5 ms and 0.3 MB resident)
-        from .floatfmt import format_g17
-        return format_g17(column)
-    if column.dtype == np.uint8 and column.ndim == 2:
+def _column(column) -> native.Column:
+    """A CSV column of ``column``: a native.Column as it is, str entries as
+    text, numbers as '%.17g' of their float64 value (for an integer below
+    2**53 in magnitude, such as a step or cell index, its decimal text)."""
+    if isinstance(column, native.Column):
         return column
-    text = column.astype("S")
-    return text.view(np.uint8).reshape(text.size, text.itemsize)
+    column = np.asarray(column)
+    if column.dtype.kind in "US":
+        return native.Column.lines("".join(f"{entry}\n" for entry in column.tolist()).encode())
+    return native.Column.numbers(np.ascontiguousarray(column, dtype=np.float64))
 
 
-def _rows(*columns) -> bytearray:
-    """One CSV line per entry of the equal-length ``columns`` (see _text).
-    The float64 columns are formatted in one call; the text of all columns
-    is laid side by side and its NULs deleted."""
-    columns = [np.asarray(column) for column in columns]
-    n_rows = len(columns[0])
-    floats = [column for column in columns if column.dtype == np.float64]
-    float_text = iter(np.split(_text(np.concatenate(floats)), len(floats)) if floats else ())
-    texts = [next(float_text) if column.dtype == np.float64 else _text(column)
-             for column in columns]
-    separators = np.full((n_rows, len(texts)), ord(","), dtype=np.uint8)
-    separators[:, -1] = ord("\n")
-    pieces = [piece for i, text in enumerate(texts) for piece in (text, separators[:, i:i + 1])]
-    line = bytearray(n_rows * sum(piece.shape[1] for piece in pieces))
-    np.concatenate(pieces, axis=1, out=np.frombuffer(line, dtype=np.uint8).reshape(n_rows, -1))
-    return line.translate(None, b"\0")
-
-
-def _padded_lines(*columns) -> np.ndarray:
-    """The lines of _rows(*columns), without their newlines, as text rows
-    padded at the end only: a compact column for text reused many times."""
-    return _text(np.array(bytes(_rows(*columns)).splitlines()))
-
-
-def _row_blocks(row_bytes: int, *columns):
-    """_rows of ``columns`` over consecutive ranges of rows, each with about
-    _CSV_BLOCK_BYTES of padded row text at ``row_bytes`` per row."""
-    step = max(1, _CSV_BLOCK_BYTES // row_bytes)
-    for start in range(0, len(columns[0]), step):
-        yield _rows(*(column[start:start + step] for column in columns))
+def _rows(*columns) -> np.ndarray:
+    """The CSV lines of ``columns`` (see _column) as uint8 text, as many as
+    the longest column's entries times their repeat; a shorter column
+    starts over."""
+    columns = [_column(column) for column in columns]
+    return native.rows(columns, max(column.count * column.repeat for column in columns))
 
 
 def _write_csv(path: Path, header: tuple, blocks):
@@ -425,26 +400,20 @@ def _configured_snapshots(cfg: ExperimentConfig, report: RunReport) -> tuple:
 
 def _snapshot_blocks(snapshots):
     """The rows of snapshots.csv, one row per cell per snapshot, in blocks
-    of whole snapshots with about _CSV_BLOCK_BYTES of row text each, or of
-    parts of one on larger grids.  The time and cell_index,x_center text is
-    formatted once per file."""
+    of whole snapshots (at least one) with about _CSV_BLOCK_BYTES of row
+    text each.  Each time and cell_index,x_center text is formatted once."""
     if not snapshots:
         return
-    grid = snapshots[0].q.grid
-    times = _padded_lines([snap.time for snap in snapshots])
-    cells = _padded_lines(np.arange(grid.n_cells), grid.cell_centers)
-    from .floatfmt import SLOT_WIDTH
-    row_bytes = times.shape[1] + cells.shape[1] + 2 * SLOT_WIDTH + 4
-    per_block = max(1, _CSV_BLOCK_BYTES // (grid.n_cells * row_bytes))
+    n = snapshots[0].q.grid.n_cells
+    cells = native.Column.lines(_rows(np.arange(n), snapshots[0].q.grid.cell_centers))
+    per_block = max(1, _CSV_BLOCK_BYTES // (n * (cells.width + 3 * _NUMBER_BYTES + 1)))
     for start in range(0, len(snapshots), per_block):
         block = snapshots[start:start + per_block]
-        q = np.concatenate([snap.q.values for snap in block])
+        times = native.Column.lines(_rows([snap.time for snap in block]), repeat=n)
         # W at each cell's left interface; local runs have none
         w = (np.concatenate([snap.w.values[:-1] for snap in block])
-             if block[0].w is not None else np.broadcast_to(_NAN_TEXT, (len(q), 3)))
-        yield from _row_blocks(row_bytes,
-                               np.repeat(times[start:start + len(block)], grid.n_cells, axis=0),
-                               np.tile(cells, (len(block), 1)), q, w)
+             if block[0].w is not None else _NAN)
+        yield _rows(times, cells, np.concatenate([snap.q.values for snap in block]), w)
 
 
 def _write_snapshots_csv(path: Path, snapshots):
@@ -454,12 +423,13 @@ def _write_snapshots_csv(path: Path, snapshots):
 
 def _write_tv_series_csv(path: Path, report: RunReport):
     steps = np.arange(report.n_steps + 1)
-    tv_w = (report.tv_w_series if report.tv_w_series is not None
-            else np.broadcast_to(_NAN_TEXT, (len(steps), 3)))
-    from .floatfmt import SLOT_WIDTH
+    series = (steps, steps * report.dt_used, report.tv_q_series,
+              report.tv_w_series if report.tv_w_series is not None else _NAN,
+              report.mass_series)
+    per_block = max(1, _CSV_BLOCK_BYTES // (len(series) * _NUMBER_BYTES))
     _write_csv(path, ("step", "time", "tv_q", "tv_W", "mass"),
-               _row_blocks(4 * SLOT_WIDTH + 25, steps, steps * report.dt_used,
-                           report.tv_q_series, tv_w, report.mass_series))
+               (_rows(*(column if column is _NAN else column[start:start + per_block]
+                        for column in series)) for start in range(0, steps.size, per_block)))
 
 
 def _max_principle_violation(report: RunReport, q0: CellField) -> float:
@@ -676,7 +646,6 @@ def _run_tasks(tasks, costs, names) -> list:
         return [task() for task in tasks]
     import resource
 
-    from . import floatfmt  # noqa: F401 -- built once here, shared with the children
     own, *shares = _shares(costs, workers)
     results, failures, children = {}, {}, []  # children: (share, pid, fd, start)
     terminable = (threading.current_thread() is threading.main_thread()

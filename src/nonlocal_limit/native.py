@@ -5,6 +5,7 @@ The library is cached in this package's ``__pycache__/`` under a name hashed
 from the source, the flags, the platform and the CPU.  ``Flux`` and
 ``Average`` describe an interface flux and a kernel average to it, and
 ``Run`` a run's rows and records; ``lib.nl_advance`` makes a run's steps.
+``rows`` writes the CSV rows of ``Column`` objects.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ SOURCE = Path(__file__).with_name("steps.c")
 VELOCITY_FAMILIES = ("linear", "quadratic", "linear_increasing", "constant")
 UPWIND, GODUNOV = 0, 1
 EXPONENTIAL, CONSTANT = 0, 1
+REAL_WIDTH = len("-2.2250738585072014e-308")  # the longest '%.17g' text of a float64
 
 try:  # the CPU's instruction-set line ("Features" on ARM)
     with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
@@ -73,19 +75,20 @@ for _name, _args, _result in [
         ("nl_velocity", [ctypes.c_int, _D, _D, _P, _P, _L], None),
         ("nl_godunov", [_P, _P, _P, _P, _P, _P, _L], None),
         ("nl_average", [_P, _P, _P], None),
-        ("nl_advance", [_P, _L, _L], _L)]:
+        ("nl_advance", [_P, _L, _L], _L),
+        ("nl_rows", [_P, _L, _L, _P, _L], _L)]:
     getattr(lib, _name).argtypes = _args
     getattr(lib, _name).restype = _result
 
 
-def _address(array: np.ndarray, size: int, writes: bool = False) -> int:
+def _address(array: np.ndarray, size: int, writes: bool = False, dtype=np.float64) -> int:
     """The address of ``array``'s data, after checking that it is a
-    contiguous float64 array of ``size`` entries, writeable if ``writes``."""
-    if not (isinstance(array, np.ndarray) and array.dtype == np.float64
+    contiguous ``dtype`` array of ``size`` entries, writeable if ``writes``."""
+    if not (isinstance(array, np.ndarray) and array.dtype == dtype
             and array.flags.c_contiguous and array.size == size
             and (array.flags.writeable or not writes)):
-        raise ValueError(f"expected a contiguous{' writeable' if writes else ''} float64 "
-                         f"array of {size} values")
+        raise ValueError(f"expected a contiguous{' writeable' if writes else ''} "
+                         f"{np.dtype(dtype).name} array of {size} values")
     return array.ctypes.data
 
 
@@ -146,3 +149,50 @@ class Run(ctypes.Structure):
                 *((name, _P) for name in ("q", "w", "tv_q", "tv_w", "mass", "fluxes", "scratch")),
                 ("boundary", _D), ("q_min", _D), ("q_max", _D), ("extreme", _D),
                 ("error", ctypes.c_int)]
+
+
+class Column(ctypes.Structure):
+    """A column of CSV rows (see ``rows``): float64 entries as '%.17g', or
+    lines of text.  Row r of a call takes entry (r // repeat) % count.
+    ``width`` bounds the text of an entry, and ``arrays`` keeps alive the
+    arrays it points to."""
+
+    _fields_ = [("repeat", _L), ("count", _L), ("values", _P), ("starts", _P)]
+
+    @classmethod
+    def numbers(cls, values: np.ndarray, repeat: int = 1) -> Column:
+        """The float64 ``values``, at least one."""
+        size = max(getattr(values, "size", 0), 1)  # an empty array fails the size check
+        column = cls(repeat, size, _address(values, size), None)
+        column.arrays, column.width = (values,), REAL_WIDTH
+        return column
+
+    @classmethod
+    def lines(cls, text, repeat: int = 1) -> Column:
+        """The LF-terminated lines of the bytes-like ``text``, at least one,
+        without their LFs."""
+        data = np.frombuffer(text, dtype=np.uint8)
+        starts = np.concatenate([[0], np.flatnonzero(data == ord("\n")) + 1])
+        if starts.size < 2:
+            raise ValueError("expected at least one LF-terminated line")
+        column = cls(repeat, starts.size - 1, data.ctypes.data, starts.ctypes.data)
+        column.arrays, column.width = (data, starts), int(np.diff(starts).max()) - 1
+        return column
+
+
+def rows(columns, n_rows: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``n_rows`` CSV lines of ``columns`` (comma-separated,
+    LF-terminated), written into ``out``, a contiguous writeable uint8
+    array, or into a new one that fits the widest rows; returns the part
+    written.  Raises ValueError when they do not fit, with nothing written
+    past ``out``."""
+    if out is None:
+        out = np.empty(n_rows * (sum(column.width for column in columns) + len(columns)),
+                       dtype=np.uint8)
+    address = _address(out, out.size, True, np.uint8)
+    written = lib.nl_rows((Column * len(columns))(*columns), len(columns), n_rows, address,
+                          out.size)
+    if written < 0:
+        raise ValueError(f"{n_rows} rows do not fit in {out.size} bytes" if written == -1
+                         else "expected 1 to 16 columns, each with a repeat of at least 1")
+    return out[:written]

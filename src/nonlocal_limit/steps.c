@@ -1,6 +1,7 @@
 /* The step bodies of both solvers: the four velocity laws, the two kernel
  * averages, the upwind and Godunov interface fluxes, the conservative update
  * and each step's records, run for every step up to a snapshot in one call.
+ * Last, the CSV rows the harness writes (nl_rows).
  *
  * Bits.  Each result equals the numpy evaluation it replaced, bit for bit.
  * The body uses only +, -, *, /, fabs, comparisons and selects.  Each is one
@@ -15,6 +16,9 @@
  * float64 x.sum() (see `pairwise`).
  */
 #include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 enum { LINEAR, QUADRATIC, LINEAR_INCREASING, CONSTANT };  /* velocity families */
 enum { UPWIND, GODUNOV };
@@ -288,4 +292,187 @@ long nl_advance(Run *run, long k, long steps)
         evaluate(run, k + 1);
     }
     return k;
+}
+
+/* CSV rows.  nl_rows writes rows of float64 columns as Python's '%.17g'
+ * and of text columns as they are, comma-separated and LF-terminated, into
+ * a caller's buffer that it never overruns.
+ *
+ * Digits.  With x = m * 2^(b - 1075), m the 53-bit integer significand, and
+ * E = floor(log10 |x|), the 17 digits are N = round-half-even(m * 5^k *
+ * 2^(b - 1075 + k)), k = 16 - E: one product of m and five[k], the leading
+ * 64 bits of 5^k, shifted right by 1 to 66 bits.  Up to k = 27 five[k] is
+ * 5^k and N is exact.  Past it the exact product exceeds the computed one by
+ * less than m units and no tie is possible (the shift exceeds 53 bits), so
+ * N is certain unless the bits shifted out lie within m below a half.  E is
+ * estimated from b, low by at most 1, and corrected when N has 18 digits.
+ * Those open roundings, subnormals and values from 1e15 up take snprintf's
+ * '%.17g' (glibc's equals Python's there) with the locale's decimal point
+ * written '.'; NaN is "nan" whatever its sign, as Python writes it. */
+__extension__ typedef unsigned __int128 u128;
+
+enum { MAX_COLUMNS = 16, POWERS = 326 };  /* k is at most 324 */
+
+/* A column: row r of a call takes entry (r / repeat) % count of the float64
+ * values or, where starts is not NULL, of the text: LF-terminated lines,
+ * entry i the bytes from starts[i] to the LF before starts[i + 1]. */
+typedef struct {
+    long repeat, count;
+    const void *values;
+    const long *starts;
+} Column;
+
+static uint64_t five[POWERS];
+static int five_scale[POWERS], five_ready;
+
+/* five[k] * 2^five_scale[k] <= 5^k, five[k] its leading 64 bits: built at
+ * first use from 5^k in base 2^32, least significant limb first (threads
+ * that race here write the same values) */
+static void build_five(void)
+{
+    uint32_t limb[28] = {1};
+    int used = 1;
+    for (int k = 0; k < POWERS; k++) {
+        uint64_t carry = 0;
+        for (int j = 0; k > 0 && j < used; j++, carry >>= 32) {
+            carry += (uint64_t) limb[j] * 5;
+            limb[j] = (uint32_t) carry;
+        }
+        if (carry) limb[used++] = (uint32_t) carry;
+        int bits = 32 * (used - 1);
+        for (uint32_t top = limb[used - 1]; top; top >>= 1) bits++;
+        const int scale = bits > 64 ? bits - 64 : 0, low = scale / 32;
+        u128 window = 0;
+        for (int j = used - 1; j >= low; j--) window = window << 32 | limb[j];
+        five[k] = (uint64_t) (window >> (scale - 32 * low));
+        five_scale[k] = scale;
+    }
+    __atomic_store_n(&five_ready, 1, __ATOMIC_RELEASE);
+}
+
+/* N for x = m * 2^(b - 1075) and k into *n; 0 when the rounding is open */
+static int nearest(uint64_t m, int b, int k, uint64_t *n)
+{
+    const int shift = 1075 - b - k - five_scale[k];
+    const u128 product = (u128) m * five[k], half = (u128) 1 << (shift - 1);
+    const u128 below = product & ((half << 1) - 1);
+    *n = (uint64_t) (product >> shift);
+    if (five_scale[k] && below < half && below + m > half) return 0;
+    *n += five_scale[k] ? below >= half : below > half || (below == half && (*n & 1));
+    return 1;
+}
+
+/* the 8 decimal digits of v < 10^8 into d, two at a time */
+static void eight(uint32_t v, char *d)
+{
+    static const char pairs[] =
+        "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+        "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+        "8081828384858687888990919293949596979899";
+    for (int j = 6; j >= 0; j -= 2, v /= 100) memcpy(d + j, pairs + 2 * (v % 100), 2);
+}
+
+/* '%.17g' % x as Python writes it, into p (at least 40 bytes); its length */
+static int g17(double x, char *p)
+{
+    const uint64_t TEN16 = 10000000000000000u, TEN17 = 100000000000000000u;
+    uint64_t bits, n;
+    memcpy(&bits, &x, sizeof bits);
+    const int b = (int) ((bits >> 52) & 0x7FF), negative = (int) (bits >> 63);
+    const uint64_t m = bits & (((uint64_t) 1 << 52) - 1);
+    const long t = 78913L * (b - 1023);  /* floor((b - 1023) log10 2) for every b */
+    int e10 = (int) (t >= 0 ? t / 262144 : -((262143 - t) / 262144));
+    char *s = p + negative, d[32] = {0};  /* room to copy a fixed 16 or 17 digits */
+    if (b == 0x7FF) {
+        strcpy(p, m ? "nan" : negative ? "-inf" : "inf");
+        return (int) strlen(p);
+    }
+    *p = '-';  /* kept only where negative: s starts past it */
+    if (b == 0 && m == 0) {
+        *s = '0';
+        return negative + 1;
+    }
+    if (b == 0 || e10 >= 15) goto fallback;
+    if (!__atomic_load_n(&five_ready, __ATOMIC_ACQUIRE)) build_five();
+    const uint64_t full = m | (uint64_t) 1 << 52;
+    if (!nearest(full, b, 16 - e10, &n)) goto fallback;
+    if (n >= TEN17 && !nearest(full, b, 16 - ++e10, &n)) goto fallback;
+    if (n == TEN17) {  /* rounding carried into the next power of ten */
+        n = TEN16;
+        e10++;
+    }
+    if (e10 >= 15) goto fallback;
+    const uint32_t high = (uint32_t) (n / 100000000);
+    d[0] = (char) ('0' + high / 100000000);
+    eight(high % 100000000, d + 1);
+    eight((uint32_t) (n % 100000000), d + 9);
+    int len = 17;
+    while (d[len - 1] == '0') len--;
+    if (e10 < -4) {  /* d[.ddd]e-XX */
+        s[0] = d[0];
+        s[1] = '.';
+        memcpy(s + 2, d + 1, 16);
+        s += len > 1 ? len + 1 : 1;
+        memcpy(s, "e-", 2);
+        s += 2;
+        if (e10 <= -100) *s++ = (char) ('0' - e10 / 100);
+        *s++ = (char) ('0' - e10 / 10 % 10);
+        *s++ = (char) ('0' - e10 % 10);
+    } else if (e10 < 0) {  /* 0.000ddd */
+        memcpy(s, "0.000", 5);
+        memcpy(s + 1 - e10, d, 17);
+        s += 1 - e10 + len;
+    } else {  /* ddd[.ddd] */
+        memcpy(s, d, 16);
+        s += e10 + 1;
+        s[0] = '.';
+        memcpy(s + 1, d + e10 + 1, 16);
+        s += len > e10 + 1 ? len - e10 : 0;
+    }
+    return (int) (s - p);
+fallback:
+    s = p;
+    snprintf(d, sizeof d, "%.17g", x);
+    for (const char *c = d; *c; c++) {
+        if ((*c >= '0' && *c <= '9') || *c == '-' || *c == '+' || *c == 'e') *s++ = *c;
+        else if (s[-1] != '.') *s++ = '.';  /* the locale's decimal point */
+    }
+    return (int) (s - p);
+}
+
+/* Write n_rows rows of the columns into out, which holds capacity bytes;
+ * returns the bytes written, -1 when the rows do not fit (out then holds
+ * part of them) and -2 for invalid columns. */
+long nl_rows(const Column *columns, long n_columns, long n_rows, char *out, long capacity)
+{
+    long entry[MAX_COLUMNS] = {0}, left[MAX_COLUMNS], at = 0, len;
+    char scratch[40];
+    if (n_columns < 1 || n_columns > MAX_COLUMNS) return -2;
+    for (long c = 0; c < n_columns; c++) {
+        if (columns[c].repeat < 1 || columns[c].count < 1) return -2;
+        left[c] = columns[c].repeat;
+    }
+    for (long r = 0; r < n_rows; r++) {
+        for (long c = 0; c < n_columns; c++) {
+            const Column *column = columns + c;
+            const long i = entry[c];
+            if (--left[c] == 0) {
+                left[c] = column->repeat;
+                entry[c] = i + 1 == column->count ? 0 : i + 1;
+            }
+            if (column->starts) {
+                len = column->starts[i + 1] - 1 - column->starts[i];
+                if (len >= capacity - at) return -1;
+                memcpy(out + at, (const char *) column->values + column->starts[i], len);
+            } else {
+                char *p = capacity - at >= 40 ? out + at : scratch;
+                len = g17(((const double *) column->values)[i], p);
+                if (len >= capacity - at) return -1;
+                if (p == scratch) memcpy(out + at, scratch, len);
+            }
+            at += len;
+            out[at++] = c + 1 < n_columns ? ',' : '\n';
+        }
+    }
+    return at;
 }

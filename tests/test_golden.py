@@ -27,7 +27,8 @@ Python's '%' operator to ``floatfmt.format_g17``, so they pin that the new
 formatter writes the old bytes: a sweep of the benchmark's sweep_cli config
 (512- and 1024-cell nonlocal grids, a 1024-cell reference whose W column is
 ``nan``), a default-datum ``run`` whose snapshots are 17% exact zeros and
-24% nonzero values below 1e-10, and a ``stability`` probe.
+24% nonzero values below 1e-10, and a ``stability`` probe.  They pin the
+step library's ``nl_rows``, which later replaced ``format_g17``, the same way.
 """
 
 import hashlib

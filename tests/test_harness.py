@@ -558,17 +558,17 @@ class TestSnapshotsCsv:
     ])
     def test_row_template_formats_as_fmt(self, x):
         line = harness._rows(["7,0.5"], [x], [-x])
-        assert line.decode("ascii") == f"7,0.5,{x:.17g},{-x:.17g}\n"
+        assert line.tobytes().decode("ascii") == f"7,0.5,{x:.17g},{-x:.17g}\n"
 
     def test_row_template_formats_random_bit_patterns_as_fmt(self):
         bits = np.random.default_rng(20261018).integers(0, 2**64, size=20000, dtype=np.uint64)
         values = bits.view(np.float64)
-        assert (harness._rows(np.arange(values.size), values).decode("ascii")
+        assert (harness._rows(np.arange(values.size), values).tobytes().decode("ascii")
                 == "".join(f"{i},{x:.17g}\n" for i, x in enumerate(values.tolist())))
 
     def test_block_budget_does_not_change_the_bytes(self, tmp_path, monkeypatch):
-        """Blocks of one row, of part of a snapshot, the default blocks and
-        one block per file give the same snapshots.csv and tv_series.csv."""
+        """Blocks of one row (tv_series.csv) or one snapshot (snapshots.csv),
+        the default blocks and one block per file give the same bytes."""
         cfg = config_from_dict(SNAPSHOT_DOC)
         for report in (run_single(cfg, 0.3, output_dir=tmp_path),
                        run_sweep(cfg, output_dir=tmp_path).reference):

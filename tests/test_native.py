@@ -140,3 +140,97 @@ def test_loaded_library_keeps_subnormals():
     assert np.float64(2.2250738585072014e-308) * 0.5 > 0.0
     # a subnormal speed out of the library itself
     assert linear_velocity(1e-308).eval(np.array([0.5]))[0] == 5e-309 > 0.0
+
+
+SANITIZED_FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                   "-ffp-contract=off", "-fPIC", "-shared")
+SANITIZED_SCRIPT = """
+import numpy as np
+from nonlocal_limit import (CellField, FluxModel, Grid1D, KernelSpec, ModeViolationError,
+                            NonlocalSchemeConfig, NumericalBlowupError, constant_velocity,
+                            linear_increasing_velocity, linear_velocity, native,
+                            quadratic_velocity, solve_local, solve_nonlocal, step_upwind,
+                            stepping)
+from nonlocal_limit.kernels import kernel_operator
+from nonlocal_limit.nonlocal_solver import _upwind_flux
+
+assert native.FLAGS == {flags!r}
+velocities = (linear_velocity(), quadratic_velocity(), constant_velocity(1.0))
+for n in (2, 37, 300):
+    grid = Grid1D(0.0, 1.0, n, left_farfield=0.25, right_farfield=0.0)
+    values = np.linspace(0.0, 0.9, n)
+    values[::3] = 0.0   # vacuum cells
+    values[1::5] = -0.0
+    q0 = CellField(grid=grid, values=values)
+    for family in ("exponential", "constant"):
+        for orientation, velocity in ([("downstream", v) for v in velocities]
+                                      + [("upstream", linear_increasing_velocity())]):
+            kernel = KernelSpec(family=family, eta=0.3, orientation=orientation)
+            solve_nonlocal(q0, NonlocalSchemeConfig(kernel=kernel, velocity=velocity, cfl=0.5,
+                                                    t_end=0.2, snapshot_times=np.array([0.1])))
+    for velocity in velocities + (linear_increasing_velocity(),):
+        solve_local(q0, FluxModel(velocity=velocity), cfl=0.5, t_end=0.2, snapshot_times=[0.1])
+
+# a blowup: data at 1e308 overflow the constant kernel's prefix sums
+grid = Grid1D(0.0, 1.0, 64)
+kernel = KernelSpec(family="constant", eta=0.5, orientation="downstream")
+cfg = NonlocalSchemeConfig(kernel=kernel, velocity=linear_velocity(), cfl=0.5, t_end=0.5)
+try:
+    stepping.integrate(CellField(grid=grid, values=np.full(64, 1e308)), _upwind_flux(cfg), 1e-3,
+                       10, [], kernel_operator(kernel, grid))
+    raise AssertionError("no blowup")
+except NumericalBlowupError:
+    pass
+# a mode violation: V(W) = 0.5 - W < 0 on a full state
+full = Grid1D(0.0, 1.0, 32, left_farfield=1.0, right_farfield=1.0)
+cfg = NonlocalSchemeConfig(kernel=KernelSpec(family="exponential", eta=0.3,
+                                             orientation="downstream"),
+                           velocity=linear_velocity(0.5, 0.5), cfl=0.5, t_end=0.5)
+try:
+    step_upwind(CellField(grid=full, values=np.ones(32)), cfg, dt=0.001)
+    raise AssertionError("no mode violation")
+except ModeViolationError:
+    pass
+
+# the widest rows, into a buffer of exactly their size, then one byte short
+values = np.array([-2.2250738585072014e-308, -np.inf] * 50)
+columns = [native.Column.numbers(values), native.Column.lines(b"-0.000123,456\\n"),
+           native.Column.numbers(np.arange(-100.0, 0.0))]
+text = "".join(f"{{x:.17g}},-0.000123,456,{{i}}\\n"
+               for i, x in zip(range(-100, 0), values.tolist()))
+out = np.empty(len(text), dtype=np.uint8)
+assert native.rows(columns, values.size, out).tobytes() == text.encode()
+try:
+    native.rows(columns, values.size, out[:-1].copy())
+    raise AssertionError("no error")
+except ValueError:
+    pass
+print("done")
+"""
+
+
+def test_sanitized_library_runs_steps_and_rows_cleanly(package):
+    """The library built with AddressSanitizer and UndefinedBehaviorSanitizer
+    runs both schemes, every velocity family, both kernels and orientations,
+    2 to 300 cells with vacuum and -0.0 cells, a blowup, a mode violation
+    and rows that fill their buffer exactly, with no report."""
+    runtimes = [subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True,
+                               text=True, timeout=60).stdout.strip()
+                for name in ("libasan.so", "libubsan.so")]
+    if not os.path.isabs(runtimes[0]):
+        pytest.skip("cc -print-file-name=libasan.so finds no AddressSanitizer runtime")
+    source = package / "src" / "nonlocal_limit" / "native.py"
+    text, count = re.subn(r"^FLAGS = .*$", f"FLAGS = {SANITIZED_FLAGS!r}", source.read_text(),
+                          flags=re.M)
+    assert count == 1
+    source.write_text(text)
+    log = package / "sanitizer"
+    proc = subprocess.run(
+        [sys.executable, "-c", SANITIZED_SCRIPT.format(flags=SANITIZED_FLAGS)], cwd=package,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(package / "src"), "LD_PRELOAD": " ".join(runtimes),
+             "ASAN_OPTIONS": f"log_path={log}:detect_leaks=0",
+             "UBSAN_OPTIONS": f"log_path={log}:print_stacktrace=1"})
+    reports = {path.name: path.read_text() for path in package.glob("sanitizer*")}
+    assert proc.returncode == 0 and proc.stdout.split() == ["done"], (proc.stderr, reports)
+    assert not any(reports.values()), reports
