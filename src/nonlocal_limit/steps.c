@@ -224,6 +224,46 @@ static double total_variation(const double *row, long m, double *jumps)
     return 0.0 + pairwise(jumps + 1, m - 1) + jumps[0] + jumps[m];
 }
 
+/* Fold x[0], ..., x[n - 1] into the running extremes *lo and *hi as the
+ * loop lo = x[i] < lo ? x[i] : lo (hi likewise) does: a NaN never wins, and
+ * of equal values the first is kept.  The values run in LANES independent
+ * lanes, which vectorise, the last n % LANES in order; then the lanes fold
+ * in.  Lane order can only change which of two zeros wins, so a zero that
+ * replaces *lo or *hi is x's first zero. */
+enum { LANES = 32 };  /* several vectors' worth: their selects need not wait in turn */
+
+static double first_zero(const double *x)
+{
+    while (*x != 0.0) x++;
+    return *x;
+}
+
+static void extremes(const double *x, long n, double *lo, double *hi)
+{
+    double l[LANES], h[LANES], m = INFINITY, M = -INFINITY;
+    long i = 0;
+    int j;
+    for (j = 0; j < LANES; j++) {
+        l[j] = INFINITY;
+        h[j] = -INFINITY;
+    }
+    for (; i + LANES <= n; i += LANES)
+        for (j = 0; j < LANES; j++) {
+            l[j] = x[i + j] < l[j] ? x[i + j] : l[j];
+            h[j] = x[i + j] > h[j] ? x[i + j] : h[j];
+        }
+    for (; i < n; i++) {
+        m = x[i] < m ? x[i] : m;
+        M = x[i] > M ? x[i] : M;
+    }
+    for (j = 0; j < LANES; j++) {
+        m = l[j] < m ? l[j] : m;
+        M = h[j] > M ? h[j] : M;
+    }
+    if (m < *lo) *lo = m == 0.0 ? first_zero(x) : m;
+    if (M > *hi) *hi = M == 0.0 ? first_zero(x) : M;
+}
+
 /* A run: its flux and kernel average (NULL with the Godunov flux); its rows
  * of q (n + 2 values) and W (n + 3; NULL without an average), far fields in
  * their end columns; its record series, one entry per step (tv_w NULL
@@ -253,13 +293,7 @@ static void evaluate(Run *run, long k)
     }
     run->tv_q[k] = total_variation(q, n, run->scratch);
     run->mass[k] = run->dx * (0.0 + pairwise(q + 1, n));
-    double lo = run->q_min, hi = run->q_max;
-    for (long i = 1; i <= n; i++) {
-        lo = q[i] < lo ? q[i] : lo;
-        hi = q[i] > hi ? q[i] : hi;
-    }
-    run->q_min = lo;
-    run->q_max = hi;
+    extremes(q + 1, n, &run->q_min, &run->q_max);
 }
 
 /* Make `steps` steps from step k, which q holds, with w holding its

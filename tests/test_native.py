@@ -136,6 +136,30 @@ def test_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+LANE_LOOP = "for (; i + LANES <= n; i += LANES)"
+
+
+def test_extremes_lane_loop_is_vectorised(tmp_path):
+    # the running q extremes keep their bits on a serial loop too, so only
+    # the compiler's report shows that the lanes still vectorise
+    version = subprocess.run(["cc", "--version"], capture_output=True, text=True,
+                             timeout=60).stdout
+    if "Free Software Foundation" not in version:
+        pytest.skip("cc is not gcc, whose -fopt-info-vec-optimized report this test reads")
+    lines = native.SOURCE.read_text().splitlines()
+    found = [i + 1 for i, line in enumerate(lines) if line.strip() == LANE_LOOP]
+    assert len(found) == 1, f"expected one line {LANE_LOOP!r} in steps.c, found {found}"
+    at = found[0]
+    proc = subprocess.run(["cc", *native.FLAGS, "-fopt-info-vec-optimized",
+                           "-o", str(tmp_path / "steps.so"), str(native.SOURCE)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # gcc names the outer loop's line, or the inner one's when it vectorises that
+    reported = {int(m[1]) for m in re.finditer(r"steps\.c:(\d+):\d+: optimized: loop vectorized",
+                                               proc.stderr)}
+    assert reported & {at, at + 1}, proc.stderr
+
+
 def test_loaded_library_keeps_subnormals():
     assert np.float64(2.2250738585072014e-308) * 0.5 > 0.0
     # a subnormal speed out of the library itself
@@ -156,7 +180,7 @@ from nonlocal_limit.nonlocal_solver import _upwind_flux
 
 assert native.FLAGS == {flags!r}
 velocities = (linear_velocity(), quadratic_velocity(), constant_velocity(1.0))
-for n in (2, 37, 300):
+for n in (2, 31, 32, 33, 37, 65, 300):  # 32 lanes of q extremes and their tails
     grid = Grid1D(0.0, 1.0, n, left_farfield=0.25, right_farfield=0.0)
     values = np.linspace(0.0, 0.9, n)
     values[::3] = 0.0   # vacuum cells

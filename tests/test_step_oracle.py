@@ -14,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy._core import _multiarray_umath
 from scipy.signal import lfilter
 
@@ -173,6 +176,18 @@ def oracle_total_variation(padded):
     return jumps[1:-1].sum() + jumps[0] + jumps[-1]
 
 
+def oracle_extremes(values, q_min, q_max):
+    """The running extremes folded in index order, a value replacing one only
+    when beyond it: of equal values (zeros of both signs) the first is kept.
+    numpy's own min and max settle such ties by their reduction order."""
+    low, high = values.min(), values.max()
+    if low < q_min:
+        q_min = float(values[values == low][0])
+    if high > q_max:
+        q_max = float(values[values == high][0])
+    return q_min, q_max
+
+
 def oracle_integrate(q0, interface_flux, dt, n_steps, snapshot_times=(), nonlocal_term=None):
     """One step at a time, every record taken on its own step."""
     grid = q0.grid
@@ -195,7 +210,7 @@ def oracle_integrate(q0, interface_flux, dt, n_steps, snapshot_times=(), nonloca
                 tv_w[step] = oracle_total_variation(w_padded)
             tv_q[step] = oracle_total_variation(states)
             mass[step] = dx * float(np.add.reduce(values))
-            q_min, q_max = min(q_min, float(values.min())), max(q_max, float(values.max()))
+            q_min, q_max = oracle_extremes(values, q_min, q_max)
             if wanted[step]:
                 snap = Snapshot(time=step * dt, q=CellField(grid=grid, values=values),
                                 w=None if w is None else InterfaceField(grid=grid, values=w))
@@ -359,6 +374,90 @@ def test_vacuum_of_negative_zeros_has_mass_plus_zero(n_cells, solver):
     assert_same_bits(report, expected)
     assert np.signbit(report.snapshots[-1].q.values).any()
     assert not np.signbit(report.mass_series).any()
+
+
+LANES = 32  # steps.c folds the q extremes in this many lanes, the rest in order
+
+
+def signed_zero_data(n_cells, first):
+    """Two data whose extreme is a zero of both signs, the first zero by
+    index of sign ``first`` and the others of the other sign.  Positive cells
+    (far fields 0.5) whose first zero lies in a later lane than the others:
+    it in the last lane of the first block, they in lane 0 of each later
+    block and in the tail.  An all-zero vacuum (far fields 0) whose cell 0
+    alone has the sign ``first``."""
+    other = -first
+    positive = np.full(n_cells, 0.5)
+    at = min(LANES - 1, n_cells - 2)
+    positive[at] = first
+    positive[[at + 1, n_cells - 1]] = other
+    positive[LANES::LANES] = other
+    vacuum = np.full(n_cells, other)
+    vacuum[0] = first
+    return (CellField(grid=Grid1D(-1.0, 2.0, n_cells, 0.5, 0.5), values=positive),
+            CellField(grid=Grid1D(-1.0, 2.0, n_cells, 0.0, 0.0), values=vacuum))
+
+
+@pytest.mark.parametrize("n_cells", [31, 32, 33, 64, 65, 8193])
+@pytest.mark.parametrize("first", [0.0, -0.0])
+@pytest.mark.parametrize("solver", ["exponential", "local"])
+def test_zero_extremes_keep_the_first_zeros_sign(n_cells, first, solver):
+    # of equal values the running extremes keep the first, so a zero
+    # minimum or maximum has the sign of the first zero whichever lane of
+    # the library's folds holds it
+    positive, vacuum = signed_zero_data(n_cells, first)
+    t_end = 6 * positive.grid.dx / 2
+    for q0, extreme in ((positive, "q_min_overall"), (vacuum, "q_max_overall")):
+        report, expected = run_both(solver, q0, t_end, [0.0, t_end])
+        assert_same_bits(report, expected)
+        assert np.float64(getattr(report, extreme)).tobytes() == np.float64(first).tobytes()
+
+
+def drawn_levels(s_max):
+    """Levels in [0, s_max]: zeros of both signs, subnormals, the smallest
+    normal, values at and next to s_max, and anything between."""
+    return st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, SMALLEST_NORMAL, s_max / 2,
+                                      float(np.nextafter(s_max, 0.0)), s_max]),
+                     st.floats(0.0, s_max))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_drawn_runs_equal_the_oracle(data):
+    # random grids, levels, far fields, velocity laws, kernels, schemes and
+    # steps up to twice the stable one; a run that stops on an error must
+    # stop at the oracle's step with its message
+    v = VELOCITIES[data.draw(st.sampled_from(sorted(VELOCITIES)), label="velocity")]
+    levels = drawn_levels(v.admissible_range[1])
+    n = data.draw(st.integers(2, 300), label="n_cells")
+    values = data.draw(arrays(np.float64, n, elements=levels), label="values")
+    grid = Grid1D(-1.0, 2.0, n, data.draw(levels, label="left"), data.draw(levels, label="right"))
+    q0 = CellField(grid=grid, values=values)
+    n_steps = data.draw(st.integers(1, 60), label="n_steps")
+    steps = data.draw(st.lists(st.integers(0, n_steps), max_size=4, unique=True), label="steps")
+    if data.draw(st.booleans(), label="godunov"):
+        flux, average = _scheme(FluxModel(velocity=v)), None
+        oracle_flux, oracle_term = oracle_godunov_flux(v), None
+        speed = v.max_wave_speed
+    else:
+        orientation = "downstream" if v.mode == "decreasing" else "upstream"
+        kernel = KernelSpec(data.draw(st.sampled_from(["exponential", "constant"]), label="kernel"),
+                            data.draw(st.floats(1e-4, 1.0), label="eta"), orientation)
+        cfg = NonlocalSchemeConfig(kernel=kernel, velocity=v, cfl=1.0, t_end=1.0)
+        flux, average = _upwind_flux(cfg), kernel_operator(kernel, grid)
+        oracle_flux, oracle_term = oracle_upwind_flux(cfg), oracle_average(kernel, grid)
+        speed = v.max_abs_speed
+    dt = data.draw(st.floats(0.05, 2.0), label="cfl") * grid.dx / speed
+    times = np.array(sorted(steps)) * dt
+    try:
+        expected = oracle_integrate(q0, oracle_flux, dt, n_steps, times, oracle_term)
+    except (ModeViolationError, NumericalBlowupError) as error:
+        with pytest.raises(type(error)) as got:
+            stepping.integrate(q0, flux, dt, n_steps, times, average)
+        assert str(got.value) == str(error)
+        assert getattr(got.value, "step", None) == getattr(error, "step", None)
+    else:
+        assert_same_bits(stepping.integrate(q0, flux, dt, n_steps, times, average), expected)
 
 
 # steps of dx / 2 on a 64-cell grid: 20 steps to t_end
