@@ -24,8 +24,6 @@ if TYPE_CHECKING:  # avoid an import cycle; FluxModel is only a type here
 # snapshot intervals for the space-time quadrature to be meaningful.
 MIN_SNAPSHOTS_PER_SUPPORT = 50
 
-_L1_BLOCK_BYTES = 1 << 15  # bytes of stacked coarse-grid rows per sup_time_l1 block
-
 
 @dataclass(frozen=True)
 class Window:
@@ -162,14 +160,18 @@ def _coarsened(ga, gb, values: np.ndarray) -> np.ndarray:
     )
 
 
+def _weighted_l1(weights: np.ndarray, a: np.ndarray, grid_a, b: CellField) -> float:
+    """sum(weights * |a - b|), ``b`` cell-averaged down to ``grid_a``."""
+    return float((weights * np.abs(a - _coarsened(grid_a, b.grid, b.values))).sum())
+
+
 def l1_distance(a: CellField, b: CellField, window: Window) -> float:
     """L1 distance over ``window`` with exact fractional end-cell weights.
 
     ``b`` may live on an integer refinement of ``a``'s grid; it is then
     cell-averaged down before comparison.
     """
-    weights = _window_weights(a.grid, window)
-    return float(np.sum(weights * np.abs(a.values - _coarsened(a.grid, b.grid, b.values))))
+    return _weighted_l1(_window_weights(a.grid, window), a.values, a.grid, b)
 
 
 def _paired_snapshots(report_a: RunReport, report_b: RunReport) -> list:
@@ -189,12 +191,13 @@ def _paired_snapshots(report_a: RunReport, report_b: RunReport) -> list:
 
 def sup_time_l1(report_a: RunReport, report_b: RunReport, window: Window,
                 compare: str = "q") -> float:
-    """Max-over-snapshots L1 window distance between two runs.
+    """Max-over-snapshots L1 window distance between two runs: the largest
+    ``l1_distance`` of a snapshot pair, with its bits.
 
     ``compare="q"`` measures the densities of both runs; ``compare="w"``
     measures report_a's nonlocal term (restricted to cells) against
     report_b's density, which is how a nonlocal term is held against a local
-    reference.  Pairs go in blocks of stacked rows, each summed with a 1-D sum's bits.
+    reference.
     """
     if compare not in ("q", "w"):
         raise ValueError(f"unknown comparison {compare!r}")
@@ -203,16 +206,11 @@ def sup_time_l1(report_a: RunReport, report_b: RunReport, window: Window,
         raise ValueError("report_a carries no nonlocal term to compare")
     grid = report_a.grid
     weights = _window_weights(grid, window)
-    rows = max(1, _L1_BLOCK_BYTES // (8 * grid.n_cells))
-    worst = 0.0
-    for start in range(0, len(pairs), rows):
-        block = pairs[start:start + rows]
-        values_a = np.stack([snap_a.q.values if compare == "q"
-                             else snap_a.w.values[:-1]  # interface_to_cells without the copy
-                             for snap_a, _ in block])
-        values_b = _coarsened(grid, report_b.grid, np.stack([b.q.values for _, b in block]))
-        gap = np.abs(np.subtract(values_a, values_b, out=values_a), out=values_a)
-        worst = max(worst, *np.sum(np.multiply(gap, weights, out=gap), axis=1).tolist())
+    worst = 0.0  # folded from 0.0: a NaN pair L1 never replaces it
+    for snap_a, snap_b in pairs:
+        values_a = (snap_a.q.values if compare == "q"
+                    else snap_a.w.values[:-1])  # interface_to_cells without the copy
+        worst = max(worst, _weighted_l1(weights, values_a, grid, snap_b.q))
     return worst
 
 
@@ -222,7 +220,7 @@ def wq_identity_gap(q: CellField, w: InterfaceField, eta: float) -> float:
     In the continuum the two sides agree exactly for the exponential kernel;
     the discrete gap is an O(dx/eta) restriction term.
     """
-    l1 = float(q.grid.dx * np.sum(np.abs(interface_to_cells(w).values - q.values)))
+    l1 = float(q.grid.dx * np.sum(np.abs(w.values[:-1] - q.values)))
     return abs(l1 - eta * total_variation(w))
 
 

@@ -10,12 +10,11 @@ data extended by the far-field states, in O(n_cells).  The exponential map is
 invertible cell by cell; ``reconstruct_density`` is its exact left inverse.
 
 Each average is built once per run as an operator on arrays
-(``kernel_operator``) that writes W into a row its caller passes in; the
-public functions taking fields wrap it and let it allocate.  The operator
-describes the average to the step library (``native``), whose routine the
-solver's steps run too.  Upstream orientation (the average looking left
-instead of right) runs the downstream loop mirrored, which is the same as
-mirroring the field.
+(``kernel_operator``) that returns W as a new row; the public functions
+taking fields wrap it.  The operator describes the average to the step
+library (``native``), whose routine the solver's steps run too.  Upstream
+orientation (the average looking left instead of right) runs the downstream
+loop mirrored, which is the same as mirroring the field.
 """
 
 from __future__ import annotations
@@ -119,10 +118,9 @@ def kernel_operator(spec: KernelSpec, grid: Grid1D) -> native.Average:
     """The nonlocal average of ``spec`` on ``grid`` as a function of the cell
     values, built once per run.
 
-    The returned ``evaluate(values, out=None)`` writes W into ``out``, an
-    interface-length row the caller owns, or into a new array, and returns
-    it.  Upstream orientation runs the downstream operator mirrored, seeded
-    by the left far-field state.
+    The returned ``evaluate(values)`` returns W at the interfaces as a new
+    array.  Upstream orientation runs the downstream operator mirrored,
+    seeded by the left far-field state.
     """
     downstream = spec.orientation == "downstream"
     average = native.Average(upstream=not downstream, n=grid.n_cells, dx=grid.dx, eta=spec.eta,

@@ -125,18 +125,17 @@ class Flux(ctypes.Structure):
 
 
 class Average(ctypes.Structure):
-    """A kernel average on a grid of n cells; ``average(values, out=None)``
-    writes W at the n + 1 interfaces into ``out``, or a new array, and
-    returns it.  ``arrays`` keeps alive the arrays it points to."""
+    """A kernel average on a grid of n cells; ``average(values)`` returns W
+    at the n + 1 interfaces as a new array.  ``arrays`` keeps alive the
+    arrays it points to."""
 
     _fields_ = [("kernel", ctypes.c_int), ("upstream", ctypes.c_int), ("n", _L), ("m", _L),
                 ("inside", _L), ("farfield", _D), ("alpha", _D), ("b0", _D), ("dx", _D),
                 ("eta", _D), ("remainder", _D), ("farfield_sum", _P), ("prefix", _P)]
 
-    def __call__(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        w = np.empty(self.n + 1) if out is None else out
-        lib.nl_average(ctypes.byref(self), _address(values, self.n),
-                       _address(w, self.n + 1, True))
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        w = np.empty(self.n + 1)
+        lib.nl_average(ctypes.byref(self), _address(values, self.n), w.ctypes.data)
         return w
 
 
@@ -160,10 +159,10 @@ class Column(ctypes.Structure):
     _fields_ = [("repeat", _L), ("count", _L), ("values", _P), ("starts", _P)]
 
     @classmethod
-    def numbers(cls, values: np.ndarray, repeat: int = 1) -> Column:
+    def numbers(cls, values: np.ndarray) -> Column:
         """The float64 ``values``, at least one."""
         size = max(getattr(values, "size", 0), 1)  # an empty array fails the size check
-        column = cls(repeat, size, _address(values, size), None)
+        column = cls(1, size, _address(values, size), None)
         column.arrays, column.width = (values,), REAL_WIDTH
         return column
 

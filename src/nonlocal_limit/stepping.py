@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from collections import Counter, deque
+from collections import Counter
 
 import numpy as np
 
@@ -102,10 +102,10 @@ def integrate(q0: CellField, interface_flux: native.Flux, dt: float, n_steps: in
     wanted = Counter(np.clip(np.rint(times / dt).astype(int), 0, n_steps).tolist()
                      if times.size else [n_steps])
 
-    # each requested step's q field and W row; a W row becomes a field, which
-    # refuses a non-finite W, once the run has ended, so that the run's own
-    # errors come first
-    held = deque()
+    # each requested step's q field; its W field, which refuses a non-finite
+    # W, is built from it by the run's own average once the run has ended, so
+    # that the run's own errors come first
+    held = []
     step = 0
     for stop in sorted({0, *wanted, n_steps}):
         step = native.lib.nl_advance(ctypes.byref(run), step, stop - step)
@@ -116,13 +116,11 @@ def integrate(q0: CellField, interface_flux: native.Flux, dt: float, n_steps: in
             raise NumericalBlowupError(
                 f"non-finite density after step {step} (t = {step * dt:g})", step=step)
         if wanted[stop]:
-            held.append((stop, CellField(grid=grid, values=q[1:-1]),
-                         None if w is None else w[1:-1].copy()))
+            held.append((stop, CellField(grid=grid, values=q[1:-1])))
     snapshots: list[Snapshot] = []
-    while held:  # each W row is freed as its field is made
-        stop, q_field, w_row = held.popleft()
-        snap = Snapshot(time=stop * dt, q=q_field,
-                        w=None if w_row is None else InterfaceField(grid=grid, values=w_row))
+    for stop, q_field in held:
+        snap = Snapshot(time=stop * dt, q=q_field, w=None if w is None else InterfaceField(
+            grid=grid, values=nonlocal_term(q_field.values)))
         snapshots.extend([snap] * wanted[stop])
 
     return RunReport(

@@ -217,7 +217,7 @@ def test_text_needs_a_line_and_columns_a_repeat():
     with pytest.raises(ValueError, match="LF-terminated line"):
         native.Column.lines(b"no newline")
     with pytest.raises(ValueError, match="repeat of at least 1"):
-        native.rows([native.Column.numbers(np.zeros(2), repeat=0)], 2)
+        native.rows([native.Column.lines(b"x\n", repeat=0)], 2)
 
 
 @pytest.mark.parametrize("out", [

@@ -278,19 +278,15 @@ class TestExponentialRecursion:
         evaluate = kernels.kernel_operator(spec, field.grid)
         expected = lfilter_average(field, spec)
         assert np.array_equal(evaluate(field.values), expected)
-        row = np.full(field.grid.n_cells + 1, np.nan)
-        assert evaluate(field.values, row) is row
-        assert np.array_equal(row, expected)
         assert np.array_equal(nonlocal_term(field, spec).values, expected)
 
     def test_operator_refuses_arrays_it_cannot_point_at(self):
         field = random_field(5, n_cells=16)
         evaluate = kernels.kernel_operator(KernelSpec("exponential", 0.1), field.grid)
-        for values, out in [(field.values[:-1], None), (field.values.astype(np.float32), None),
-                            (np.repeat(field.values, 2)[::2], None),
-                            (field.values, np.empty(16)), (field.values, field.values)]:
+        for values in [field.values[:-1], field.values.astype(np.float32),
+                       np.repeat(field.values, 2)[::2]]:
             with pytest.raises(ValueError, match="contiguous.*float64 array of"):
-                evaluate(values, out)
+                evaluate(values)
 
 
 @settings(max_examples=40, deadline=None)

@@ -218,6 +218,22 @@ class TestStepUpwind:
                                snapshot_times, average)
         assert err.value.step == 1
 
+    @pytest.mark.parametrize("scheme, average_cells", [
+        ("upwind", None), ("godunov", 16), ("upwind", 17)])
+    def test_integrate_refuses_a_mispaired_average(self, scheme, average_cells):
+        # an upwind flux without an average, a Godunov flux with one, and an
+        # average built for another grid
+        cfg = make_config()
+        q0 = sample_profile(constant_profile(0.5), Grid1D(0.0, 1.0, 16))
+        flux = (nonlocal_solver_module._upwind_flux(cfg) if scheme == "upwind"
+                else local_reference._scheme(FluxModel(linear_velocity())))
+        average = (None if average_cells is None
+                   else kernel_operator(cfg.kernel, Grid1D(0.0, 1.0, average_cells)))
+        with pytest.raises(ValueError) as info:
+            stepping.integrate(q0, flux, 1e-3, 1, (), average)
+        assert str(info.value) == ("an upwind flux needs the kernel average of its grid, "
+                                   "the Godunov flux none")
+
 
 class TestSolveNonlocal:
     def test_constant_state_run(self):
