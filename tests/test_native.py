@@ -16,6 +16,7 @@ import nonlocal_limit.native as native
 from nonlocal_limit import linear_velocity
 
 PACKAGE = Path(native.__file__).parent
+TILE = int(re.search(r"enum \{ TILE = (\d+) \};", native.SOURCE.read_text())[1])
 FAST_MATH = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
              "-freciprocal-math", "-ffinite-math-only", "-fno-signed-zeros")
 
@@ -137,27 +138,49 @@ def test_source_compiles_without_warnings(tmp_path):
 
 
 LANE_LOOP = "for (; i + LANES <= n; i += LANES)"
+# a step tile's update of its cells and its q jumps
+TILE_LOOPS = ("for (long i = first; i < b; i++) {",
+              "for (long i = a > 0 ? a - 1 : 0; i < end; i++) scratch[i] = fabs(q[i + 1] - q[i]);")
+
+
+def line_of(loop: str) -> int:
+    """The number of the one line of steps.c that is ``loop``."""
+    lines = native.SOURCE.read_text().splitlines()
+    found = [i + 1 for i, line in enumerate(lines) if line.strip() == loop]
+    assert len(found) == 1, f"expected one line {loop!r} in steps.c, found {found}"
+    return found[0]
+
+
+def vectorised_lines(tmp_path) -> tuple[set[int], str]:
+    """The lines of steps.c at which gcc's -fopt-info-vec-optimized report
+    says a loop was vectorised, and the report; skips where cc is not gcc."""
+    version = subprocess.run(["cc", "--version"], capture_output=True, text=True,
+                             timeout=60).stdout
+    if "Free Software Foundation" not in version:
+        pytest.skip("cc is not gcc, whose -fopt-info-vec-optimized report this test reads")
+    proc = subprocess.run(["cc", *native.FLAGS, "-fopt-info-vec-optimized",
+                           "-o", str(tmp_path / "steps.so"), str(native.SOURCE)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {int(m[1]) for m in re.finditer(r"steps\.c:(\d+):\d+: optimized: loop vectorized",
+                                           proc.stderr)}, proc.stderr
 
 
 def test_extremes_lane_loop_is_vectorised(tmp_path):
     # the running q extremes keep their bits on a serial loop too, so only
     # the compiler's report shows that the lanes still vectorise
-    version = subprocess.run(["cc", "--version"], capture_output=True, text=True,
-                             timeout=60).stdout
-    if "Free Software Foundation" not in version:
-        pytest.skip("cc is not gcc, whose -fopt-info-vec-optimized report this test reads")
-    lines = native.SOURCE.read_text().splitlines()
-    found = [i + 1 for i, line in enumerate(lines) if line.strip() == LANE_LOOP]
-    assert len(found) == 1, f"expected one line {LANE_LOOP!r} in steps.c, found {found}"
-    at = found[0]
-    proc = subprocess.run(["cc", *native.FLAGS, "-fopt-info-vec-optimized",
-                           "-o", str(tmp_path / "steps.so"), str(native.SOURCE)],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    at = line_of(LANE_LOOP)
+    reported, report = vectorised_lines(tmp_path)
     # gcc names the outer loop's line, or the inner one's when it vectorises that
-    reported = {int(m[1]) for m in re.finditer(r"steps\.c:(\d+):\d+: optimized: loop vectorized",
-                                               proc.stderr)}
-    assert reported & {at, at + 1}, proc.stderr
+    assert reported & {at, at + 1}, report
+
+
+def test_tile_update_and_jump_loops_are_vectorised(tmp_path):
+    # a serial loop keeps every bit too: only the report shows that a step
+    # tile's update and jumps still vectorise
+    lines = [line_of(loop) for loop in TILE_LOOPS]
+    reported, report = vectorised_lines(tmp_path)
+    assert set(lines) <= reported, (lines, report)
 
 
 def test_loaded_library_keeps_subnormals():
@@ -180,7 +203,8 @@ from nonlocal_limit.nonlocal_solver import _upwind_flux
 
 assert native.FLAGS == {flags!r}
 velocities = (linear_velocity(), quadratic_velocity(), constant_velocity(1.0))
-for n in (2, 31, 32, 33, 37, 65, 300):  # 32 lanes of q extremes and their tails
+# 32 lanes of q extremes and their tails, then two and three step tiles
+for n in (2, 31, 32, 33, 37, 65, 300, {tile} + 1, 2 * {tile} + 1):
     grid = Grid1D(0.0, 1.0, n, left_farfield=0.25, right_farfield=0.0)
     values = np.linspace(0.0, 0.9, n)
     values[::3] = 0.0   # vacuum cells
@@ -236,8 +260,9 @@ print("done")
 def test_sanitized_library_runs_steps_and_rows_cleanly(package):
     """The library built with AddressSanitizer and UndefinedBehaviorSanitizer
     runs both schemes, every velocity family, both kernels and orientations,
-    2 to 300 cells with vacuum and -0.0 cells, a blowup, a mode violation
-    and rows that fill their buffer exactly, with no report."""
+    2 to 300 cells and grids of two and three step tiles, with vacuum and
+    -0.0 cells, a blowup, a mode violation and rows that fill their buffer
+    exactly, with no report."""
     runtimes = [subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True,
                                text=True, timeout=60).stdout.strip()
                 for name in ("libasan.so", "libubsan.so")]
@@ -250,7 +275,8 @@ def test_sanitized_library_runs_steps_and_rows_cleanly(package):
     source.write_text(text)
     log = package / "sanitizer"
     proc = subprocess.run(
-        [sys.executable, "-c", SANITIZED_SCRIPT.format(flags=SANITIZED_FLAGS)], cwd=package,
+        [sys.executable, "-c", SANITIZED_SCRIPT.format(flags=SANITIZED_FLAGS, tile=TILE)],
+        cwd=package,
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(package / "src"), "LD_PRELOAD": " ".join(runtimes),
              "ASAN_OPTIONS": f"log_path={log}:detect_leaks=0",

@@ -7,7 +7,9 @@ kernel's prefix sums, driven one step at a time with per-step records.  Every
 field of every report must equal the oracle's bit for bit.
 """
 
+import ctypes
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,7 @@ from nonlocal_limit import (
     godunov_flux,
     linear_increasing_velocity,
     linear_velocity,
+    native,
     quadratic_velocity,
     sample_profile,
     solve_local,
@@ -411,6 +414,200 @@ def test_zero_extremes_keep_the_first_zeros_sign(n_cells, first, solver):
         report, expected = run_both(solver, q0, t_end, [0.0, t_end])
         assert_same_bits(report, expected)
         assert np.float64(getattr(report, extreme)).tobytes() == np.float64(first).tobytes()
+
+
+TILE = int(re.search(r"enum \{ TILE = (\d+) \};", native.SOURCE.read_text())[1])
+
+
+def last_tile(n_cells):
+    """The first interface of the last of the step's tiles on n_cells cells:
+    tiles of TILE interfaces, the last running to interface n_cells."""
+    a = 0
+    while a + TILE < n_cells:
+        a += TILE
+    return a
+
+
+# grids of one tile (TILE - 1 and TILE cells), of two and of three, the
+# last tile of two interfaces
+TILE_EDGES = sorted({max(n, 2) for n in (TILE - 1, TILE, TILE + 1, 2 * TILE + 1)})
+SEVERAL_TILES = [n for n in TILE_EDGES if last_tile(n) > 0]
+
+
+@pytest.mark.parametrize("n_cells", TILE_EDGES)
+@pytest.mark.parametrize("solver", ["exponential", "constant", "local"])
+@pytest.mark.parametrize("velocity", ["linear", "linear_increasing"])
+def test_runs_across_the_tile_edges_equal_the_oracle(n_cells, solver, velocity):
+    # each tile's fluxes, update, jumps and extremes, and the seams between
+    # tiles; both orientations of both kernels, and the Godunov flux of a
+    # flux with a maximum and one with a minimum
+    v = VELOCITIES[velocity]
+    q0 = rough_field(n_cells)
+    t_end = 12 * q0.grid.dx  # 24 steps
+    times = [0.0, t_end / 2, t_end]
+    if solver == "local":
+        assert_same_bits(solve_local(q0, FluxModel(velocity=v), 0.5, t_end, times),
+                         oracle_local(q0, v, 0.5, t_end, times))
+        return
+    orientation = "downstream" if v.mode == "decreasing" else "upstream"
+    for eta in (0.05, 0.0007):
+        cfg = NonlocalSchemeConfig(kernel=KernelSpec(solver, eta, orientation), velocity=v,
+                                   cfl=0.5, t_end=t_end, snapshot_times=np.array(times))
+        assert_same_bits(solve_nonlocal(q0, cfg), oracle_nonlocal(q0, cfg))
+
+
+def jam_field(n_cells):
+    """Cells at 0.5 before a right far field at 1.0: a jam ahead of a
+    downstream flow, a dense inflow into an upstream one.  The last cells
+    overshoot 1 by the fourth step at dt = 1.5 dx, and V(W) takes the wrong
+    sign only at the grid's right end."""
+    return CellField(grid=Grid1D(-1.0, 2.0, n_cells, left_farfield=0.5, right_farfield=1.0),
+                     values=np.full(n_cells, 0.5))
+
+
+def jam_scheme(velocity, grid):
+    """The upwind scheme of ``velocity`` on ``grid`` with an exponential
+    kernel of eta = dx / 10, and the oracle's, the kernel oriented as the
+    velocity needs; its config last."""
+    v = VELOCITIES[velocity]
+    orientation = "downstream" if v.mode == "decreasing" else "upstream"
+    cfg = NonlocalSchemeConfig(kernel=KernelSpec("exponential", grid.dx / 10, orientation),
+                               velocity=v, cfl=1.0, t_end=1.0)
+    return (_upwind_flux(cfg), kernel_operator(cfg.kernel, grid), oracle_upwind_flux(cfg),
+            oracle_average(cfg.kernel, grid), cfg)
+
+
+@pytest.mark.parametrize("n_cells", SEVERAL_TILES)
+@pytest.mark.parametrize("velocity", ["linear", "linear_increasing"])
+def test_mode_violation_in_the_last_tile_has_the_oracles_message(n_cells, velocity):
+    # the library updates the earlier tiles in place before it reaches the
+    # wrong-signed interface; it must still stop with the oracle's error at
+    # the oracle's step
+    q0 = jam_field(n_cells)
+    flux, average, oracle_flux, oracle_term, cfg = jam_scheme(velocity, q0.grid)
+    dt = 1.5 * q0.grid.dx
+    seen = []
+
+    def recorded(states, w, out):
+        seen.append(w.copy())
+        oracle_flux(states, w, out)
+
+    with pytest.raises(ModeViolationError) as expected:
+        oracle_integrate(q0, recorded, dt, 400, [], oracle_term)
+    sign = 1.0 if cfg.kernel.orientation == "downstream" else -1.0
+    wrong = np.flatnonzero(sign * oracle_speed(cfg.velocity, seen[-1]) < -_SIGN_SLACK)
+    assert len(seen) > 1 and wrong.min() >= last_tile(n_cells)
+    times = [(len(seen) - 2) * dt]  # a library call that ends on the step before
+    with pytest.raises(ModeViolationError) as got:
+        stepping.integrate(q0, flux, dt, 400, times, average)
+    assert str(got.value) == str(expected.value)
+
+
+def blowup_field(n_cells):
+    """Cells at 0.4, the left far field's state, with a jump to 0.6 at cell
+    n_cells - 2, in the last tile.  At constant speed 0.7 and dt = 6 dx the
+    upwind and Godunov fluxes both take q from the left, so the cells before
+    the jump keep 0.4 while the oscillation behind it grows to overflow."""
+    values = np.full(n_cells, 0.4)
+    values[-2:] = 0.6
+    return CellField(grid=Grid1D(-1.0, 2.0, n_cells, 0.4, 0.6), values=values)
+
+
+def blowup_scheme(solver, grid):
+    """The Godunov or upwind scheme of constant speed 0.7 and the oracle's."""
+    v = VELOCITIES["constant"]
+    if solver == "local":
+        return _scheme(FluxModel(velocity=v)), None, oracle_godunov_flux(v), None
+    cfg = NonlocalSchemeConfig(kernel=KernelSpec(solver, 0.05), velocity=v, cfl=1.0, t_end=1.0)
+    return (_upwind_flux(cfg), kernel_operator(cfg.kernel, grid), oracle_upwind_flux(cfg),
+            oracle_average(cfg.kernel, grid))
+
+
+@pytest.mark.parametrize("n_cells", SEVERAL_TILES)
+@pytest.mark.parametrize("solver", ["exponential", "local"])
+def test_blowup_in_a_later_tile_has_the_oracles_step(n_cells, solver):
+    q0 = blowup_field(n_cells)
+    flux, average, oracle_flux, oracle_term = blowup_scheme(solver, q0.grid)
+    dt = 6 * q0.grid.dx
+    with pytest.raises(NumericalBlowupError) as expected:
+        oracle_integrate(q0, oracle_flux, dt, 2000, [], oracle_term)
+    before = oracle_integrate(q0, oracle_flux, dt, expected.value.step - 1, [], oracle_term)
+    assert np.all(before.snapshots[-1].q.values[:-2] == 0.4)
+    with pytest.raises(NumericalBlowupError) as got:
+        stepping.integrate(q0, flux, dt, 2000, [], average)
+    assert got.value.step == expected.value.step > 1
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("failure, scheme", [("blowup", "local"), ("blowup", "exponential"),
+                                             ("violation", "linear"),
+                                             ("violation", "linear_increasing")])
+def test_a_failed_step_leaves_the_extremes_records_and_w_as_they_were(failure, scheme):
+    # the library's own contract, below stepping.integrate, which raises at
+    # once: the failed step has updated q tile by tile, but the extremes,
+    # the record series and W are those of the step before it.  ``scheme``
+    # is the solver of a blowup and the velocity of a mode violation.
+    n = 2 * TILE + 1
+    if failure == "blowup":
+        q0 = blowup_field(n)
+        flux, average, oracle_flux, oracle_term = blowup_scheme(scheme, q0.grid)
+        dt, error, kind = 6 * q0.grid.dx, NumericalBlowupError, 2
+    else:
+        q0 = jam_field(n)
+        flux, average, oracle_flux, oracle_term, _ = jam_scheme(scheme, q0.grid)
+        dt, error, kind = 1.5 * q0.grid.dx, ModeViolationError, 1
+    failed = 0
+
+    def counted(states, w, out):
+        nonlocal failed
+        failed += 1
+        oracle_flux(states, w, out)
+
+    with pytest.raises(error):
+        oracle_integrate(q0, counted, dt, 2000, [], oracle_term)
+    expected = oracle_integrate(q0, oracle_flux, dt, failed - 1, [], oracle_term)
+    # rows and series as stepping.integrate lays them out, the series NaN
+    grid = q0.grid
+    q = np.concatenate([[grid.left_farfield], q0.values, [grid.right_farfield]])
+    w = None if average is None else np.concatenate([[grid.left_farfield], np.empty(n + 1),
+                                                     [grid.right_farfield]])
+    series = {name: np.full(2001, np.nan) for name in ("tv_q", "tv_w", "mass")}
+    arrays = (q, w, series["tv_q"], series["tv_w"], series["mass"], np.empty(n + 1),
+              np.empty(n + 2))
+    run = native.Run(ctypes.addressof(flux), None if average is None else ctypes.addressof(average),
+                     n, grid.dx, dt, *(None if a is None else a.ctypes.data for a in arrays),
+                     q_min=np.inf, q_max=-np.inf)
+    assert native.lib.nl_advance(ctypes.byref(run), 0, 0) == 0
+    assert native.lib.nl_advance(ctypes.byref(run), 0, 2000) == failed - 1
+    assert run.error == kind
+    for name in ("q_min", "q_max"):
+        assert (np.float64(getattr(run, name)).tobytes()
+                == np.float64(getattr(expected, name + "_overall")).tobytes()), name
+    for name, got in series.items():
+        if name == "tv_w" and average is None:
+            continue
+        assert got[:failed].tobytes() == getattr(expected, name + "_series").tobytes(), name
+        assert np.isnan(got[failed:]).all(), name
+    if average is not None:
+        assert w[1:-1].tobytes() == expected.snapshots[-1].w.values.tobytes()
+
+
+@pytest.mark.parametrize("n_cells", [n for n in TILE_EDGES if last_tile(n) >= 2])
+@pytest.mark.parametrize("first", [0.0, -0.0])
+@pytest.mark.parametrize("solver", ["exponential", "local"])
+def test_zero_extremes_across_a_tile_edge_keep_the_first_zeros_sign(n_cells, first, solver):
+    # the tiles fold their extremes in index order: a zero minimum in the
+    # last cell of one tile is kept against zeros of the other sign in the
+    # next tile's first cell and in the grid's last cell
+    values = np.full(n_cells, 0.5)
+    edge = last_tile(n_cells) - 1  # the last tile's first cell
+    values[edge - 1] = first
+    values[[edge, -1]] = -first
+    q0 = CellField(grid=Grid1D(-1.0, 2.0, n_cells, 0.5, 0.5), values=values)
+    t_end = 6 * q0.grid.dx / 2
+    report, expected = run_both(solver, q0, t_end, [0.0, t_end])
+    assert_same_bits(report, expected)
+    assert np.float64(report.q_min_overall).tobytes() == np.float64(first).tobytes()
 
 
 def drawn_levels(s_max):
