@@ -12,7 +12,9 @@ invertible cell by cell; ``reconstruct_density`` is its exact left inverse.
 Each average is built once per run as an operator on arrays
 (``kernel_operator``) that returns W as a new row; the public functions
 taking fields wrap it.  The operator describes the average to the step
-library (``native``), whose routine the solver's steps run too.  Upstream
+library (``native``), whose routine the solver's steps run too: a
+``native.Average`` of parameters only, which owns no array, so that any
+number of runs and threads may share one.  Upstream
 orientation (the average looking left instead of right) runs the downstream
 loop mirrored, which is the same as mirroring the field.
 """
@@ -85,33 +87,22 @@ def _exponential_operator(average: native.Average):
     """
     average.kernel = native.EXPONENTIAL
     average.alpha = _exponential_weight(average.dx, average.eta)
-    average.b0 = 1.0 - average.alpha
 
 
 def _constant_operator(average: native.Average):
     """Downstream constant-kernel average (1/eta) * integral over [x, x+eta].
 
     Exact for piecewise-constant data via prefix sums: from each interface
-    the window covers some whole cells plus a fractional piece of one more,
+    the window covers m whole cells plus a fractional piece of one more,
     weighted by its exact sub-cell overlap.  Cells beyond x_max contribute
     the far-field value.
     """
-    n, dx, eta = average.n, average.dx, average.eta
-    m = int(eta // dx)
-    average.remainder = min(max(eta - float(m) * dx, 0.0), dx)
+    m = average.eta // average.dx  # a float, infinite where eta / dx overflows
+    average.remainder = min(max(average.eta - m * average.dx, 0.0), average.dx)
     # indices only matter up to one cell past the grid; the window beyond is
     # pure far-field and is accounted for by length, not by index
-    average.m = m_eff = min(m, n + 1)
-    # interface j covers the whole cells j .. min(j + m_eff, n) - 1; the
-    # first n - m_eff windows end on a fractional piece of cell j + m_eff
-    average.inside = max(n - m_eff, 0) if m == m_eff else 0
-    cells_covered = np.minimum(m_eff, n - np.arange(n + 1))
-    farfield_sum = (np.maximum((eta - average.remainder) - cells_covered * dx, 0.0)
-                    * average.farfield)
-    prefix = np.empty(n + 1)
-    average.arrays = (farfield_sum, prefix)
+    average.m = int(min(m, average.n + 1))
     average.kernel = native.CONSTANT
-    average.farfield_sum, average.prefix = farfield_sum.ctypes.data, prefix.ctypes.data
 
 
 def kernel_operator(spec: KernelSpec, grid: Grid1D) -> native.Average:

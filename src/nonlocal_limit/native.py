@@ -126,12 +126,11 @@ class Flux(ctypes.Structure):
 
 class Average(ctypes.Structure):
     """A kernel average on a grid of n cells; ``average(values)`` returns W
-    at the n + 1 interfaces as a new array.  ``arrays`` keeps alive the
-    arrays it points to."""
+    at the n + 1 interfaces as a new array.  It holds parameters only, so
+    any number of runs and threads may share one."""
 
     _fields_ = [("kernel", ctypes.c_int), ("upstream", ctypes.c_int), ("n", _L), ("m", _L),
-                ("inside", _L), ("farfield", _D), ("alpha", _D), ("b0", _D), ("dx", _D),
-                ("eta", _D), ("remainder", _D), ("farfield_sum", _P), ("prefix", _P)]
+                ("farfield", _D), ("alpha", _D), ("dx", _D), ("eta", _D), ("remainder", _D)]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         w = np.empty(self.n + 1)

@@ -10,8 +10,8 @@ the time settings, the initial-data range, the frozen step, the update, the
 per-step records, the boundary-flux integral, the snapshots and the blowup
 check.  The step library makes every step up to the next snapshot in one
 call, updating one row of q and one of W in place and writing each step's
-records.  Every buffer belongs to one call, so runs are safe to execute
-concurrently.
+records.  Every buffer belongs to one call and a ``native.Average`` holds
+parameters only, so runs are safe to execute concurrently and may share one.
 """
 
 from __future__ import annotations

@@ -44,17 +44,15 @@ typedef struct {
     double s_star, f_star;
 } Flux;
 
-/* A one-sided kernel average on a grid of n cells; upstream runs the
+/* A one-sided kernel average on a grid of n cells, parameters only, so
+ * that any number of runs and threads may share one; upstream runs the
  * downstream loop mirrored.  The exponential recursion is seeded by the
  * far-field state ahead; the constant kernel's window covers m whole cells
- * and a piece `remainder` long of one more, the first `inside` windows
- * ending inside the grid.  farfield_sum and prefix hold n + 1 values. */
+ * (at most n + 1) and a piece `remainder` long of one more. */
 typedef struct {
     int kernel, upstream;
-    long n, m, inside;
-    double farfield, alpha, b0, dx, eta, remainder;
-    const double *farfield_sum;
-    double *prefix;
+    long n, m;
+    double farfield, alpha, dx, eta, remainder;
 } Average;
 
 /* s / s_max; where s_max is a power of two whose reciprocal r is finite, r
@@ -162,7 +160,7 @@ static double extreme_speed(const Flux *flux, const double *w, double *out, long
  * order; d = -1 runs it mirrored on q[0], q[-1], ... and w[0], w[-1], ... */
 static inline void exponential(const Average *k, const double *q, double *w, const long d)
 {
-    const double alpha = k->alpha, b0 = k->b0;
+    const double alpha = k->alpha, b0 = 1.0 - alpha;
     double z = alpha * k->farfield;
     w[d * k->n] = k->farfield;
     for (long i = k->n - 1; i >= 0; i--) {
@@ -174,23 +172,28 @@ static inline void exponential(const Average *k, const double *q, double *w, con
 
 /* (1/eta) * integral of the data over [x, x + eta] at every interface:
  * whole cells by prefix sums in np.cumsum's order, plus the far field
- * beyond the grid and the fractional piece of the last cell */
+ * beyond the grid and the fractional piece of the last cell.  The prefix
+ * sums live in w: until interface j is written, w at j holds the sum of the
+ * first j cells, and the window from j reads w at j and at j + c, c >= 0
+ * its whole cells, never at an interface already written. */
 static inline void constant(const Average *k, const double *q, double *w, const long d)
 {
-    const long n = k->n, m = k->m, inside = k->inside;
-    const double dx = k->dx, eta = k->eta, remainder = k->remainder;
-    const double tail = remainder * k->farfield;
-    const double *fsum = k->farfield_sum;
-    double *prefix = k->prefix;
+    const long n = k->n, m = k->m, inside = m < n ? n - m : 0;
+    const double dx = k->dx, eta = k->eta, remainder = k->remainder, farfield = k->farfield;
+    const double whole = eta - remainder, tail = remainder * farfield;
+    const double beyond = np_max(whole - (double) m * dx, 0.0) * farfield;
     long j;
-    prefix[0] = 0.0;
-    prefix[1] = q[0];
-    for (j = 1; j < n; j++) prefix[j + 1] = prefix[j] + q[d * j];
+    w[0] = 0.0;
+    w[d] = q[0];
+    for (j = 1; j < n; j++) w[d * (j + 1)] = w[d * j] + q[d * j];
     /* the windows ending on a piece of a grid cell, then the rest */
     for (j = 0; j < inside; j++)
-        w[d * j] = ((prefix[j + m] - prefix[j]) * dx + fsum[j] + q[d * (j + m)] * remainder) / eta;
-    for (; j <= n; j++)
-        w[d * j] = ((prefix[j + m < n ? j + m : n] - prefix[j]) * dx + fsum[j] + tail) / eta;
+        w[d * j] = ((w[d * (j + m)] - w[d * j]) * dx + beyond + q[d * (j + m)] * remainder) / eta;
+    for (; j <= n; j++) {
+        const long c = m < n - j ? m : n - j;
+        w[d * j] = ((w[d * (j + c)] - w[d * j]) * dx
+                    + np_max(whole - (double) c * dx, 0.0) * farfield + tail) / eta;
+    }
 }
 
 /* The kernel average of the n cell values q into w (n + 1 interfaces) */

@@ -1098,6 +1098,22 @@ class TestCli:
         assert cli.main(["run", "--config", str(config), "--eta", "1e-308",
                          "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("orientation, velocity", [("downstream", "linear"),
+                                                       ("upstream", "linear_increasing")])
+    def test_constant_window_of_overflowing_cell_count_runs(self, tmp_path, orientation,
+                                                            velocity):
+        # eta / dx = 1e10 / 2.5e-301 overflows: every window reaches past the grid
+        config = self.write_config(tmp_path, {
+            "grid": {"x_min": 0, "x_max": 1e-300, "n_cells": 4}, "eta_list": [1e10],
+            "kernel": {"family": "constant", "orientation": orientation},
+            "velocity": {"name": velocity}, "t_end": 1e-300, "snapshot_times": []})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--eta", "1e10",
+                         "--out", str(out)]) == 0
+        [run] = out.iterdir()
+        assert sorted(path.name for path in run.iterdir()) == [
+            "diagnostics.csv", "snapshots.csv", "tv_series.csv"]
+
     def test_validation_error_exits_one(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"eta_list": [-1.0]})
         code = cli.main(["run", "--config", str(config), "--eta", "0.3",

@@ -1,4 +1,6 @@
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -287,6 +289,24 @@ class TestExponentialRecursion:
                        np.repeat(field.values, 2)[::2]]:
             with pytest.raises(ValueError, match="contiguous.*float64 array of"):
                 evaluate(values)
+
+
+def test_one_average_can_be_shared_across_threads():
+    # an Average holds parameters only: two threads calling one constant-kernel
+    # operator at once, on different data, each get the bits of a call alone
+    grid = Grid1D(0.0, 1.0, 200_000, left_farfield=0.25, right_farfield=0.5)
+    average = kernels.kernel_operator(KernelSpec("constant", 0.01), grid)
+    rng = np.random.default_rng(11)
+    data = [rng.uniform(0.0, 1.0, grid.n_cells), rng.uniform(0.0, 0.5, grid.n_cells)]
+    alone = [average(q).tobytes() for q in data]
+    start = threading.Barrier(2)
+
+    def wrong_calls(q, expected):
+        start.wait()
+        return sum(average(q).tobytes() != expected for _ in range(100))
+
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(wrong_calls, data, alone)) == [0, 0]
 
 
 @settings(max_examples=40, deadline=None)

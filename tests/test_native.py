@@ -143,6 +143,10 @@ TILE_LOOPS = ("for (long i = first; i < b; i++) {",
               "for (long i = a > 0 ? a - 1 : 0; i < end; i++) scratch[i] = fabs(q[i + 1] - q[i]);")
 
 
+# the constant kernel's windows that end on a piece of a grid cell
+WINDOW_LOOP = "for (j = 0; j < inside; j++)"
+
+
 def line_of(loop: str) -> int:
     """The number of the one line of steps.c that is ``loop``."""
     lines = native.SOURCE.read_text().splitlines()
@@ -183,6 +187,15 @@ def test_tile_update_and_jump_loops_are_vectorised(tmp_path):
     assert set(lines) <= reported, (lines, report)
 
 
+def test_constant_kernel_whole_window_loop_is_vectorised(tmp_path):
+    # its prefix sums live in W's own row, which the loop reads ahead of
+    # where it writes: gcc versions the loop for that aliasing, and only the
+    # report shows that it still vectorises
+    at = line_of(WINDOW_LOOP)
+    reported, report = vectorised_lines(tmp_path)
+    assert at in reported, (at, report)
+
+
 def test_loaded_library_keeps_subnormals():
     assert np.float64(2.2250738585072014e-308) * 0.5 > 0.0
     # a subnormal speed out of the library itself
@@ -210,10 +223,12 @@ for n in (2, 31, 32, 33, 37, 65, 300, {tile} + 1, 2 * {tile} + 1):
     values[::3] = 0.0   # vacuum cells
     values[1::5] = -0.0
     q0 = CellField(grid=grid, values=values)
-    for family in ("exponential", "constant"):
+    # the constant kernel also with a window longer than the domain, its
+    # prefix sums read from W's row up to its far end
+    for family, eta in (("exponential", 0.3), ("constant", 0.3), ("constant", 2.0)):
         for orientation, velocity in ([("downstream", v) for v in velocities]
                                       + [("upstream", linear_increasing_velocity())]):
-            kernel = KernelSpec(family=family, eta=0.3, orientation=orientation)
+            kernel = KernelSpec(family=family, eta=eta, orientation=orientation)
             solve_nonlocal(q0, NonlocalSchemeConfig(kernel=kernel, velocity=velocity, cfl=0.5,
                                                     t_end=0.2, snapshot_times=np.array([0.1])))
     for velocity in velocities + (linear_increasing_velocity(),):
@@ -259,10 +274,11 @@ print("done")
 
 def test_sanitized_library_runs_steps_and_rows_cleanly(package):
     """The library built with AddressSanitizer and UndefinedBehaviorSanitizer
-    runs both schemes, every velocity family, both kernels and orientations,
-    2 to 300 cells and grids of two and three step tiles, with vacuum and
-    -0.0 cells, a blowup, a mode violation and rows that fill their buffer
-    exactly, with no report."""
+    runs both schemes, every velocity family, both kernels and orientations
+    (the constant kernel's window also longer than the domain), 2 to 300
+    cells and grids of two and three step tiles, with vacuum and -0.0 cells,
+    a blowup, a mode violation and rows that fill their buffer exactly, with
+    no report."""
     runtimes = [subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True,
                                text=True, timeout=60).stdout.strip()
                 for name in ("libasan.so", "libubsan.so")]

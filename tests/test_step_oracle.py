@@ -45,7 +45,7 @@ from nonlocal_limit import (
     solve_local,
     solve_nonlocal,
 )
-from nonlocal_limit.kernels import kernel_operator
+from nonlocal_limit.kernels import kernel_operator, nonlocal_term
 from nonlocal_limit.local_reference import _scheme
 from nonlocal_limit.nonlocal_solver import _SIGN_SLACK, _upwind_flux
 
@@ -132,9 +132,9 @@ def oracle_exponential(dx, n, eta, farfield):
 
 def oracle_constant(dx, n, eta, farfield):
     """Prefix sums by np.cumsum, then the window's far-field and fractional parts."""
-    m = int(eta // dx)
-    remainder = min(max(eta - float(m) * dx, 0.0), dx)
-    m_eff = min(m, n + 1)
+    m = eta // dx  # a float, infinite where eta / dx overflows
+    remainder = min(max(eta - m * dx, 0.0), dx)
+    m_eff = int(min(m, n + 1))
     whole_inside = n + 1 - m_eff
     fraction_inside = max(n - m_eff, 0) if m == m_eff else 0
     cells_covered = np.minimum(m_eff, n - np.arange(n + 1))
@@ -302,7 +302,10 @@ def test_nonlocal_run_equals_the_oracle(n_cells, family, velocity):
     orientation = "downstream" if v.mode == "decreasing" else "upstream"
     t_end = horizon(n_cells)
     q0 = seeded_field(n_cells, levels_scale=v.admissible_range[1])
-    for eta in (0.05, 0.0007):
+    dx = q0.grid.dx
+    # then windows of exactly 3 cells, and of n and n + 1 whole cells and a
+    # piece, which reach past the grid from every interface
+    for eta in (0.05, 0.0007, 3 * dx, (n_cells + 0.5) * dx, (n_cells + 1.5) * dx):
         cfg = NonlocalSchemeConfig(kernel=KernelSpec(family, eta, orientation), velocity=v,
                                    cfl=0.5, t_end=t_end,
                                    snapshot_times=np.array([0.0, t_end / 3, t_end]))
@@ -336,6 +339,17 @@ def test_vacuum_datum_reaches_subnormals_with_the_oracles_bits(family, velocity)
                    local.snapshots[-1].q.values):
         assert np.any((values > 0) & (values < SMALLEST_NORMAL))
 
+
+
+@pytest.mark.parametrize("orientation", ["downstream", "upstream"])
+def test_constant_window_of_overflowing_cell_count_equals_the_oracle(orientation):
+    # eta / dx overflows to inf: every window is the grid's cells ahead and
+    # far field for the rest of its length
+    grid = Grid1D(0.0, 1e-300, 4, left_farfield=0.25, right_farfield=0.75)
+    q = CellField(grid=grid, values=np.array([0.5, 0.0, -0.0, 1.0]))
+    spec = KernelSpec("constant", 1e10, orientation)
+    expected = oracle_average(spec, grid)(q.values, np.empty(5))
+    assert nonlocal_term(q, spec).values.tobytes() == expected.tobytes()
 
 def run_both(solver, q0, t_end, times):
     """The report of ``solver`` (a kernel family, or "local" for the
@@ -639,7 +653,7 @@ def test_drawn_runs_equal_the_oracle(data):
     else:
         orientation = "downstream" if v.mode == "decreasing" else "upstream"
         kernel = KernelSpec(data.draw(st.sampled_from(["exponential", "constant"]), label="kernel"),
-                            data.draw(st.floats(1e-4, 1.0), label="eta"), orientation)
+                            data.draw(st.floats(1e-4, 4.0), label="eta"), orientation)
         cfg = NonlocalSchemeConfig(kernel=kernel, velocity=v, cfl=1.0, t_end=1.0)
         flux, average = _upwind_flux(cfg), kernel_operator(kernel, grid)
         oracle_flux, oracle_term = oracle_upwind_flux(cfg), oracle_average(kernel, grid)
