@@ -167,30 +167,40 @@ class PiecewiseConstantProfile:
         return np.clip(averages, np.min(self.levels), np.max(self.levels))
 
 
+# family -> (mode, max |V|, s*, max |f'|) in closed form from params (v, s_max)
+_CONSTANTS = {
+    "linear": lambda v, s_max: ("decreasing", v, s_max / 2.0, v),
+    "quadratic": lambda v, s_max: ("decreasing", v, s_max / math.sqrt(3.0), 2.0 * v),
+    "linear_increasing": lambda v, s_max: ("increasing", v, s_max / 2.0, v),
+    "constant": lambda value, s_max: ("decreasing" if value >= 0 else "increasing",
+                                      abs(value), s_max, abs(value)),
+}
+
+
 @dataclass(frozen=True)
 class VelocityModel:
-    """Velocity law V of one of the four families, with its admissible
-    density range and the exact constants of its family; built only by the
-    four builders below.
+    """Velocity law V of a family in ``native.VELOCITY_FAMILIES`` and its
+    ``params``: (v_max, s_max) with v_max >= 0, or (value, s_max) for the
+    constant family.  Everything else is derived from these two.
 
-    ``params`` is (v_max, s_max), or (value, s_max) for the constant family.
-    ``mode`` is V's monotonicity on the range: "decreasing" (the default
-    modelling assumption, pairs with the downstream kernel orientation) or
-    "increasing" (pairs with upstream).  ``max_abs_speed`` is max |V|,
-    ``critical_density`` the density s* at the extremum of the flux
-    f(s) = V(s)*s (its maximum for a decreasing V, its minimum for an
-    increasing one) and ``max_wave_speed`` max |f'|, each in closed form.
+    The admissible range is [0, s_max].  ``mode`` is V's monotonicity on it:
+    "decreasing" (the default modelling assumption, pairs with the
+    downstream kernel orientation) or "increasing" (pairs with upstream).
+    ``max_abs_speed`` is max |V|, ``critical_density`` the density s* at the
+    extremum of the flux f(s) = V(s)*s (its maximum for a decreasing V, its
+    minimum for an increasing one) and ``max_wave_speed`` max |f'|, each in
+    closed form from ``_CONSTANTS``.
     """
 
     family: str
     params: tuple[float, float]
-    admissible_range: tuple[float, float]
-    mode: str
-    max_abs_speed: float
-    critical_density: float
-    max_wave_speed: float
 
     def __post_init__(self):
+        if self.family not in native.VELOCITY_FAMILIES:
+            raise ValueError(f"velocity family must be one of {native.VELOCITY_FAMILIES}, "
+                             f"got {self.family!r}")
+        if self.family != "constant" and self.params[0] < 0:
+            raise ValueError(f"{self.family} velocity v_max must be >= 0, got {self.params[0]}")
         s_min, s_max = self.admissible_range
         if not (np.isfinite(s_min) and np.isfinite(s_max) and s_min < s_max):
             raise ValueError(f"invalid admissible_range [{s_min}, {s_max}]")
@@ -201,6 +211,12 @@ class VelocityModel:
             ends = [float(g(s)) for g in (self.eval, self.deriv) for s in (s_min, s_max)]
         if not np.all(np.isfinite(ends)):
             raise ValueError("velocity model is non-finite on the admissible range")
+
+    admissible_range = property(lambda self: (0.0, self.params[1]))
+    mode = property(lambda self: _CONSTANTS[self.family](*self.params)[0])
+    max_abs_speed = property(lambda self: _CONSTANTS[self.family](*self.params)[1])
+    critical_density = property(lambda self: _CONSTANTS[self.family](*self.params)[2])
+    max_wave_speed = property(lambda self: _CONSTANTS[self.family](*self.params)[3])
 
     def eval(self, s):
         """V(s) by the step library's routine; a 0-d input gives a scalar."""
@@ -234,11 +250,7 @@ class VelocityModel:
 def linear_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
     """V(s) = v_max * (1 - s/s_max) on [0, s_max]; the default model.  Its
     flux is concave, largest at s_max/2; |f'| is largest, v_max, at both ends."""
-    return VelocityModel(
-        family="linear", params=(v_max, s_max),
-        admissible_range=(0.0, s_max), mode="decreasing",
-        max_abs_speed=v_max, critical_density=s_max / 2.0, max_wave_speed=v_max,
-    )
+    return VelocityModel("linear", (v_max, s_max))
 
 
 def constant_velocity(value: float, s_max: float = 1.0) -> VelocityModel:
@@ -246,33 +258,20 @@ def constant_velocity(value: float, s_max: float = 1.0) -> VelocityModel:
     follows the sign of ``value``: a negative one pairs with upstream kernels.
     The flux value * s is monotone, so its extremum in the mode's sense sits
     at s_max; |f'| = |value|."""
-    return VelocityModel(
-        family="constant", params=(value, s_max),
-        admissible_range=(0.0, s_max), mode="decreasing" if value >= 0 else "increasing",
-        max_abs_speed=abs(value), critical_density=s_max, max_wave_speed=abs(value),
-    )
+    return VelocityModel("constant", (value, s_max))
 
 
 def quadratic_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
     """V(s) = v_max * (1 - (s/s_max)^2) on [0, s_max].  Its flux is concave,
     largest at s_max/sqrt(3); |f'| = v_max |1 - 3(s/s_max)^2| peaks, 2 v_max,
     at s_max."""
-    return VelocityModel(
-        family="quadratic", params=(v_max, s_max),
-        admissible_range=(0.0, s_max), mode="decreasing",
-        max_abs_speed=v_max, critical_density=s_max / math.sqrt(3.0),
-        max_wave_speed=2.0 * v_max,
-    )
+    return VelocityModel("quadratic", (v_max, s_max))
 
 
 def linear_increasing_velocity(v_max: float = 1.0, s_max: float = 1.0) -> VelocityModel:
     """V(s) = v_max * (s/s_max - 1) on [0, s_max]; pairs with upstream kernels.
     Its flux is convex, smallest at s_max/2; |f'| is largest, v_max, at both ends."""
-    return VelocityModel(
-        family="linear_increasing", params=(v_max, s_max),
-        admissible_range=(0.0, s_max), mode="increasing",
-        max_abs_speed=v_max, critical_density=s_max / 2.0, max_wave_speed=v_max,
-    )
+    return VelocityModel("linear_increasing", (v_max, s_max))
 
 
 def default_datum_profile() -> PiecewiseConstantProfile:

@@ -144,8 +144,8 @@ def _window_weights(grid, window: Window) -> np.ndarray:
 
 
 def _coarsened(ga, gb, values: np.ndarray) -> np.ndarray:
-    """``values`` on grid ``gb`` (one row, or rows stacked) on grid ``ga``;
-    ``gb`` may be an integer refinement, cell-averaged down row by row."""
+    """The cell ``values`` on grid ``gb`` on grid ``ga``; ``gb`` may be an
+    integer refinement, cell-averaged down."""
     span = ga.x_max - ga.x_min
     if abs(ga.x_min - gb.x_min) > 1e-12 * span or abs(ga.x_max - gb.x_max) > 1e-12 * span:
         raise ValueError("fields live on different domains")
@@ -153,7 +153,7 @@ def _coarsened(ga, gb, values: np.ndarray) -> np.ndarray:
         return values
     if gb.n_cells % ga.n_cells == 0:
         factor = gb.n_cells // ga.n_cells
-        return values.reshape(values.shape[:-1] + (ga.n_cells, factor)).mean(axis=-1)
+        return values.reshape(ga.n_cells, factor).mean(axis=-1)
     raise ValueError(
         f"grids are incompatible: {gb.n_cells} cells is not an integer "
         f"refinement of {ga.n_cells}"

@@ -34,12 +34,8 @@ from .core import (
     Grid1D,
     PiecewiseConstantProfile,
     VelocityModel,
-    constant_velocity,
     data_range,
     default_datum_profile,
-    linear_increasing_velocity,
-    linear_velocity,
-    quadratic_velocity,
     sample_profile,
 )
 from .diagnostics import (
@@ -166,12 +162,12 @@ def _key(path: str, check=None, default=None, variants=None):
 
 _S_MAX = ("s_max", _positive, 1.0)
 _V_MAX = ("v_max", _positive, 1.0)
-# velocity.name -> the model's builder and its parameter keys
+# velocity.name -> the model's parameter keys, in the order of its params
 _VELOCITIES = {
-    "linear": (linear_velocity, (_V_MAX, _S_MAX)),
-    "constant": (constant_velocity, (("value", _finite, 1.0), _S_MAX)),
-    "quadratic": (quadratic_velocity, (_V_MAX, _S_MAX)),
-    "linear_increasing": (linear_increasing_velocity, (_V_MAX, _S_MAX)),
+    "linear": (_V_MAX, _S_MAX),
+    "constant": (("value", _finite, 1.0), _S_MAX),
+    "quadratic": (_V_MAX, _S_MAX),
+    "linear_increasing": (_V_MAX, _S_MAX),
 }
 
 
@@ -197,7 +193,7 @@ class ExperimentConfig:
         lambda _, given: [0.0] if given is not None else default_datum_profile().levels.tolist())
     velocity_name: str = _key("velocity.name", _one_of(sorted(_VELOCITIES)), "linear")
     velocity_params: tuple = _key(
-        "velocity", variants=lambda values: _VELOCITIES[values["velocity_name"]][1])
+        "velocity", variants=lambda values: _VELOCITIES[values["velocity_name"]])
     kernel_family: str = _key("kernel.family", _one_of(KERNEL_FAMILIES), "exponential")
     kernel_orientation: str = _key("kernel.orientation", _one_of(ORIENTATIONS), "downstream")
     eta_list: tuple = _key("eta_list", _nonempty_decreasing, [0.1, 0.01, 0.001])
@@ -216,8 +212,7 @@ class ExperimentConfig:
         return PiecewiseConstantProfile(breakpoints=self.breakpoints, levels=self.levels)
 
     def build_velocity(self) -> VelocityModel:
-        build, _ = _VELOCITIES[self.velocity_name]
-        return build(**dict(self.velocity_params))
+        return VelocityModel(self.velocity_name, tuple(v for _, v in self.velocity_params))
 
     velocity = functools.cached_property(build_velocity)
 

@@ -109,9 +109,9 @@ def kernel_operator(spec: KernelSpec, grid: Grid1D) -> native.Average:
     """The nonlocal average of ``spec`` on ``grid`` as a function of the cell
     values, built once per run.
 
-    The returned ``evaluate(values)`` returns W at the interfaces as a new
-    array.  Upstream orientation runs the downstream operator mirrored,
-    seeded by the left far-field state.
+    The returned ``native.Average``, called on the cell values, returns W at
+    the interfaces as a new array.  Upstream orientation runs the downstream
+    operator mirrored, seeded by the left far-field state.
     """
     downstream = spec.orientation == "downstream"
     average = native.Average(upstream=not downstream, n=grid.n_cells, dx=grid.dx, eta=spec.eta,

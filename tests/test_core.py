@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from nonlocal_limit import (
     CellField,
     Grid1D,
     PiecewiseConstantProfile,
+    VelocityModel,
     constant_velocity,
     linear_increasing_velocity,
     linear_velocity,
@@ -189,15 +191,22 @@ class TestVelocityModel:
         assert linear_velocity(v_max=2.0).max_abs_speed == 2.0
         assert constant_velocity(0.0).max_abs_speed == 0.0
 
-    @pytest.mark.parametrize("build, params", [
-        (quadratic_velocity, {"s_max": 1e-200}),
-        (linear_velocity, {"v_max": 1e300, "s_max": 1e-300}),
-        (linear_increasing_velocity, {"v_max": 1e300, "s_max": 1e-300}),
+    @pytest.mark.parametrize("build, params, match", [
+        (quadratic_velocity, {"s_max": 1e-200}, "non-finite on the admissible range"),
+        (linear_velocity, {"v_max": 1e300, "s_max": 1e-300}, "non-finite on the admissible range"),
+        (linear_increasing_velocity, {"v_max": 1e300, "s_max": 1e-300},
+         "non-finite on the admissible range"),
+        # a negative v_max flips V's monotonicity against the family's mode
+        (linear_velocity, {"v_max": -1.0}, "v_max must be >= 0, got -1.0"),
+        (quadratic_velocity, {"v_max": -1.0}, "v_max must be >= 0, got -1.0"),
+        (linear_increasing_velocity, {"v_max": -1.0}, "v_max must be >= 0, got -1.0"),
+        (VelocityModel, {"family": "cubic", "params": (1.0, 1.0)},
+         "velocity family must be one of .*, got 'cubic'"),
     ])
-    def test_out_of_range_parameters_are_refused_without_warnings(self, build, params):
+    def test_out_of_range_parameters_are_refused_without_warnings(self, build, params, match):
         # V' divides by an underflowed s_max**2 or overflows; the refusal
         # raises no numpy warning (warnings are errors in this suite)
-        with pytest.raises(ValueError, match="non-finite on the admissible range"):
+        with pytest.raises(ValueError, match=match):
             build(**params)
 
 
@@ -259,6 +268,21 @@ class TestClosedFormConstants:
         assert flux[-1] == np.max(flux)
         assert np.max(np.abs(velocity.eval(s))) == velocity.max_abs_speed
         assert np.max(np.abs(velocity.eval(s) + s * velocity.deriv(s))) == velocity.max_wave_speed
+
+    @pytest.mark.parametrize("build, params", [
+        *((CLOSED_FORMS[name][0], (v_max, s_max)) for name, v_max, s_max in FAMILY_CASES),
+        *((constant_velocity, (value, 0.8)) for value in (1.0, 0.0, -1.0)),
+    ])
+    def test_replaced_parameters_derive_their_own_constants(self, build, params):
+        # a model is its family and parameters: swapping the parameters of a
+        # built model gives the constants of the model built from them
+        def constants(velocity):
+            return (velocity.mode, *map(float.hex, (
+                *velocity.admissible_range, velocity.critical_density,
+                velocity.max_abs_speed, velocity.max_wave_speed)))
+
+        replaced = dataclasses.replace(build(1.0), params=params)
+        assert constants(replaced) == constants(build(*params))
 
 
 class TestVelocityBitPins:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nonlocal_limit.native as native
-from nonlocal_limit import linear_velocity
+from nonlocal_limit import harness, linear_velocity
 
 PACKAGE = Path(native.__file__).parent
 TILE = int(re.search(r"enum \{ TILE = (\d+) \};", native.SOURCE.read_text())[1])
@@ -127,6 +127,22 @@ def test_build_flags_keep_every_rounding():
     assert not set(FAST_MATH) & set(native.FLAGS)
     # a library built for this CPU only where its name covers the CPU
     assert ("-march=native" in native.FLAGS) == bool(native.CPU)
+
+
+def source_enum(first: str) -> dict[str, int]:
+    """The steps.c enum whose first name is ``first``, as name -> value."""
+    names = re.search(rf"enum \{{ ({first}(?:, \w+)*) \}};", native.SOURCE.read_text())[1]
+    return {name: value for value, name in enumerate(names.split(", "))}
+
+
+def test_python_enums_match_the_step_library():
+    # a reordering on one side would show only as oracle bit mismatches
+    assert source_enum("LINEAR") == {family.upper(): value
+                                     for value, family in enumerate(native.VELOCITY_FAMILIES)}
+    assert source_enum("UPWIND") == {"UPWIND": native.UPWIND, "GODUNOV": native.GODUNOV}
+    assert source_enum("EXPONENTIAL") == {"EXPONENTIAL": native.EXPONENTIAL,
+                                          "CONSTANT_KERNEL": native.CONSTANT}
+    assert set(harness._VELOCITIES) == set(native.VELOCITY_FAMILIES)
 
 
 def test_source_compiles_without_warnings(tmp_path):
