@@ -200,7 +200,7 @@ class VelocityModel:
             raise ValueError(f"velocity family must be one of {native.VELOCITY_FAMILIES}, "
                              f"got {self.family!r}")
         if self.family != "constant" and self.params[0] < 0:
-            raise ValueError(f"{self.family} velocity v_max must be >= 0, got {self.params[0]}")
+            raise ValueError(f"velocity.v_max must be >= 0, got {self.params[0]}")
         s_min, s_max = self.admissible_range
         if not (np.isfinite(s_min) and np.isfinite(s_max) and s_min < s_max):
             raise ValueError(f"invalid admissible_range [{s_min}, {s_max}]")

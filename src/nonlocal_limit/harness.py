@@ -161,7 +161,7 @@ def _key(path: str, check=None, default=None, variants=None):
 
 
 _S_MAX = ("s_max", _positive, 1.0)
-_V_MAX = ("v_max", _positive, 1.0)
+_V_MAX = ("v_max", _finite, 1.0)  # its sign rule is the model's
 # velocity.name -> the model's parameter keys, in the order of its params
 _VELOCITIES = {
     "linear": (_V_MAX, _S_MAX),

@@ -141,10 +141,16 @@ class Average(ctypes.Structure):
 class Run(ctypes.Structure):
     """A run as ``lib.nl_advance`` advances it (see steps.c): addresses of
     its flux, kernel average, rows, record series and scratch, and the
-    boundary-flux integral, q extremes and error the library keeps."""
+    boundary-flux integral, q extremes and error the library keeps.  An
+    upwind run also has a second W row and a second flux row (``w2`` and
+    ``fluxes2``, n + 3 values each), with which the exponential kernel makes
+    two steps per pass.  A failed step leaves the extremes, the records and
+    ``w`` as they were after the step before it; step k + 1's checks come
+    before step k + 2's."""
 
     _fields_ = [("flux", _P), ("average", _P), ("n", _L), ("dx", _D), ("dt", _D),
-                *((name, _P) for name in ("q", "w", "tv_q", "tv_w", "mass", "fluxes", "scratch")),
+                *((name, _P) for name in ("q", "w", "tv_q", "tv_w", "mass", "fluxes", "scratch",
+                                          "w2", "fluxes2")),
                 ("boundary", _D), ("q_min", _D), ("q_max", _D), ("extreme", _D),
                 ("error", ctypes.c_int)]
 

@@ -15,13 +15,23 @@
  * the records (mass, total variation) add in the pairwise order of numpy's
  * float64 x.sum() (see `pairwise`).
  *
- * Tiles.  A step runs over tiles of TILE interfaces, left to right: a
- * tile's fluxes, the update of its cells and its q records (the jumps and
- * the extremes) run while its rows stay in the L1 cache (see nl_advance).
- * Each tile makes the same operations on the same operands as a step over
- * the whole row, so the tiles change no bit.  A Godunov tile's flux values
- * sit in scratch until that tile's q jumps overwrite them.  A failed step
- * leaves the extremes and the records as they were.
+ * Tiles.  The upwind flux with the exponential kernel makes two steps per
+ * pass over tiles of SKEW interfaces, right to left downstream and left to
+ * right upstream: step k + 1 closes a tile's cells, then step k + 2 follows
+ * one tile behind, so that the W recursions of the two steps run in one
+ * loop and neither waits on the other's latency (see nl_advance).  W and
+ * the fluxes have a second row each, so that each step's sign check reads
+ * a W that no later step has touched.  The Godunov flux, the constant
+ * kernel, a run's first record and an odd step before a stop go one step
+ * at a time over tiles of TILE interfaces, left to right: a tile's fluxes,
+ * the update of its cells and its q records (the jumps and the extremes)
+ * run while its rows stay in the L1 cache.  Each tile makes the same
+ * operations on the same operands as a step over the whole row, so
+ * neither tiling changes a bit.  A Godunov tile's flux values sit in
+ * scratch until that tile's q jumps overwrite them.  A failed step leaves
+ * the extremes, the records and W as they were; in a two-step pass, step
+ * k + 1's checks come first, and a failure in step k + 2 keeps step
+ * k + 1's boundary term and records.
  */
 #include <math.h>
 #include <stdint.h>
@@ -285,18 +295,20 @@ static void extremes(const double *x, long n, double *lo, double *hi)
  * their end columns; its record series, one entry per step (tv_w NULL
  * without an average); scratch for the fluxes (n + 1 values), and for the
  * jumps of a total variation (n + 2), which also holds a Godunov tile's
- * flux values until that tile's jumps overwrite them.  The library keeps
- * the boundary-flux integral and the running q extremes, and says why a
- * call stopped early: 1 for a wrong-signed flux velocity (its extreme speed
- * in `extreme`), 2 for a non-finite update.  A step updates q in place tile
- * by tile, left to right (see nl_advance), so a failed step leaves q part
- * or all updated, but the extremes, the records and W as they were. */
+ * flux values until that tile's jumps overwrite them; with an average, a
+ * second W row and a second flux row, each n + 3 values, for the two-step
+ * pass (see nl_advance).  The library keeps the boundary-flux integral and
+ * the running q extremes, and says why a call stopped early: 1 for a
+ * wrong-signed flux velocity (its extreme speed in `extreme`), 2 for a
+ * non-finite update.  A step updates q in place, so a failed step leaves q
+ * part or all updated (by the next step too, in a two-step pass), but the
+ * extremes, the records and W as they were. */
 typedef struct {
     const Flux *flux;
     const Average *average;
     long n;
     double dx, dt;
-    double *q, *w, *tv_q, *tv_w, *mass, *fluxes, *scratch;
+    double *q, *w, *tv_q, *tv_w, *mass, *fluxes, *scratch, *w2, *fluxes2;
     double boundary, q_min, q_max, extreme;
     int error;
 } Run;
@@ -308,19 +320,19 @@ typedef struct {
  * from 4096 cells on, 4096 no faster than no tiles. */
 enum { TILE = 1024 };
 
-/* Make `steps` steps from step k, which q holds, with w holding its
- * average; with steps == 0, record step k itself (a run's first call, for
- * step 0).  A step runs tile by tile: the tile's interface fluxes, the
- * update of its cells max(a, 1), ..., b - 1 with the finiteness check, then
- * its q records: the jumps |q[i + 1] - q[i]| for i = a - 1, ..., b - 2
- * (from 0, and the last tile's to n) and the extremes of its cells, folded
- * into locals.  After the last tile come the sign check, whose extreme
- * speed comes from the untouched W, the boundary integral, the finiteness
- * check, then the records: TV(q) from the jumps and the mass, the
- * extremes, the average into w and TV(W), whose jumps overwrite q's.
- * Returns the step q holds, the one before the failed step when a step
- * stopped the call. */
-long nl_advance(Run *run, long k, long steps)
+/* The two-step pass's tiles, cut the same way from SKEW interfaces */
+enum { SKEW = 256 };
+
+/* Make `steps` steps from step k one at a time (see nl_advance).  A step
+ * runs tile by tile: the tile's interface fluxes, the update of its cells
+ * max(a, 1), ..., b - 1 with the finiteness check, then its q records: the
+ * jumps |q[i + 1] - q[i]| for i = a - 1, ..., b - 2 (from 0, and the last
+ * tile's to n) and the extremes of its cells, folded into locals.  After
+ * the last tile come the sign check, whose extreme speed comes from the
+ * untouched W, the boundary integral, the finiteness check, then the
+ * records: TV(q) from the jumps and the mass, the extremes, the average
+ * into w and TV(W), whose jumps overwrite q's. */
+static long one_at_a_time(Run *run, long k, long steps)
 {
     const long n = run->n;
     const double lam = run->dt / run->dx;
@@ -364,6 +376,215 @@ long nl_advance(Run *run, long k, long steps)
             run->tv_w[k] = total_variation(run->w, n + 1, scratch);
         }
     } while (--steps > 0);
+    return k;
+}
+
+/* Two chains of the exponential recursion in one loop, so that neither
+ * waits on the other's latency: chain c writes W at len_c interfaces from
+ * j_c against the direction d (1 downstream, -1 upstream), each W[j] =
+ * (1 - alpha) x[j] + alpha W[j + d] with `exponential`'s operations, then
+ * the longer chain runs on alone */
+static void two_chains(const Average *k, const double *x, double *w1, long j1, long len1,
+                       double *w2, long j2, long len2, long d)
+{
+    const double alpha = k->alpha, b0 = 1.0 - alpha;
+    double z1 = len1 > 0 ? alpha * w1[j1 + d] : 0.0, z2 = len2 > 0 ? alpha * w2[j2 + d] : 0.0;
+    long i = 0;
+    for (; i < len1 && i < len2; i++) {
+        const double y1 = b0 * x[j1 - d * i] + z1, y2 = b0 * x[j2 - d * i] + z2;
+        w1[j1 - d * i] = y1;
+        w2[j2 - d * i] = y2;
+        z1 = alpha * y1;
+        z2 = alpha * y2;
+    }
+    for (; i < len1; i++) {
+        const double y1 = b0 * x[j1 - d * i] + z1;
+        w1[j1 - d * i] = y1;
+        z1 = alpha * y1;
+    }
+    for (; i < len2; i++) {
+        const double y2 = b0 * x[j2 - d * i] + z2;
+        w2[j2 - d * i] = y2;
+        z2 = alpha * y2;
+    }
+}
+
+/* The interfaces of tile [a, b) whose W the recursion writes: all but the
+ * far field's, n downstream and 0 upstream */
+static long chain_low(long a, long m) { return a > m ? a : m; }
+static long chain_high(long b, long n, long m) { return b < n + m ? b : n + m; }
+
+/* Step k's records from q and the W row w: TV(q), the mass, the extremes
+ * and TV(W) */
+static void record(Run *run, long k, const double *w)
+{
+    const long n = run->n;
+    const double *q = run->q;
+    double *jumps = run->scratch;
+    for (long i = 0; i <= n; i++) jumps[i] = fabs(q[i + 1] - q[i]);
+    run->tv_q[k] = 0.0 + pairwise(jumps + 1, n - 1) + jumps[0] + jumps[n];
+    run->mass[k] = run->dx * (0.0 + pairwise(q + 1, n));
+    extremes(q + 1, n, &run->q_min, &run->q_max);
+    run->tv_w[k] = total_variation(w, n + 1, jumps);
+}
+
+/* Steps k + 1 and k + 2 in one pass of an exponential kernel's upwind run,
+ * from q (step k) and the W row X (its average); W^{k+1} goes into the row
+ * Y, step k + 2's fluxes and then W^{k+2} into the row Z.  Returns the step
+ * whose records the pass reached: k + 2, else k or k + 1, the step before
+ * the failed one (see nl_advance). */
+static long two_steps(Run *run, long k, const double *X, double *Y, double *Z)
+{
+    const Flux *flux = run->flux;
+    const long n = run->n, m = flux->mirrored, s = 1 - m, d = m ? -1 : 1;
+    const long tiles = (n - 1) / SKEW + 1;
+    const double lam = run->dt / run->dx, left = X[0], right = X[n + 2];
+    const double farfield = run->average->farfield;
+    const double *w0 = X + 1;
+    double *q = run->q, *f1 = run->fluxes, *jumps = run->scratch;
+    double *w1 = Y + 1, *w2 = Z + 1, *f2 = Z + 2 * m;  /* f2 until W^{k+2} overwrites it */
+    double lo = INFINITY, hi = -INFINITY, f1_0 = 0.0, f1_n = 0.0, f2_0 = 0.0, f2_n = 0.0;
+    int nan1 = 0, wrong1 = 0, finite1 = 1, nan2 = 0, wrong2 = 0, finite2 = 1;
+    long pa = 0, pb = 0;  /* the tile before in the pass */
+    Y[0] = left;
+    Y[n + 2] = right;
+    w1[m ? 0 : n] = w2[m ? 0 : n] = farfield;
+    for (long t = 0; t < tiles; t++) {
+        const long at = m ? t : tiles - 1 - t;  /* tile [a, b) */
+        const long a = at * SKEW, b = at + 1 < tiles ? a + SKEW : n + 1;
+        /* (i) step k + 1: fluxes on [a, b) and the update of the cells
+         * [c0, c1) that they close */
+        const long c0 = a + s > 1 ? a + s : 1, c1 = b + s < n + 1 ? b + s : n + 1;
+        nl_flux(flux, q, w0, f1, 0, a, b, &nan1, &wrong1);
+        for (long i = c0; i < c1; i++) {
+            q[i] -= (f1[i] - f1[i - 1]) * lam;
+            finite1 &= isfinite(q[i]) != 0;
+        }
+        if (a == 0) f1_0 = f1[0];
+        if (b == n + 1) f1_n = f1[n];
+        /* (r) q^{k+1}'s records: its cells copied, in index order for the
+         * mass, where their step k + 1 fluxes are spent; the jumps whose
+         * cells both hold q^{k+1}; the extremes, of equal ones the leftmost
+         * tile's kept, as in a fold in index order */
+        for (long i = c0; i < c1; i++) f1[i - m] = q[i];
+        const long j0 = c0 - (m || a == 0), j1 = c1 - (m && b <= n);
+        for (long j = j0; j < j1; j++) jumps[j] = fabs(q[j + 1] - q[j]);
+        double tile_lo = INFINITY, tile_hi = -INFINITY;
+        extremes(q + c0, c1 - c0, &tile_lo, &tile_hi);
+        if (tile_lo < lo || (tile_lo == lo && !m)) lo = tile_lo;
+        if (tile_hi > hi || (tile_hi == hi && !m)) hi = tile_hi;
+        /* (i') step k + 2's flux between this tile and the one before, and
+         * the update of that tile's cell it closes */
+        if (t > 0) {
+            const long j = m ? a - 1 : b, c = j + s;
+            nl_flux(flux, q, w1, f2, 0, j, j + 1, &nan2, &wrong2);
+            q[c] -= (f2[c] - f2[c - 1]) * lam;
+            finite2 &= isfinite(q[c]) != 0;
+        }
+        /* (ii) W^{k+1} on this tile beside W^{k+2} on the one before */
+        const long lo1 = chain_low(a, m), hi1 = chain_high(b, n, m);
+        const long lo2 = chain_low(pa, m), hi2 = chain_high(pb, n, m);
+        two_chains(run->average, q + s, w1, m ? lo1 : hi1 - 1, hi1 - lo1,
+                   w2, m ? lo2 : hi2 - 1, t > 0 ? hi2 - lo2 : 0, d);
+        /* (iii) step k + 2: the tile's fluxes whose cells hold q^{k+1}, and
+         * the update of the cells [e0, e1) they close */
+        const long g0 = a + s, g1 = b - m, e0 = a + 2 * s > 1 ? a + 2 * s : 1;
+        const long e1 = b + s - m < n + 1 ? b + s - m : n + 1;
+        nl_flux(flux, q, w1, f2, 0, g0, g1, &nan2, &wrong2);
+        for (long i = e0; i < e1; i++) {
+            q[i] -= (f2[i] - f2[i - 1]) * lam;
+            finite2 &= isfinite(q[i]) != 0;
+        }
+        if (g0 == 0) f2_0 = f2[0];
+        if (g1 == n + 1) f2_n = f2[n];
+        pa = a;
+        pb = b;
+    }
+    /* the drain: step k + 2's flux at the pass's far end, the update of the
+     * cell it closes, and W^{k+2} on the last tile */
+    const long j = m ? n : 0, c = j + s, lo2 = chain_low(pa, m), hi2 = chain_high(pb, n, m);
+    nl_flux(flux, q, w1, f2, 0, j, j + 1, &nan2, &wrong2);
+    q[c] -= (f2[c] - f2[c - 1]) * lam;
+    finite2 &= isfinite(q[c]) != 0;
+    if (m) f2_n = f2[n];
+    else f2_0 = f2[0];
+    two_chains(run->average, q + s, w2, m ? lo2 : hi2 - 1, hi2 - lo2, w2, 0, 0, d);
+    Z[0] = left;
+    Z[n + 2] = right;
+    /* step k + 1's checks and records, then step k + 2's */
+    if (wrong1 && !nan1) {
+        run->extreme = extreme_speed(flux, w0, f1, n);
+        run->error = 1;
+        return k;
+    }
+    run->boundary += run->dt * (f1_n - f1_0);
+    if (!finite1) {
+        run->error = 2;
+        return k;
+    }
+    run->tv_q[k + 1] = 0.0 + pairwise(jumps + 1, n - 1) + jumps[0] + jumps[n];
+    run->mass[k + 1] = run->dx * (0.0 + pairwise(f1 + s, n));
+    if (lo < run->q_min) run->q_min = lo;
+    if (hi > run->q_max) run->q_max = hi;
+    run->tv_w[k + 1] = total_variation(Y, n + 1, jumps);
+    if (wrong2 && !nan2) {
+        run->extreme = extreme_speed(flux, w1, f1, n);
+        run->error = 1;
+        return k + 1;
+    }
+    run->boundary += run->dt * (f2_n - f2_0);
+    if (!finite2) {
+        run->error = 2;
+        return k + 1;
+    }
+    record(run, k + 2, Z);
+    return k + 2;
+}
+
+/* Make `steps` steps from step k, which q holds, with w holding its
+ * average; with steps == 0, record step k itself (a run's first call, for
+ * step 0).  Returns the step q holds, the one before the failed step when a
+ * step stopped the call.
+ *
+ * The upwind flux with the exponential kernel makes two steps per pass
+ * (loop and time skewing: M. Wolfe, IJPP 15, 1986; D. Wonnacott, IPDPS
+ * 2000), so that the recursions of steps k + 1 and k + 2 interleave; an odd
+ * step first, the Godunov flux and the constant kernel go one step at a
+ * time.  Downstream, the pass takes the tiles right to left; each does
+ * (i) step k + 1's fluxes from W^k and the update of the cells they close,
+ * (r) q^{k+1}'s records on those cells, (i') step k + 2's flux at the seam
+ * with the tile before and the update of that tile's last open cell,
+ * (ii) W^{k+1}'s recursion on the tile beside W^{k+2}'s on the tile before,
+ * (iii) step k + 2's fluxes and updates inside the tile; a drain closes the
+ * far end and W^{k+2} on the last tile.  Upstream is the mirror image, left
+ * to right.  Every value comes from the same operations on the same
+ * operands as one step at a time, so no bit changes.
+ *
+ * The three W rows (w, w2 and fluxes2) take turns: W^k stays whole through
+ * the pass for step k + 1's sign check and W^{k+1} for step k + 2's; step k
+ * + 2's fluxes fill the third row until W^{k+2} follows them.  Step k + 1's
+ * checks come first, and a failure in step k + 2 commits step k + 1 first:
+ * its boundary term, records and W.  On return w holds the W of the step
+ * returned. */
+long nl_advance(Run *run, long k, long steps)
+{
+    if (!run->average || run->average->kernel != EXPONENTIAL || steps < 2)
+        return one_at_a_time(run, k, steps);
+    if (steps % 2) {
+        if (one_at_a_time(run, k, 1) == k) return k;
+        k++;
+    }
+    double *rows[3] = {run->w, run->w2, run->fluxes2};
+    const size_t size = (size_t) (run->n + 3) * sizeof(double);
+    int c = 0;  /* the row holding step k's W */
+    for (long pairs = steps / 2; pairs > 0; pairs--) {
+        const long reached = two_steps(run, k, rows[c], rows[(c + 1) % 3], rows[(c + 2) % 3]);
+        const int failed = reached < k + 2;
+        c = (int) ((c + reached - k) % 3);
+        k = reached;
+        if (failed) break;
+    }
+    if (rows[c] != run->w) memcpy(run->w, rows[c], size);
     return k;
 }
 

@@ -180,6 +180,7 @@ class TestParseConfig:
          "kernel.family must be one of ('exponential', 'constant'), got 'gauss'"),
         ({"velocity": {"name": "constant", "v_max": 1}}, "unknown key velocity.v_max"),
         ({"velocity": {"name": "linear", "value": 1}}, "unknown key velocity.value"),
+        ({"velocity": {"name": "quadratic", "v_max": -1}}, "velocity.v_max must be >= 0, got -1.0"),
         # --out names the output directory; the config has no output_dir key
         ({"output_dir": "out"}, "unknown key output_dir"),
         ({"grid": {"x_min": 2.0, "x_max": -1.0}},
@@ -1087,6 +1088,20 @@ class TestCli:
         assert caught == []
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run", "--eta", "0.1"], ["sweep"]], ids=["run", "sweep"])
+    def test_zero_v_max_is_a_stasis_run(self, tmp_path, capsys, command):
+        # the model's rule, v_max >= 0, is the config's: V = 0 moves nothing
+        config = self.write_config(tmp_path, {"grid": {"n_cells": 256}, "eta_list": [0.1, 0.05],
+                                              "velocity": {"name": "linear", "v_max": 0}})
+        out = tmp_path / "out"
+        assert cli.main([command[0], "--config", str(config), "--out", str(out),
+                         *command[1:]]) == 0, capsys.readouterr().err
+        for eta in (0.1,) if command[0] == "run" else (0.1, 0.05):
+            for name in ("snapshots.csv", "tv_series.csv", "diagnostics.csv"):
+                assert (out / eta_dirname(eta) / name).is_file()
+        if command[0] == "sweep":
+            assert (out / "sweep.csv").is_file()
 
     def test_tiny_eta_sweep_exits_one(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"grid": {"n_cells": 64}, "eta_list": [1e-308]})

@@ -17,6 +17,7 @@ from nonlocal_limit import harness, linear_velocity
 
 PACKAGE = Path(native.__file__).parent
 TILE = int(re.search(r"enum \{ TILE = (\d+) \};", native.SOURCE.read_text())[1])
+SKEW = int(re.search(r"enum \{ SKEW = (\d+) \};", native.SOURCE.read_text())[1])
 FAST_MATH = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
              "-freciprocal-math", "-ffinite-math-only", "-fno-signed-zeros")
 
@@ -161,6 +162,13 @@ TILE_LOOPS = ("for (long i = first; i < b; i++) {",
 
 # the constant kernel's windows that end on a piece of a grid cell
 WINDOW_LOOP = "for (j = 0; j < inside; j++)"
+# the two-step pass: the upwind flux's speed check and product, the updates
+# of steps k + 1 and k + 2, and q^{k+1}'s mass copy and jumps
+SKEW_LOOPS = ("for (j = a; j < b; j++) {",
+              "for (long i = c0; i < c1; i++) {",
+              "for (long i = e0; i < e1; i++) {",
+              "for (long i = c0; i < c1; i++) f1[i - m] = q[i];",
+              "for (long j = j0; j < j1; j++) jumps[j] = fabs(q[j + 1] - q[j]);")
 
 
 def line_of(loop: str) -> int:
@@ -203,6 +211,14 @@ def test_tile_update_and_jump_loops_are_vectorised(tmp_path):
     assert set(lines) <= reported, (lines, report)
 
 
+def test_two_step_pass_flux_and_update_loops_are_vectorised(tmp_path):
+    # the skew's gain rests on these loops staying vectorised beside the
+    # interleaved recursions
+    lines = [line_of(loop) for loop in SKEW_LOOPS]
+    reported, report = vectorised_lines(tmp_path)
+    assert set(lines) <= reported, (lines, report)
+
+
 def test_constant_kernel_whole_window_loop_is_vectorised(tmp_path):
     # its prefix sums live in W's own row, which the loop reads ahead of
     # where it writes: gcc versions the loop for that aliasing, and only the
@@ -232,8 +248,10 @@ from nonlocal_limit.nonlocal_solver import _upwind_flux
 
 assert native.FLAGS == {flags!r}
 velocities = (linear_velocity(), quadratic_velocity(), constant_velocity(1.0))
-# 32 lanes of q extremes and their tails, then two and three step tiles
-for n in (2, 31, 32, 33, 37, 65, 300, {tile} + 1, 2 * {tile} + 1):
+# 32 lanes of q extremes and their tails, the two-step pass's tile edges,
+# then two and three step tiles
+for n in (2, 31, 32, 33, 37, 65, 300, {skew} - 1, {skew}, {skew} + 1, 2 * {skew} + 1,
+          {tile} + 1, 2 * {tile} + 1):
     grid = Grid1D(0.0, 1.0, n, left_farfield=0.25, right_farfield=0.0)
     values = np.linspace(0.0, 0.9, n)
     values[::3] = 0.0   # vacuum cells
@@ -260,6 +278,23 @@ try:
     raise AssertionError("no blowup")
 except NumericalBlowupError:
     pass
+# a blowup in either step of a two-step pass, in both orientations: one
+# cell at 1e306 at speed 0.7 and dt = 6 dx overflows at step 3
+n = 2 * {skew} + 1
+for orientation, velocity in (("downstream", constant_velocity(0.7)),
+                              ("upstream", constant_velocity(-0.7))):
+    grid = Grid1D(0.0, 1.0, n, left_farfield=0.4, right_farfield=0.4)
+    values = np.full(n, 0.4)
+    values[n // 2] = 1e306
+    kernel = KernelSpec(family="exponential", eta=0.05, orientation=orientation)
+    cfg = NonlocalSchemeConfig(kernel=kernel, velocity=velocity, cfl=1.0, t_end=1.0)
+    for steps in (4, 5):
+        try:
+            stepping.integrate(CellField(grid=grid, values=values), _upwind_flux(cfg),
+                               6 * grid.dx, steps, [], kernel_operator(kernel, grid))
+            raise AssertionError("no blowup")
+        except NumericalBlowupError as error:
+            assert error.step == 3
 # a mode violation: V(W) = 0.5 - W < 0 on a full state
 full = Grid1D(0.0, 1.0, 32, left_farfield=1.0, right_farfield=1.0)
 cfg = NonlocalSchemeConfig(kernel=KernelSpec(family="exponential", eta=0.3,
@@ -292,9 +327,10 @@ def test_sanitized_library_runs_steps_and_rows_cleanly(package):
     """The library built with AddressSanitizer and UndefinedBehaviorSanitizer
     runs both schemes, every velocity family, both kernels and orientations
     (the constant kernel's window also longer than the domain), 2 to 300
-    cells and grids of two and three step tiles, with vacuum and -0.0 cells,
-    a blowup, a mode violation and rows that fill their buffer exactly, with
-    no report."""
+    cells, the two-step pass's tile edges and grids of two and three step
+    tiles, with vacuum and -0.0 cells, blowups (also in either step of a
+    two-step pass), a mode violation and rows that fill their buffer
+    exactly, with no report."""
     runtimes = [subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True,
                                text=True, timeout=60).stdout.strip()
                 for name in ("libasan.so", "libubsan.so")]
@@ -307,7 +343,8 @@ def test_sanitized_library_runs_steps_and_rows_cleanly(package):
     source.write_text(text)
     log = package / "sanitizer"
     proc = subprocess.run(
-        [sys.executable, "-c", SANITIZED_SCRIPT.format(flags=SANITIZED_FLAGS, tile=TILE)],
+        [sys.executable, "-c", SANITIZED_SCRIPT.format(flags=SANITIZED_FLAGS, tile=TILE,
+                                                       skew=SKEW)],
         cwd=package,
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(package / "src"), "LD_PRELOAD": " ".join(runtimes),

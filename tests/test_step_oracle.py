@@ -587,7 +587,8 @@ def test_a_failed_step_leaves_the_extremes_records_and_w_as_they_were(failure, s
                                                      [grid.right_farfield]])
     series = {name: np.full(2001, np.nan) for name in ("tv_q", "tv_w", "mass")}
     arrays = (q, w, series["tv_q"], series["tv_w"], series["mass"], np.empty(n + 1),
-              np.empty(n + 2))
+              np.empty(n + 2),
+              *((None, None) if w is None else (np.empty(n + 3), np.empty(n + 3))))
     run = native.Run(ctypes.addressof(flux), None if average is None else ctypes.addressof(average),
                      n, grid.dx, dt, *(None if a is None else a.ctypes.data for a in arrays),
                      q_min=np.inf, q_max=-np.inf)
@@ -622,6 +623,170 @@ def test_zero_extremes_across_a_tile_edge_keep_the_first_zeros_sign(n_cells, fir
     report, expected = run_both(solver, q0, t_end, [0.0, t_end])
     assert_same_bits(report, expected)
     assert np.float64(report.q_min_overall).tobytes() == np.float64(first).tobytes()
+
+
+SKEW = int(re.search(r"enum \{ SKEW = (\d+) \};", native.SOURCE.read_text())[1])
+# grids of one two-step tile (SKEW - 1 and SKEW cells), of two and of three
+SKEW_EDGES = [SKEW - 1, SKEW, SKEW + 1, 2 * SKEW + 1]
+
+
+def library_run(q0, flux, average, dt, n_steps):
+    """A ``native.Run`` laid out as ``stepping.integrate`` lays it out, its
+    record series NaN, and its q and W rows; step 0 is not yet recorded and
+    W not yet set."""
+    grid, n = q0.grid, q0.grid.n_cells
+    q = np.concatenate([[grid.left_farfield], q0.values, [grid.right_farfield]])
+    w = np.concatenate([[grid.left_farfield], np.empty(n + 1), [grid.right_farfield]])
+    series = {name: np.full(n_steps + 1, np.nan) for name in ("tv_q", "tv_w", "mass")}
+    arrays = (q, w, series["tv_q"], series["tv_w"], series["mass"], np.empty(n + 1),
+              np.empty(n + 2), np.empty(n + 3), np.empty(n + 3))
+    run = native.Run(ctypes.addressof(flux), ctypes.addressof(average), n, grid.dx, dt,
+                     *(a.ctypes.data for a in arrays), q_min=np.inf, q_max=-np.inf)
+    run.held = (flux, average, arrays)  # the run holds only their addresses
+    return run, series, q, w
+
+
+@pytest.mark.parametrize("n_cells", SKEW_EDGES)
+@pytest.mark.parametrize("velocity", ["linear", "linear_increasing"])
+def test_two_step_passes_across_the_skews_tile_edges_equal_the_oracle(n_cells, velocity):
+    # each tile's two steps, the seams between tiles and the drain, in both
+    # orientations of the exponential kernel: snapshot stops 1, 2, 4 and 5
+    # steps apart (an odd count makes one step alone first, one step only
+    # the one-step path), a run of 13 steps in one call, and step 0 alone
+    v = VELOCITIES[velocity]
+    orientation = "downstream" if v.mode == "decreasing" else "upstream"
+    q0 = rough_field(n_cells)
+    dt = q0.grid.dx / 2
+    for eta in (0.05, 0.0007):
+        for n_steps, stops in ((12, [0, 1, 3, 7, 12]), (13, [13]), (12, [0])):
+            cfg = NonlocalSchemeConfig(kernel=KernelSpec("exponential", eta, orientation),
+                                       velocity=v, cfl=0.5, t_end=n_steps * dt,
+                                       snapshot_times=np.array(stops) * dt)
+            assert_same_bits(solve_nonlocal(q0, cfg), oracle_nonlocal(q0, cfg))
+
+
+def failing_datum(failure, tile, n_cells):
+    """Cells at 0.5 with a block of 1.0 at a jam's density, which V(W) at dt
+    = 1.5 dx drives past 1 behind or ahead of the block; or cells at 0.4
+    with one cell at 1e306, whose oscillation at speed 0.7 and dt = 6 dx
+    overflows.  Either fails at step 3 near the block or the cell, in the
+    first (leftmost) or the last of the two-step pass's tiles."""
+    level = 0.5 if failure == "violation" else 0.4
+    values = np.full(n_cells, level)
+    at = 40 if tile == "first" else n_cells - 60
+    if failure == "violation":
+        values[at:at + 20] = 1.0
+    else:
+        values[at] = 1e306
+    return CellField(grid=Grid1D(-1.0, 2.0, n_cells, level, level), values=values)
+
+
+@pytest.mark.parametrize("failure", ["violation", "blowup"])
+@pytest.mark.parametrize("tile", ["first", "last"])
+@pytest.mark.parametrize("second", [False, True], ids=["step_k+1", "step_k+2"])
+@pytest.mark.parametrize("orientation", ["downstream", "upstream"])
+def test_a_failed_step_of_a_two_step_pass_leaves_the_oracles_records(failure, tile, second,
+                                                                      orientation):
+    # the failing step is the pass's first (k + 1) or second (k + 2) by the
+    # parity of the call's step count; the library returns the step before
+    # it with the oracle's error, and the records, extremes and W of that
+    # step: a failure in step k + 2 commits step k + 1 first
+    n = 2 * SKEW + 200  # three tiles, the last one of 201 interfaces
+    q0 = failing_datum(failure, tile, n)
+    grid = q0.grid
+    downstream = orientation == "downstream"
+    if failure == "violation":
+        v = VELOCITIES["linear" if downstream else "linear_increasing"]
+        eta, dt, error, kind = grid.dx / 10, 1.5 * grid.dx, ModeViolationError, 1
+    else:
+        v = VELOCITIES["constant" if downstream else "constant_negative"]
+        eta, dt, error, kind = 0.05, 6 * grid.dx, NumericalBlowupError, 2
+    kernel = KernelSpec("exponential", eta, orientation)
+    cfg = NonlocalSchemeConfig(kernel=kernel, velocity=v, cfl=1.0, t_end=1.0)
+    flux, average = _upwind_flux(cfg), kernel_operator(kernel, grid)
+    oracle_flux, oracle_term = oracle_upwind_flux(cfg), oracle_average(kernel, grid)
+    seen = []
+
+    def recorded(states, w, out):
+        seen.append((states.copy(), w.copy()))
+        oracle_flux(states, w, out)
+
+    with pytest.raises(error) as expected_error:
+        oracle_integrate(q0, recorded, dt, 400, [], oracle_term)
+    failed = len(seen)
+    # the failure lies in the tile named
+    states, w = seen[-1]
+    if failure == "violation":
+        sign = 1.0 if downstream else -1.0
+        bad = np.flatnonzero(sign * oracle_speed(v, w) < -_SIGN_SLACK)
+    else:
+        fluxes = np.empty(n + 1)
+        oracle_flux(states, w, fluxes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = np.flatnonzero(~np.isfinite(states[1:-1] - (fluxes[1:] - fluxes[:-1])
+                                              * (dt / grid.dx)))
+    assert failed == 3 and bad.size
+    assert bad.max() < SKEW if tile == "first" else bad.min() >= 2 * SKEW
+    expected = oracle_integrate(q0, oracle_flux, dt, failed - 1, [], oracle_term)
+    # an even count pairs steps 1-2, 3-4; an odd one makes step 1 alone first
+    steps = failed + 1 if (failed % 2 == 1) == second else failed
+    run, series, q, w = library_run(q0, flux, average, dt, steps)
+    assert native.lib.nl_advance(ctypes.byref(run), 0, 0) == 0
+    assert native.lib.nl_advance(ctypes.byref(run), 0, steps) == failed - 1
+    assert run.error == kind
+    if failure == "violation":
+        assert str(flux.violation(run.extreme)) == str(expected_error.value)
+    for name in ("q_min", "q_max"):
+        assert (np.float64(getattr(run, name)).tobytes()
+                == np.float64(getattr(expected, name + "_overall")).tobytes()), name
+    for name, got in series.items():
+        assert got[:failed].tobytes() == getattr(expected, name + "_series").tobytes(), name
+        assert np.isnan(got[failed:]).all(), name
+    assert np.float64(run.boundary).tobytes() == np.float64(
+        expected.boundary_flux_integral).tobytes()
+    assert w[1:-1].tobytes() == expected.snapshots[-1].w.values.tobytes()
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+@pytest.mark.parametrize("orientation", ["downstream", "upstream"])
+def test_zero_extremes_of_a_two_step_pass_keep_the_first_zeros_sign(first, orientation):
+    # a vacuum of zeros of sign `first` in one tile and of the other sign in
+    # the next, on the side the flow leaves empty; the pass takes the
+    # downstream tiles right to left, yet of equal extremes the leftmost
+    # tile's is kept, as a fold in index order keeps it.  The run starts
+    # without step 0's record, so the pass's own extremes decide.
+    n = 2 * SKEW + 1
+    downstream = orientation == "downstream"
+    # the first cell of the tile after the vacuum's first one
+    edge = SKEW + 1 if downstream else 2 * SKEW
+    values = np.full(n, 0.5)
+    lo, hi = (1, edge + 40) if downstream else (edge - 40, n + 1)
+    values[lo - 1:edge - 1] = first
+    values[edge - 1:hi - 1] = -first
+    left, right = (first, 0.5) if downstream else (0.5, -first)
+    q0 = CellField(grid=Grid1D(-1.0, 2.0, n, left, right), values=values)
+    v = VELOCITIES["linear" if downstream else "linear_increasing"]
+    cfg = NonlocalSchemeConfig(kernel=KernelSpec("exponential", 0.05, orientation), velocity=v,
+                               cfl=0.5, t_end=1.0)
+    dt = q0.grid.dx / 2
+    expected = oracle_integrate(q0, oracle_upwind_flux(cfg), dt, 2, [dt, 2 * dt],
+                                oracle_average(cfg.kernel, q0.grid))
+    q_min = np.inf
+    for snap in expected.snapshots:
+        q_min, _ = oracle_extremes(snap.q.values, q_min, -np.inf)
+    steps = [snap.q.values for snap in expected.snapshots]
+    # after the pass's first step the first zero lies before the edge, and a
+    # zero of the other sign after it
+    zeros = np.flatnonzero(steps[0] == 0.0)
+    signs = np.signbit(steps[0][zeros])
+    assert zeros[0] < edge - 1 and (signs[zeros >= edge - 1] != signs[0]).any()
+    assert q_min == 0.0 and np.signbit(q_min) == signs[0]
+    run, series, q, w = library_run(q0, _upwind_flux(cfg), kernel_operator(cfg.kernel, q0.grid),
+                                    dt, 2)
+    w[1:-1] = oracle_average(cfg.kernel, q0.grid)(q0.values, np.empty(n + 1))
+    assert native.lib.nl_advance(ctypes.byref(run), 0, 2) == 2 and run.error == 0
+    assert np.float64(run.q_min).tobytes() == np.float64(q_min).tobytes()
+    assert q[1:-1].tobytes() == steps[1].tobytes()
 
 
 def drawn_levels(s_max):
