@@ -52,6 +52,8 @@ class Grid1D:
         if not (math.isfinite(2.0 * x_min) and math.isfinite(2.0 * x_max)):
             raise ValueError(f"grid cell centres overflow, got [{x_min}, {x_max}]; the "
                              f"bounds must lie within +-{np.finfo(float).max / 2:g}")
+        if not isinstance(self.n_cells, (int, np.integer)) or isinstance(self.n_cells, bool):
+            raise ValueError(f"grid.n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 2:
             raise ValueError(f"grid.n_cells must be >= 2, got {self.n_cells}")
         if not (np.isfinite(self.left_farfield) and np.isfinite(self.right_farfield)):

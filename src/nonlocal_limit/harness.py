@@ -183,7 +183,7 @@ class ExperimentConfig:
 
     x_min: float = _key("grid.x_min", _finite, -1.0)
     x_max: float = _key("grid.x_max", _finite, 2.0)
-    n_cells: int = _key("grid.n_cells", _integer(2), 4096)
+    n_cells: int = _key("grid.n_cells", lambda raw, _: raw, 4096)  # its rule is the grid's
     # no profile section: the three-jump datum; a partial one: no jumps, level 0
     breakpoints: tuple = _key(
         "profile.breakpoints", _numbers(),

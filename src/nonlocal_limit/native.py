@@ -140,17 +140,15 @@ class Average(ctypes.Structure):
 
 class Run(ctypes.Structure):
     """A run as ``lib.nl_advance`` advances it (see steps.c): addresses of
-    its flux, kernel average, rows, record series and scratch, and the
-    boundary-flux integral, q extremes and error the library keeps.  An
-    upwind run also has a second W row and a second flux row (``w2`` and
-    ``fluxes2``, n + 3 values each), with which the exponential kernel makes
-    two steps per pass.  A failed step leaves the extremes, the records and
-    ``w`` as they were after the step before it; step k + 1's checks come
-    before step k + 2's."""
+    its flux, kernel average, rows (an upwind run's second W row ``w2``, for
+    two steps per pass), record series and scratch, and the boundary-flux
+    integral, q extremes and error the library keeps.  After a failed step
+    only the step returned, ``error``, ``extreme`` and the last good step's
+    records, q extremes and ``boundary`` hold; q and W are unspecified."""
 
     _fields_ = [("flux", _P), ("average", _P), ("n", _L), ("dx", _D), ("dt", _D),
                 *((name, _P) for name in ("q", "w", "tv_q", "tv_w", "mass", "fluxes", "scratch",
-                                          "w2", "fluxes2")),
+                                          "w2")),
                 ("boundary", _D), ("q_min", _D), ("q_max", _D), ("extreme", _D),
                 ("error", ctypes.c_int)]
 

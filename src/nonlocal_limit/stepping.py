@@ -11,9 +11,9 @@ per-step records, the boundary-flux integral, the snapshots and the blowup
 check.  The step library makes every step up to the next snapshot in one
 call, updating one row of q and one of W in place and writing each step's
 records; the exponential kernel's upwind runs make two steps per pass, with
-a second W row and a second flux row.  Every buffer belongs to one call and
-a ``native.Average`` holds parameters only, so runs are safe to execute
-concurrently and may share one.
+a second W row.  A failed step ends the run and leaves q and W unspecified.
+Every buffer belongs to one call and a ``native.Average`` holds parameters
+only, so runs are safe to execute concurrently and may share one.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ def integrate(q0: CellField, interface_flux: native.Flux, dt: float, n_steps: in
     w = None if nonlocal_term is None else np.concatenate([[left], np.empty(n + 1), [right]])
     tv_q, mass = np.empty(n_steps + 1), np.empty(n_steps + 1)
     tv_w = None if w is None else np.empty(n_steps + 1)
-    # held for the run: the rows above, the fluxes, scratch, and with an
-    # average a second W row and a second flux row for two steps per pass
-    second = (None, None) if w is None else (np.empty(n + 3), np.empty(n + 3))
-    arrays = (q, w, tv_q, tv_w, mass, np.empty(n + 1), np.empty(n + 2), *second)
+    # held for the run: the rows above, the fluxes, scratch, and with an average
+    # a second W row, used only by the exponential kernel's two-step pass
+    w2 = None if w is None else np.empty(n + 3)
+    arrays = (q, w, tv_q, tv_w, mass, np.empty(n + 1), np.empty(n + 2), w2)
     run = native.Run(ctypes.addressof(interface_flux),
                      None if nonlocal_term is None else ctypes.addressof(nonlocal_term), n,
                      grid.dx, dt, *(None if a is None else a.ctypes.data for a in arrays),

@@ -19,17 +19,18 @@
  * pass over tiles of SKEW interfaces, right to left downstream and left to
  * right upstream: step k + 1 closes a tile's cells, then step k + 2 follows
  * one tile behind, so that the W recursions of the two steps run in one
- * loop and neither waits on the other's latency (see nl_advance).  W and
- * the fluxes have a second row each, so that each step's sign check reads
- * a W that no later step has touched.  The Godunov flux, the constant
- * kernel, a run's first record and an odd step before a stop go one step
- * at a time over tiles of TILE interfaces, left to right: a tile's fluxes,
- * the update of its cells and its q records (the jumps and the extremes)
- * run while its rows stay in the L1 cache.  Each tile makes the same
- * operations on the same operands as a step over the whole row, so
+ * loop and neither waits on the other's latency (see nl_advance).  The pass
+ * uses two W rows: W^{k+1} goes into the second, and step k + 2's fluxes,
+ * then W^{k+2}, into W^k's own row one tile behind step k + 1.  The
+ * Godunov flux, the constant kernel and an odd step before a stop go one
+ * step at a time over tiles of TILE interfaces, left to right: a tile's
+ * fluxes, the update of its cells and its q records (the jumps and the
+ * extremes) run while its rows stay in the L1 cache.  Each tile makes the
+ * same operations on the same operands as a step over the whole row, so
  * neither tiling changes a bit.  A Godunov tile's flux values sit in
  * scratch until that tile's q jumps overwrite them.  A failed step leaves
- * the extremes, the records and W as they were; in a two-step pass, step
+ * the extremes, the records and the boundary integral as they were after
+ * the step before it, and q and W unspecified; in a two-step pass, step
  * k + 1's checks come first, and a failure in step k + 2 keeps step
  * k + 1's boundary term and records.
  */
@@ -129,10 +130,13 @@ void nl_godunov(const Flux *flux, const double *a, const double *b, const double
 /* Interface fluxes a, ..., b - 1 of `states` (far fields at both ends) into
  * out, the upwind flux with the average w, the Godunov flux with the flux
  * values of states a, ..., b in scratch.  An upwind flux ORs into *nan
- * whether a speed V(W) is NaN and into *wrong whether one has the wrong
- * sign beyond the slack. */
+ * whether a speed V(W) is NaN, and where one has the wrong sign beyond the
+ * slack it folds the speeds into *extreme, as np.minimum (downstream) or
+ * np.maximum (upstream) does.  A step's wrong-signed extreme speed lies in
+ * such a range, so the fold over those ranges alone, from 0.0, gives it
+ * with the bits of np.minimum.reduce or np.maximum.reduce over all. */
 static void nl_flux(const Flux *flux, const double *states, const double *w, double *out,
-                    double *scratch, long a, long b, int *nan, int *wrong)
+                    double *scratch, long a, long b, int *nan, double *extreme)
 {
     long j;
     if (flux->scheme == GODUNOV) {
@@ -152,18 +156,11 @@ static void nl_flux(const Flux *flux, const double *states, const double *w, dou
         out[j] *= upwind[j];
     }
     *nan |= any_nan;
-    *wrong |= any_wrong;
-}
-
-/* The extreme speed V(W) over the n + 1 interfaces, as np.minimum.reduce
- * (downstream) or np.maximum.reduce (upstream) gives it, with out (n + 1)
- * for the speeds */
-static double extreme_speed(const Flux *flux, const double *w, double *out, long n)
-{
-    nl_velocity(flux->family, flux->v, flux->s_max, w, out, n + 1);
-    double e = out[0];
-    for (long j = 1; j <= n; j++) e = flux->mirrored ? np_max(e, out[j]) : np_min(e, out[j]);
-    return e;
+    for (j = a; any_wrong && j < b; j++) {
+        double speed;
+        nl_velocity(flux->family, flux->v, flux->s_max, w + j, &speed, 1);
+        *extreme = flux->mirrored ? np_max(*extreme, speed) : np_min(*extreme, speed);
+    }
 }
 
 /* W[i] = (1 - alpha) q_i + alpha W[i+1], W[n] the far field, in lfilter's
@@ -296,22 +293,38 @@ static void extremes(const double *x, long n, double *lo, double *hi)
  * without an average); scratch for the fluxes (n + 1 values), and for the
  * jumps of a total variation (n + 2), which also holds a Godunov tile's
  * flux values until that tile's jumps overwrite them; with an average, a
- * second W row and a second flux row, each n + 3 values, for the two-step
- * pass (see nl_advance).  The library keeps the boundary-flux integral and
- * the running q extremes, and says why a call stopped early: 1 for a
- * wrong-signed flux velocity (its extreme speed in `extreme`), 2 for a
- * non-finite update.  A step updates q in place, so a failed step leaves q
- * part or all updated (by the next step too, in a two-step pass), but the
- * extremes, the records and W as they were. */
+ * second W row of n + 3 values, which the two-step pass of the exponential
+ * kernel fills (see nl_advance).  The library keeps the boundary-flux
+ * integral and the running q extremes, and says why a call stopped early:
+ * 1 for a wrong-signed flux velocity (its extreme speed in `extreme`), 2
+ * for a non-finite update.  After a failed step the library promises only
+ * the step returned, the error and the extreme speed, and the records, the
+ * q extremes and the boundary integral of the step before it; q and W are
+ * unspecified. */
 typedef struct {
     const Flux *flux;
     const Average *average;
     long n;
     double dx, dt;
-    double *q, *w, *tv_q, *tv_w, *mass, *fluxes, *scratch, *w2, *fluxes2;
+    double *q, *w, *tv_q, *tv_w, *mass, *fluxes, *scratch, *w2;
     double boundary, q_min, q_max, extreme;
     int error;
 } Run;
+
+/* Whether a step failed, and why into the run: error 1 when a speed has
+ * the wrong sign and none is NaN (the extreme speed of nl_flux into
+ * `extreme`), else error 2 when an update is not finite */
+static int failed(Run *run, int nan, double extreme, int finite)
+{
+    const Flux *flux = run->flux;
+    if (!nan && (flux->mirrored ? -extreme : extreme) < -flux->slack) {
+        run->extreme = extreme;
+        run->error = 1;
+    } else if (!finite) {
+        run->error = 2;
+    }
+    return run->error;
+}
 
 /* A step's tiles: [a, b) of interfaces with b = a + TILE, the last running
  * to interface n, so that a grid of TILE cells or fewer is one tile.  A
@@ -328,45 +341,32 @@ enum { SKEW = 256 };
  * max(a, 1), ..., b - 1 with the finiteness check, then its q records: the
  * jumps |q[i + 1] - q[i]| for i = a - 1, ..., b - 2 (from 0, and the last
  * tile's to n) and the extremes of its cells, folded into locals.  After
- * the last tile come the sign check, whose extreme speed comes from the
- * untouched W, the boundary integral, the finiteness check, then the
- * records: TV(q) from the jumps and the mass, the extremes, the average
- * into w and TV(W), whose jumps overwrite q's. */
+ * the last tile come the sign and finiteness checks, the boundary
+ * integral, then the records: TV(q) from the jumps and the mass, the
+ * extremes, the average into w and TV(W), whose jumps overwrite q's. */
 static long one_at_a_time(Run *run, long k, long steps)
 {
     const long n = run->n;
     const double lam = run->dt / run->dx;
     const double *w = run->average ? run->w + 1 : 0;
     double *q = run->q, *fluxes = run->fluxes, *scratch = run->scratch;
-    do {
-        double lo = run->q_min, hi = run->q_max;
-        int nan = 0, wrong = 0, finite = 1;
+    for (; steps > 0; steps--) {
+        double lo = run->q_min, hi = run->q_max, extreme = 0.0;
+        int nan = 0, finite = 1;
         for (long a = 0, b; a <= n; a = b) {
             b = a + TILE < n ? a + TILE : n + 1;
             const long first = a > 1 ? a : 1, end = b > n ? b : b - 1;
-            if (steps > 0) {
-                nl_flux(run->flux, q, w, fluxes, scratch, a, b, &nan, &wrong);
-                for (long i = first; i < b; i++) {
-                    q[i] -= (fluxes[i] - fluxes[i - 1]) * lam;
-                    finite &= isfinite(q[i]) != 0;
-                }
+            nl_flux(run->flux, q, w, fluxes, scratch, a, b, &nan, &extreme);
+            for (long i = first; i < b; i++) {
+                q[i] -= (fluxes[i] - fluxes[i - 1]) * lam;
+                finite &= isfinite(q[i]) != 0;
             }
             for (long i = a > 0 ? a - 1 : 0; i < end; i++) scratch[i] = fabs(q[i + 1] - q[i]);
             extremes(q + first, b - first, &lo, &hi);
         }
-        if (steps > 0) {
-            if (wrong && !nan) {
-                run->extreme = extreme_speed(run->flux, w, fluxes, n);
-                run->error = 1;
-                return k;
-            }
-            run->boundary += run->dt * (fluxes[n] - fluxes[0]);
-            if (!finite) {
-                run->error = 2;
-                return k;
-            }
-            k++;
-        }
+        if (failed(run, nan, extreme, finite)) return k;
+        run->boundary += run->dt * (fluxes[n] - fluxes[0]);
+        k++;
         run->tv_q[k] = 0.0 + pairwise(scratch + 1, n - 1) + scratch[0] + scratch[n];
         run->mass[k] = run->dx * (0.0 + pairwise(q + 1, n));
         run->q_min = lo;
@@ -375,7 +375,7 @@ static long one_at_a_time(Run *run, long k, long steps)
             nl_average(run->average, q + 1, run->w + 1);
             run->tv_w[k] = total_variation(run->w, n + 1, scratch);
         }
-    } while (--steps > 0);
+    }
     return k;
 }
 
@@ -415,7 +415,7 @@ static long chain_low(long a, long m) { return a > m ? a : m; }
 static long chain_high(long b, long n, long m) { return b < n + m ? b : n + m; }
 
 /* Step k's records from q and the W row w: TV(q), the mass, the extremes
- * and TV(W) */
+ * and, with an average, TV(W) */
 static void record(Run *run, long k, const double *w)
 {
     const long n = run->n;
@@ -425,37 +425,37 @@ static void record(Run *run, long k, const double *w)
     run->tv_q[k] = 0.0 + pairwise(jumps + 1, n - 1) + jumps[0] + jumps[n];
     run->mass[k] = run->dx * (0.0 + pairwise(q + 1, n));
     extremes(q + 1, n, &run->q_min, &run->q_max);
-    run->tv_w[k] = total_variation(w, n + 1, jumps);
+    if (run->average) run->tv_w[k] = total_variation(w, n + 1, jumps);
 }
 
 /* Steps k + 1 and k + 2 in one pass of an exponential kernel's upwind run,
- * from q (step k) and the W row X (its average); W^{k+1} goes into the row
- * Y, step k + 2's fluxes and then W^{k+2} into the row Z.  Returns the step
- * whose records the pass reached: k + 2, else k or k + 1, the step before
- * the failed one (see nl_advance). */
-static long two_steps(Run *run, long k, const double *X, double *Y, double *Z)
+ * from q (step k) and W^k in the row w.  W^{k+1} goes into the row w2, and
+ * step k + 2's fluxes, then W^{k+2}, into w's own row, one tile behind
+ * step k + 1, which has read W^k there.  W's far-field entry is never
+ * written, so W^{k+2} keeps W^k's.  Returns the step whose records the
+ * pass reached: k + 2, else k or k + 1, the step before the failed one. */
+static long two_steps(Run *run, long k)
 {
     const Flux *flux = run->flux;
     const long n = run->n, m = flux->mirrored, s = 1 - m, d = m ? -1 : 1;
     const long tiles = (n - 1) / SKEW + 1;
-    const double lam = run->dt / run->dx, left = X[0], right = X[n + 2];
-    const double farfield = run->average->farfield;
-    const double *w0 = X + 1;
+    const double lam = run->dt / run->dx, left = run->w[0], right = run->w[n + 2];
     double *q = run->q, *f1 = run->fluxes, *jumps = run->scratch;
-    double *w1 = Y + 1, *w2 = Z + 1, *f2 = Z + 2 * m;  /* f2 until W^{k+2} overwrites it */
+    double *w = run->w + 1, *w1 = run->w2 + 1, *f2 = run->w + 2 * m;  /* f2 until W^{k+2} */
     double lo = INFINITY, hi = -INFINITY, f1_0 = 0.0, f1_n = 0.0, f2_0 = 0.0, f2_n = 0.0;
-    int nan1 = 0, wrong1 = 0, finite1 = 1, nan2 = 0, wrong2 = 0, finite2 = 1;
+    double extreme1 = 0.0, extreme2 = 0.0;
+    int nan1 = 0, finite1 = 1, nan2 = 0, finite2 = 1;
     long pa = 0, pb = 0;  /* the tile before in the pass */
-    Y[0] = left;
-    Y[n + 2] = right;
-    w1[m ? 0 : n] = w2[m ? 0 : n] = farfield;
+    run->w2[0] = left;
+    run->w2[n + 2] = right;
+    w1[m ? 0 : n] = run->average->farfield;
     for (long t = 0; t < tiles; t++) {
         const long at = m ? t : tiles - 1 - t;  /* tile [a, b) */
         const long a = at * SKEW, b = at + 1 < tiles ? a + SKEW : n + 1;
         /* (i) step k + 1: fluxes on [a, b) and the update of the cells
          * [c0, c1) that they close */
         const long c0 = a + s > 1 ? a + s : 1, c1 = b + s < n + 1 ? b + s : n + 1;
-        nl_flux(flux, q, w0, f1, 0, a, b, &nan1, &wrong1);
+        nl_flux(flux, q, w, f1, 0, a, b, &nan1, &extreme1);
         for (long i = c0; i < c1; i++) {
             q[i] -= (f1[i] - f1[i - 1]) * lam;
             finite1 &= isfinite(q[i]) != 0;
@@ -477,7 +477,7 @@ static long two_steps(Run *run, long k, const double *X, double *Y, double *Z)
          * the update of that tile's cell it closes */
         if (t > 0) {
             const long j = m ? a - 1 : b, c = j + s;
-            nl_flux(flux, q, w1, f2, 0, j, j + 1, &nan2, &wrong2);
+            nl_flux(flux, q, w1, f2, 0, j, j + 1, &nan2, &extreme2);
             q[c] -= (f2[c] - f2[c - 1]) * lam;
             finite2 &= isfinite(q[c]) != 0;
         }
@@ -485,12 +485,12 @@ static long two_steps(Run *run, long k, const double *X, double *Y, double *Z)
         const long lo1 = chain_low(a, m), hi1 = chain_high(b, n, m);
         const long lo2 = chain_low(pa, m), hi2 = chain_high(pb, n, m);
         two_chains(run->average, q + s, w1, m ? lo1 : hi1 - 1, hi1 - lo1,
-                   w2, m ? lo2 : hi2 - 1, t > 0 ? hi2 - lo2 : 0, d);
+                   w, m ? lo2 : hi2 - 1, t > 0 ? hi2 - lo2 : 0, d);
         /* (iii) step k + 2: the tile's fluxes whose cells hold q^{k+1}, and
          * the update of the cells [e0, e1) they close */
         const long g0 = a + s, g1 = b - m, e0 = a + 2 * s > 1 ? a + 2 * s : 1;
         const long e1 = b + s - m < n + 1 ? b + s - m : n + 1;
-        nl_flux(flux, q, w1, f2, 0, g0, g1, &nan2, &wrong2);
+        nl_flux(flux, q, w1, f2, 0, g0, g1, &nan2, &extreme2);
         for (long i = e0; i < e1; i++) {
             q[i] -= (f2[i] - f2[i - 1]) * lam;
             finite2 &= isfinite(q[i]) != 0;
@@ -503,48 +503,32 @@ static long two_steps(Run *run, long k, const double *X, double *Y, double *Z)
     /* the drain: step k + 2's flux at the pass's far end, the update of the
      * cell it closes, and W^{k+2} on the last tile */
     const long j = m ? n : 0, c = j + s, lo2 = chain_low(pa, m), hi2 = chain_high(pb, n, m);
-    nl_flux(flux, q, w1, f2, 0, j, j + 1, &nan2, &wrong2);
+    nl_flux(flux, q, w1, f2, 0, j, j + 1, &nan2, &extreme2);
     q[c] -= (f2[c] - f2[c - 1]) * lam;
     finite2 &= isfinite(q[c]) != 0;
     if (m) f2_n = f2[n];
     else f2_0 = f2[0];
-    two_chains(run->average, q + s, w2, m ? lo2 : hi2 - 1, hi2 - lo2, w2, 0, 0, d);
-    Z[0] = left;
-    Z[n + 2] = right;
+    two_chains(run->average, q + s, w, m ? lo2 : hi2 - 1, hi2 - lo2, w, 0, 0, d);
+    run->w[0] = left;
+    run->w[n + 2] = right;
     /* step k + 1's checks and records, then step k + 2's */
-    if (wrong1 && !nan1) {
-        run->extreme = extreme_speed(flux, w0, f1, n);
-        run->error = 1;
-        return k;
-    }
+    if (failed(run, nan1, extreme1, finite1)) return k;
     run->boundary += run->dt * (f1_n - f1_0);
-    if (!finite1) {
-        run->error = 2;
-        return k;
-    }
     run->tv_q[k + 1] = 0.0 + pairwise(jumps + 1, n - 1) + jumps[0] + jumps[n];
     run->mass[k + 1] = run->dx * (0.0 + pairwise(f1 + s, n));
     if (lo < run->q_min) run->q_min = lo;
     if (hi > run->q_max) run->q_max = hi;
-    run->tv_w[k + 1] = total_variation(Y, n + 1, jumps);
-    if (wrong2 && !nan2) {
-        run->extreme = extreme_speed(flux, w1, f1, n);
-        run->error = 1;
-        return k + 1;
-    }
+    run->tv_w[k + 1] = total_variation(run->w2, n + 1, jumps);
+    if (failed(run, nan2, extreme2, finite2)) return k + 1;
     run->boundary += run->dt * (f2_n - f2_0);
-    if (!finite2) {
-        run->error = 2;
-        return k + 1;
-    }
-    record(run, k + 2, Z);
+    record(run, k + 2, run->w);
     return k + 2;
 }
 
 /* Make `steps` steps from step k, which q holds, with w holding its
- * average; with steps == 0, record step k itself (a run's first call, for
- * step 0).  Returns the step q holds, the one before the failed step when a
- * step stopped the call.
+ * average; with steps == 0, average q into w and record step k itself (a
+ * run's first call, for step 0).  Returns the step q holds, or the one
+ * before the failed step when a step stopped the call (its error set).
  *
  * The upwind flux with the exponential kernel makes two steps per pass
  * (loop and time skewing: M. Wolfe, IJPP 15, 1986; D. Wonnacott, IPDPS
@@ -560,31 +544,23 @@ static long two_steps(Run *run, long k, const double *X, double *Y, double *Z)
  * to right.  Every value comes from the same operations on the same
  * operands as one step at a time, so no bit changes.
  *
- * The three W rows (w, w2 and fluxes2) take turns: W^k stays whole through
- * the pass for step k + 1's sign check and W^{k+1} for step k + 2's; step k
- * + 2's fluxes fill the third row until W^{k+2} follows them.  Step k + 1's
- * checks come first, and a failure in step k + 2 commits step k + 1 first:
- * its boundary term, records and W.  On return w holds the W of the step
- * returned. */
+ * W^{k+1} fills the row w2, and step k + 2's fluxes and W^{k+2} take over
+ * W^k's row w behind step k + 1, so w holds the current W after every
+ * pair.  Step k + 1's checks come first, and a failure in step k + 2
+ * commits step k + 1's boundary term and records first; after a failure q
+ * and W are unspecified (see Run), and nothing that reads them follows. */
 long nl_advance(Run *run, long k, long steps)
 {
-    if (!run->average || run->average->kernel != EXPONENTIAL || steps < 2)
-        return one_at_a_time(run, k, steps);
-    if (steps % 2) {
-        if (one_at_a_time(run, k, 1) == k) return k;
-        k++;
+    const long end = k + steps;
+    run->error = 0;
+    if (steps == 0) {
+        if (run->average) nl_average(run->average, run->q + 1, run->w + 1);
+        record(run, k, run->w);
+        return k;
     }
-    double *rows[3] = {run->w, run->w2, run->fluxes2};
-    const size_t size = (size_t) (run->n + 3) * sizeof(double);
-    int c = 0;  /* the row holding step k's W */
-    for (long pairs = steps / 2; pairs > 0; pairs--) {
-        const long reached = two_steps(run, k, rows[c], rows[(c + 1) % 3], rows[(c + 2) % 3]);
-        const int failed = reached < k + 2;
-        c = (int) ((c + reached - k) % 3);
-        k = reached;
-        if (failed) break;
-    }
-    if (rows[c] != run->w) memcpy(run->w, rows[c], size);
+    if (!run->average || run->average->kernel != EXPONENTIAL) return one_at_a_time(run, k, steps);
+    k = one_at_a_time(run, k, steps % 2);
+    while (k < end && !run->error) k = two_steps(run, k);
     return k;
 }
 

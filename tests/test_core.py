@@ -62,6 +62,22 @@ class TestGrid:
             Grid1D(**kwargs)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("n_cells, shown", [
+        (4.5, "4.5"), (4.0, "4.0"), (np.float64(8), "np.float64(8.0)"), (True, "True"),
+        ("8", "'8'")])
+    def test_non_integer_cell_count_is_refused(self, n_cells, shown):
+        # before the count is used: a float count once built a grid that
+        # sample_profile then failed on with a TypeError
+        with pytest.raises(ValueError) as info:
+            Grid1D(0.0, 1.0, n_cells)
+        assert str(info.value) == f"grid.n_cells must be an integer, got {shown}"
+
+    @pytest.mark.parametrize("n_cells", [np.int64(8), np.int32(8)])
+    def test_numpy_integer_cell_count_is_accepted(self, n_cells):
+        grid = Grid1D(0.0, 1.0, n_cells)
+        field = sample_profile(constant_profile(0.25), grid)
+        assert grid.dx == 0.125 and field.values.tolist() == [0.25] * 8
+
     @pytest.mark.parametrize("n_cells", [2, 64, 4097])
     def test_largest_bounds_keep_every_centre_finite(self, n_cells):
         # an overflow would warn, and warnings are errors in this suite

@@ -172,7 +172,8 @@ class TestParseConfig:
         ([], "config must be an object"),
         ({"grid": 3}, "grid must be an object"),
         ({"grid": {"n_cells": 1}}, "grid.n_cells must be >= 2, got 1"),
-        ({"grid": {"n_cells": 2.5}}, "grid.n_cells must be an integer"),
+        ({"grid": {"n_cells": 2.5}}, "grid.n_cells must be an integer, got 2.5"),
+        ({"grid": {"n_cells": True}}, "grid.n_cells must be an integer, got True"),
         ({"cfl": True}, "cfl must be a finite number"),
         ({"profile": {"levels": "a"}}, "profile.levels must be a list of numbers"),
         ({"eta_list": []}, "eta_list must not be empty"),

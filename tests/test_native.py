@@ -2,6 +2,7 @@
 and how a failed build is reported.  Each build test imports a copy of the
 package in a fresh process."""
 
+import ctypes
 import os
 import re
 import shutil
@@ -144,6 +145,29 @@ def test_python_enums_match_the_step_library():
     assert source_enum("EXPONENTIAL") == {"EXPONENTIAL": native.EXPONENTIAL,
                                           "CONSTANT_KERNEL": native.CONSTANT}
     assert set(harness._VELOCITIES) == set(native.VELOCITY_FAMILIES)
+
+
+C_TYPES = {"int": ctypes.c_int, "long": ctypes.c_long, "double": ctypes.c_double}
+
+
+def source_struct(name: str) -> list[tuple[str, type]]:
+    """The members of steps.c's ``typedef struct { ... } name;`` in order,
+    as (name, ctypes type), every pointer a c_void_p."""
+    body = re.search(rf"typedef struct \{{([^}}]*)\}} {name};", native.SOURCE.read_text())[1]
+    members = []
+    for declaration in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        base = re.match(r"\s*(?:const\s+)?(\w+)", declaration)[1]
+        for declarator in declaration.split(","):
+            members.append((re.findall(r"\w+", declarator)[-1],
+                            ctypes.c_void_p if "*" in declarator else C_TYPES[base]))
+    return members
+
+
+@pytest.mark.parametrize("struct", [native.Flux, native.Average, native.Run, native.Column])
+def test_ctypes_structures_match_the_step_library(struct):
+    # a member dropped or moved on one side only would shift every later
+    # address without any error
+    assert list(struct._fields_) == source_struct(struct.__name__)
 
 
 def test_source_compiles_without_warnings(tmp_path):
@@ -295,6 +319,23 @@ for orientation, velocity in (("downstream", constant_velocity(0.7)),
             raise AssertionError("no blowup")
         except NumericalBlowupError as error:
             assert error.step == 3
+# a mode violation in either step of a two-step pass, in both orientations:
+# a block of 1.0 in cells at 0.5, at dt = 1.5 dx, turns V(W) at step 3
+for orientation, velocity in (("downstream", linear_velocity()),
+                              ("upstream", linear_increasing_velocity())):
+    grid = Grid1D(0.0, 1.0, n, left_farfield=0.5, right_farfield=0.5)
+    values = np.full(n, 0.5)
+    values[40:60] = 1.0
+    kernel = KernelSpec(family="exponential", eta=grid.dx / 10, orientation=orientation)
+    cfg = NonlocalSchemeConfig(kernel=kernel, velocity=velocity, cfl=1.0, t_end=1.0)
+    run = (CellField(grid=grid, values=values), _upwind_flux(cfg), 1.5 * grid.dx)
+    stepping.integrate(*run, 2, [], kernel_operator(kernel, grid))
+    for steps in (4, 5):
+        try:
+            stepping.integrate(*run, steps, [], kernel_operator(kernel, grid))
+            raise AssertionError("no mode violation")
+        except ModeViolationError:
+            pass
 # a mode violation: V(W) = 0.5 - W < 0 on a full state
 full = Grid1D(0.0, 1.0, 32, left_farfield=1.0, right_farfield=1.0)
 cfg = NonlocalSchemeConfig(kernel=KernelSpec(family="exponential", eta=0.3,
@@ -328,9 +369,9 @@ def test_sanitized_library_runs_steps_and_rows_cleanly(package):
     runs both schemes, every velocity family, both kernels and orientations
     (the constant kernel's window also longer than the domain), 2 to 300
     cells, the two-step pass's tile edges and grids of two and three step
-    tiles, with vacuum and -0.0 cells, blowups (also in either step of a
-    two-step pass), a mode violation and rows that fill their buffer
-    exactly, with no report."""
+    tiles, with vacuum and -0.0 cells, blowups and mode violations (also in
+    either step of a two-step pass, in both orientations) and rows that
+    fill their buffer exactly, with no report."""
     runtimes = [subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True,
                                text=True, timeout=60).stdout.strip()
                 for name in ("libasan.so", "libubsan.so")]
