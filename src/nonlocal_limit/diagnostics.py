@@ -249,72 +249,49 @@ def _check_snapshot_density(report: RunReport, t_lo: float, t_hi: float):
         )
 
 
-def _spacetime_quadrature(report: RunReport, phi: TestFunction, forms,
-                          flux: "FluxModel | None" = None) -> list[float]:
-    """Midpoint-rule quadratures of weak forms in one pass over the report's
-    snapshots; one total per form ``(integrand, initial)``.
-
-    ``integrand(phi_t, phi_x, q_mid, f_mid, left, right)`` is the pointwise
-    integrand on cell centers from phi's derivatives at the midpoint time, q
-    averaged between the consecutive snapshots ``left`` and ``right`` and
-    ``flux.f(q_mid)`` (None without ``flux``); ``initial(phi_0, q0)`` the
-    initial term's, from phi at t = 0 and the t = 0 snapshot.  phi's spatial
-    factors are built once; its time factor, q_mid and f_mid once per pair.
-    """
+def _residuals(report: RunReport, phi: TestFunction, velocity: VelocityModel | None,
+               mode: str | None, flux: "FluxModel | None" = None,
+               levels=()) -> tuple[float, list[float]]:
+    """Midpoint-rule quadratures against ``phi`` in one pass over the
+    report's snapshot pairs: the absolute weak residual with ``velocity`` in
+    ``mode`` (no weak form without a velocity) and, with ``flux``, the
+    signed Kruzhkov entropy residual at each of ``levels``.  phi's spatial
+    factors are built once; its time factor, q_mid and f(q_mid) once per
+    pair."""
+    if velocity is not None and mode not in ("nonlocal", "local"):
+        raise ValueError(f"unknown weak-form mode {mode!r}")
+    if flux is not None and phi.amplitude < 0:
+        raise ValueError("entropy residual requires a nonnegative test function")
+    levels = [(k, float(flux.f(k))) for k in levels]  # each level with its f(k)
     t_lo, t_hi, _, _ = phi.support
     _check_snapshot_density(report, t_lo, t_hi)
     grid = report.grid
     bx, dbx = phi.spatial(grid.cell_centers)
     dx = grid.dx
-    totals = [0.0] * len(forms)
+    weak, entropy = 0.0, [0.0] * len(levels)
     snaps = report.snapshots
     for left, right in zip(snaps[:-1], snaps[1:]):
         dt = right.time - left.time
-        if dt <= 0:
-            continue
         t_mid = 0.5 * (left.time + right.time)
-        if t_mid >= t_hi or t_mid <= t_lo:
+        if dt <= 0 or t_mid >= t_hi or t_mid <= t_lo:
             continue
         phi_t, phi_x = phi.at(t_mid, bx, dbx)
-        q_mid = 0.5 * (left.q.values + right.q.values)
-        f_mid = None if flux is None else flux.f(q_mid)
-        for i, (term, _) in enumerate(forms):
-            totals[i] += dt * dx * float(np.sum(term(phi_t, phi_x, q_mid, f_mid, left, right)))
-    phi_0, q0 = phi.value(0.0, bx), snaps[0].q.values
-    return [total + dx * float(np.sum(initial(phi_0, q0)))
-            for total, (_, initial) in zip(totals, forms)]
-
-
-def _weak_form(velocity: VelocityModel, mode: str):
-    if mode not in ("nonlocal", "local"):
-        raise ValueError(f"unknown weak-form mode {mode!r}")
-
-    def integrand(phi_t, phi_x, q, _f_q, left, right):
-        if mode == "nonlocal":
-            if left.w is None or right.w is None:
-                raise ValueError("nonlocal weak form needs recorded nonlocal terms")
-            speed = velocity.eval(_midpoint_cells(0.5 * (left.w.values + right.w.values)))
-        else:
-            speed = velocity.eval(q)
-        return phi_t * q + phi_x * speed * q
-
-    return integrand, lambda phi_0, q0: phi_0 * q0
-
-
-def _entropy_forms(flux: "FluxModel", levels, phi: TestFunction) -> list:
-    if phi.amplitude < 0:
-        raise ValueError("entropy residual requires a nonnegative test function")
-
-    def form(k):
-        f_k = float(flux.f(k))
-
-        def integrand(phi_t, phi_x, q, f_q, *_):
+        q = 0.5 * (left.q.values + right.q.values)
+        f_q = None if flux is None else flux.f(q)
+        if mode == "nonlocal" and (left.w is None or right.w is None):
+            raise ValueError("nonlocal weak form needs recorded nonlocal terms")
+        if velocity is not None:
+            speed = velocity.eval(q if mode == "local" else
+                                  _midpoint_cells(0.5 * (left.w.values + right.w.values)))
+            weak += dt * dx * float(np.sum(phi_t * q + phi_x * speed * q))
+        for i, (k, f_k) in enumerate(levels):
             gap = q - k
-            return np.abs(gap) * phi_t + np.sign(gap) * (f_q - f_k) * phi_x
-
-        return integrand, lambda phi_0, q0: np.abs(q0 - k) * phi_0
-
-    return [form(k) for k in levels]
+            entropy[i] += dt * dx * float(np.sum(np.abs(gap) * phi_t
+                                                 + np.sign(gap) * (f_q - f_k) * phi_x))
+    phi_0, q0 = phi.value(0.0, bx), snaps[0].q.values
+    return (abs(weak + dx * float(np.sum(phi_0 * q0))),
+            [total + dx * float(np.sum(np.abs(q0 - k) * phi_0))
+             for total, (k, _) in zip(entropy, levels)])
 
 
 def weak_residual(report: RunReport, velocity: VelocityModel, mode: str,
@@ -324,7 +301,7 @@ def weak_residual(report: RunReport, velocity: VelocityModel, mode: str,
     ``mode="nonlocal"`` uses the recorded nonlocal term in the flux velocity;
     ``mode="local"`` evaluates the velocity on the density itself.
     """
-    return abs(_spacetime_quadrature(report, phi, [_weak_form(velocity, mode)])[0])
+    return _residuals(report, phi, velocity, mode)[0]
 
 
 def entropy_residual(report: RunReport, flux: "FluxModel", k: float,
@@ -334,16 +311,14 @@ def entropy_residual(report: RunReport, flux: "FluxModel", k: float,
     Quadrature of |q-k| dphi/dt + sgn(q-k)(f(q)-f(k)) dphi/dx plus the
     initial term with |q0-k|.  ``phi`` must be nonnegative.
     """
-    return _spacetime_quadrature(report, phi, _entropy_forms(flux, (k,), phi), flux)[0]
+    return _residuals(report, phi, None, None, flux, (k,))[1][0]
 
 
 def weak_and_entropy_residuals(report: RunReport, mode: str, flux: "FluxModel", levels,
                                phi: TestFunction) -> tuple[float, list]:
     """``weak_residual`` (with ``flux.velocity``) and ``entropy_residual`` at
     each of ``levels`` from one pass, each with the bits of its own call."""
-    forms = [_weak_form(flux.velocity, mode)] + _entropy_forms(flux, levels, phi)
-    weak, *entropy = _spacetime_quadrature(report, phi, forms, flux)
-    return abs(weak), entropy
+    return _residuals(report, phi, flux.velocity, mode, flux, levels)
 
 
 def transport_residual_w(report: RunReport, velocity: VelocityModel,

@@ -366,10 +366,27 @@ def _rows(*columns) -> np.ndarray:
     return native.rows(columns, max(column.count * column.repeat for column in columns))
 
 
+@contextlib.contextmanager
+def _replacing(path: Path, mode: str, **kwargs):
+    """``open(partial, mode, **kwargs)`` for ``partial`` =
+    ``.<name>.<pid>.partial`` beside ``path`` (so with ``open``'s default
+    permissions), renamed to ``path`` once the block ends and removed on an
+    exception: ``path`` never holds a half-written file."""
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, mode, **kwargs) as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
 def _write_csv(path: Path, header: tuple, blocks):
     """Write the header line and the byte ``blocks`` (ASCII, LF endings)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         fh.writelines(blocks)
 
@@ -821,7 +838,7 @@ def emit_plot_script(cfg: ExperimentConfig, output_dir) -> Path:
     call = "".join(f"\n        {name}={value!r}," for name, value in arguments.items())
     source = resources.files(__package__).joinpath("plot_script.py").read_text(encoding="utf-8")
     path = out / PLOT_SCRIPT_NAME
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f'{source}\n\nif __name__ == "__main__":\n'
                  f"    main(\n        runs=[{runs}\n        ],{call}\n    )\n")
     return path

@@ -28,11 +28,8 @@
  * extremes) run while its rows stay in the L1 cache.  Each tile makes the
  * same operations on the same operands as a step over the whole row, so
  * neither tiling changes a bit.  A Godunov tile's flux values sit in
- * scratch until that tile's q jumps overwrite them.  A failed step leaves
- * the extremes, the records and the boundary integral as they were after
- * the step before it, and q and W unspecified; in a two-step pass, step
- * k + 1's checks come first, and a failure in step k + 2 keeps step
- * k + 1's boundary term and records.
+ * scratch until that tile's q jumps overwrite them.  Run states what holds
+ * after a failed step.
  */
 #include <math.h>
 #include <stdint.h>
@@ -163,17 +160,33 @@ static void nl_flux(const Flux *flux, const double *states, const double *w, dou
     }
 }
 
-/* W[i] = (1 - alpha) q_i + alpha W[i+1], W[n] the far field, in lfilter's
- * order; d = -1 runs it mirrored on q[0], q[-1], ... and w[0], w[-1], ... */
-static inline void exponential(const Average *k, const double *q, double *w, const long d)
+/* Two chains of the exponential recursion in one loop, so that neither
+ * waits on the other's latency: chain c writes W at len_c interfaces from
+ * j_c against the direction d (1 downstream, -1 upstream), each W[j] =
+ * (1 - alpha) x[j] + alpha W[j + d] in lfilter's order, then the longer
+ * chain runs on alone */
+static void two_chains(const Average *k, const double *x, double *w1, long j1, long len1,
+                       double *w2, long j2, long len2, long d)
 {
     const double alpha = k->alpha, b0 = 1.0 - alpha;
-    double z = alpha * k->farfield;
-    w[d * k->n] = k->farfield;
-    for (long i = k->n - 1; i >= 0; i--) {
-        double y = b0 * q[d * i] + z;
-        w[d * i] = y;
-        z = alpha * y;
+    double z1 = len1 > 0 ? alpha * w1[j1 + d] : 0.0, z2 = len2 > 0 ? alpha * w2[j2 + d] : 0.0;
+    long i = 0;
+    for (; i < len1 && i < len2; i++) {
+        const double y1 = b0 * x[j1 - d * i] + z1, y2 = b0 * x[j2 - d * i] + z2;
+        w1[j1 - d * i] = y1;
+        w2[j2 - d * i] = y2;
+        z1 = alpha * y1;
+        z2 = alpha * y2;
+    }
+    for (; i < len1; i++) {
+        const double y1 = b0 * x[j1 - d * i] + z1;
+        w1[j1 - d * i] = y1;
+        z1 = alpha * y1;
+    }
+    for (; i < len2; i++) {
+        const double y2 = b0 * x[j2 - d * i] + z2;
+        w2[j2 - d * i] = y2;
+        z2 = alpha * y2;
     }
 }
 
@@ -203,16 +216,19 @@ static inline void constant(const Average *k, const double *q, double *w, const 
     }
 }
 
-/* The kernel average of the n cell values q into w (n + 1 interfaces) */
+/* The kernel average of the n cell values q into w (n + 1 interfaces);
+ * the exponential kernel's W takes the far field at the interface ahead,
+ * then one chain of the recursion */
 void nl_average(const Average *k, const double *q, double *w)
 {
-    const long last = k->n - 1;
+    const long n = k->n, up = k->upstream;
     if (k->kernel == EXPONENTIAL) {
-        if (k->upstream) exponential(k, q + last, w + last + 1, -1);
-        else exponential(k, q, w, 1);
+        w[up ? 0 : n] = k->farfield;
+        two_chains(k, q, w + up, up ? 0 : n - 1, n, 0, 0, 0, up ? -1 : 1);
+    } else if (up) {
+        constant(k, q + n - 1, w + n, -1);
     } else {
-        if (k->upstream) constant(k, q + last, w + last + 1, -1);
-        else constant(k, q, w, 1);
+        constant(k, q, w, 1);
     }
 }
 
@@ -300,7 +316,8 @@ static void extremes(const double *x, long n, double *lo, double *hi)
  * for a non-finite update.  After a failed step the library promises only
  * the step returned, the error and the extreme speed, and the records, the
  * q extremes and the boundary integral of the step before it; q and W are
- * unspecified. */
+ * unspecified.  A two-step pass checks step k + 1 first, so a failure in
+ * step k + 2 keeps step k + 1's records and boundary term. */
 typedef struct {
     const Flux *flux;
     const Average *average;
@@ -313,8 +330,9 @@ typedef struct {
 
 /* Whether a step failed, and why into the run: error 1 when a speed has
  * the wrong sign and none is NaN (the extreme speed of nl_flux into
- * `extreme`), else error 2 when an update is not finite */
-static int failed(Run *run, int nan, double extreme, int finite)
+ * `extreme`), else error 2 when an update is not finite.  A step that
+ * passed adds its boundary term, from its fluxes f_0 and f_n at the ends. */
+static int failed(Run *run, int nan, double extreme, int finite, double f_0, double f_n)
 {
     const Flux *flux = run->flux;
     if (!nan && (flux->mirrored ? -extreme : extreme) < -flux->slack) {
@@ -322,8 +340,36 @@ static int failed(Run *run, int nan, double extreme, int finite)
         run->error = 1;
     } else if (!finite) {
         run->error = 2;
+    } else {
+        run->boundary += run->dt * (f_n - f_0);
     }
     return run->error;
+}
+
+/* Step k's records: TV(q) from the jumps that scratch holds, the mass of
+ * the n values `cells`, the step's extremes lo and hi folded into the
+ * run's (the run's kept on ties) and, with an average, TV(W) of the row w,
+ * whose jumps overwrite q's */
+static void record(Run *run, long k, const double *cells, double lo, double hi, const double *w)
+{
+    const long n = run->n;
+    double *jumps = run->scratch;
+    run->tv_q[k] = 0.0 + pairwise(jumps + 1, n - 1) + jumps[0] + jumps[n];
+    run->mass[k] = run->dx * (0.0 + pairwise(cells, n));
+    if (lo < run->q_min) run->q_min = lo;
+    if (hi > run->q_max) run->q_max = hi;
+    if (run->average) run->tv_w[k] = total_variation(w, n + 1, jumps);
+}
+
+/* record, with the jumps and extremes taken from the row q itself */
+static void record_q(Run *run, long k, const double *w)
+{
+    const long n = run->n;
+    const double *q = run->q;
+    double *jumps = run->scratch, lo = INFINITY, hi = -INFINITY;
+    for (long i = 0; i <= n; i++) jumps[i] = fabs(q[i + 1] - q[i]);
+    extremes(q + 1, n, &lo, &hi);
+    record(run, k, q + 1, lo, hi, w);
 }
 
 /* A step's tiles: [a, b) of interfaces with b = a + TILE, the last running
@@ -341,9 +387,8 @@ enum { SKEW = 256 };
  * max(a, 1), ..., b - 1 with the finiteness check, then its q records: the
  * jumps |q[i + 1] - q[i]| for i = a - 1, ..., b - 2 (from 0, and the last
  * tile's to n) and the extremes of its cells, folded into locals.  After
- * the last tile come the sign and finiteness checks, the boundary
- * integral, then the records: TV(q) from the jumps and the mass, the
- * extremes, the average into w and TV(W), whose jumps overwrite q's. */
+ * the last tile come the checks and the boundary term (`failed`), the
+ * average into w and the records (`record`). */
 static long one_at_a_time(Run *run, long k, long steps)
 {
     const long n = run->n;
@@ -351,7 +396,7 @@ static long one_at_a_time(Run *run, long k, long steps)
     const double *w = run->average ? run->w + 1 : 0;
     double *q = run->q, *fluxes = run->fluxes, *scratch = run->scratch;
     for (; steps > 0; steps--) {
-        double lo = run->q_min, hi = run->q_max, extreme = 0.0;
+        double lo = INFINITY, hi = -INFINITY, extreme = 0.0;
         int nan = 0, finite = 1;
         for (long a = 0, b; a <= n; a = b) {
             b = a + TILE < n ? a + TILE : n + 1;
@@ -364,69 +409,17 @@ static long one_at_a_time(Run *run, long k, long steps)
             for (long i = a > 0 ? a - 1 : 0; i < end; i++) scratch[i] = fabs(q[i + 1] - q[i]);
             extremes(q + first, b - first, &lo, &hi);
         }
-        if (failed(run, nan, extreme, finite)) return k;
-        run->boundary += run->dt * (fluxes[n] - fluxes[0]);
-        k++;
-        run->tv_q[k] = 0.0 + pairwise(scratch + 1, n - 1) + scratch[0] + scratch[n];
-        run->mass[k] = run->dx * (0.0 + pairwise(q + 1, n));
-        run->q_min = lo;
-        run->q_max = hi;
-        if (run->average) {
-            nl_average(run->average, q + 1, run->w + 1);
-            run->tv_w[k] = total_variation(run->w, n + 1, scratch);
-        }
+        if (failed(run, nan, extreme, finite, fluxes[0], fluxes[n])) return k;
+        if (run->average) nl_average(run->average, q + 1, run->w + 1);
+        record(run, ++k, q + 1, lo, hi, run->w);
     }
     return k;
-}
-
-/* Two chains of the exponential recursion in one loop, so that neither
- * waits on the other's latency: chain c writes W at len_c interfaces from
- * j_c against the direction d (1 downstream, -1 upstream), each W[j] =
- * (1 - alpha) x[j] + alpha W[j + d] with `exponential`'s operations, then
- * the longer chain runs on alone */
-static void two_chains(const Average *k, const double *x, double *w1, long j1, long len1,
-                       double *w2, long j2, long len2, long d)
-{
-    const double alpha = k->alpha, b0 = 1.0 - alpha;
-    double z1 = len1 > 0 ? alpha * w1[j1 + d] : 0.0, z2 = len2 > 0 ? alpha * w2[j2 + d] : 0.0;
-    long i = 0;
-    for (; i < len1 && i < len2; i++) {
-        const double y1 = b0 * x[j1 - d * i] + z1, y2 = b0 * x[j2 - d * i] + z2;
-        w1[j1 - d * i] = y1;
-        w2[j2 - d * i] = y2;
-        z1 = alpha * y1;
-        z2 = alpha * y2;
-    }
-    for (; i < len1; i++) {
-        const double y1 = b0 * x[j1 - d * i] + z1;
-        w1[j1 - d * i] = y1;
-        z1 = alpha * y1;
-    }
-    for (; i < len2; i++) {
-        const double y2 = b0 * x[j2 - d * i] + z2;
-        w2[j2 - d * i] = y2;
-        z2 = alpha * y2;
-    }
 }
 
 /* The interfaces of tile [a, b) whose W the recursion writes: all but the
  * far field's, n downstream and 0 upstream */
 static long chain_low(long a, long m) { return a > m ? a : m; }
 static long chain_high(long b, long n, long m) { return b < n + m ? b : n + m; }
-
-/* Step k's records from q and the W row w: TV(q), the mass, the extremes
- * and, with an average, TV(W) */
-static void record(Run *run, long k, const double *w)
-{
-    const long n = run->n;
-    const double *q = run->q;
-    double *jumps = run->scratch;
-    for (long i = 0; i <= n; i++) jumps[i] = fabs(q[i + 1] - q[i]);
-    run->tv_q[k] = 0.0 + pairwise(jumps + 1, n - 1) + jumps[0] + jumps[n];
-    run->mass[k] = run->dx * (0.0 + pairwise(q + 1, n));
-    extremes(q + 1, n, &run->q_min, &run->q_max);
-    if (run->average) run->tv_w[k] = total_variation(w, n + 1, jumps);
-}
 
 /* Steps k + 1 and k + 2 in one pass of an exponential kernel's upwind run,
  * from q (step k) and W^k in the row w.  W^{k+1} goes into the row w2, and
@@ -512,16 +505,10 @@ static long two_steps(Run *run, long k)
     run->w[0] = left;
     run->w[n + 2] = right;
     /* step k + 1's checks and records, then step k + 2's */
-    if (failed(run, nan1, extreme1, finite1)) return k;
-    run->boundary += run->dt * (f1_n - f1_0);
-    run->tv_q[k + 1] = 0.0 + pairwise(jumps + 1, n - 1) + jumps[0] + jumps[n];
-    run->mass[k + 1] = run->dx * (0.0 + pairwise(f1 + s, n));
-    if (lo < run->q_min) run->q_min = lo;
-    if (hi > run->q_max) run->q_max = hi;
-    run->tv_w[k + 1] = total_variation(run->w2, n + 1, jumps);
-    if (failed(run, nan2, extreme2, finite2)) return k + 1;
-    run->boundary += run->dt * (f2_n - f2_0);
-    record(run, k + 2, run->w);
+    if (failed(run, nan1, extreme1, finite1, f1_0, f1_n)) return k;
+    record(run, k + 1, f1 + s, lo, hi, run->w2);
+    if (failed(run, nan2, extreme2, finite2, f2_0, f2_n)) return k + 1;
+    record_q(run, k + 2, run->w);
     return k + 2;
 }
 
@@ -546,16 +533,14 @@ static long two_steps(Run *run, long k)
  *
  * W^{k+1} fills the row w2, and step k + 2's fluxes and W^{k+2} take over
  * W^k's row w behind step k + 1, so w holds the current W after every
- * pair.  Step k + 1's checks come first, and a failure in step k + 2
- * commits step k + 1's boundary term and records first; after a failure q
- * and W are unspecified (see Run), and nothing that reads them follows. */
+ * pair.  Run states what holds after a failed step. */
 long nl_advance(Run *run, long k, long steps)
 {
     const long end = k + steps;
     run->error = 0;
     if (steps == 0) {
         if (run->average) nl_average(run->average, run->q + 1, run->w + 1);
-        record(run, k, run->w);
+        record_q(run, k, run->w);
         return k;
     }
     if (!run->average || run->average->kernel != EXPONENTIAL) return one_at_a_time(run, k, steps);

@@ -461,8 +461,9 @@ class TestOnePassResiduals:
 
 
 class TestResidualBitPins:
-    """Local-mode residuals and sup_time_l1 on a fixed Godunov run, pinned as
-    float.hex; the golden CSV digests cover only the nonlocal-mode ones."""
+    """Residuals of a fixed Godunov run and a fixed nonlocal run, and
+    sup_time_l1, pinned as float.hex; the golden CSV digests see only the
+    nonlocal weak residual and the least entropy residual."""
 
     @pytest.fixture(scope="class")
     def runs(self, datum_profile, default_velocity):
@@ -487,6 +488,14 @@ class TestResidualBitPins:
             "0x1.3005796c19969p-13"
         assert [entropy_residual(local, flux, k, phi).hex() for k in (0.25, 0.5, 0.75)] == [
             "0x1.19d46c1a87795p-4", "0x1.a68596f69f345p-4", "0x1.79e6d5f53e3c2p-4"]
+
+    def test_nonlocal_weak_and_entropy_residuals(self, runs, default_velocity):
+        _, nonlocal_run, _, flux = runs
+        phi = bump_test_function(t_center=0.5, t_radius=0.4, x_center=0.5, x_radius=0.75)
+        assert weak_residual(nonlocal_run, default_velocity, "nonlocal", phi).hex() == \
+            "0x1.66474a6095d5dp-11"
+        assert [entropy_residual(nonlocal_run, flux, k, phi).hex() for k in (0.25, 0.5, 0.75)] \
+            == ["0x1.55ef22c41772fp-5", "0x1.b4f6a058a0907p-4", "0x1.aaab3d5a8b78cp-4"]
 
     def test_sup_time_l1_against_refined_reference(self, runs):
         _, nonlocal_run, fine, _ = runs

@@ -525,6 +525,26 @@ SNAPSHOT_DOC = {"grid": {"n_cells": 256}, "eta_list": [0.3, 0.15], "reference_re
 HEADER = "time,cell_index,x_center,q,W\n"
 
 
+class TestWriteCsv:
+    """A CSV appears under its name only once it is whole."""
+
+    def test_a_failing_block_iterable_leaves_no_file(self, tmp_path):
+        def blocks():
+            yield b"1,2\n"
+            raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            harness._write_csv(tmp_path / "out.csv", ("a", "b"), blocks())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_whole_file_keeps_the_default_permissions(self, tmp_path):
+        harness._write_csv(tmp_path / "out.csv", ("a", "b"), [b"1,2\n"])
+        (tmp_path / "plain").write_bytes(b"")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "plain"]
+        assert (tmp_path / "out.csv").read_bytes() == b"a,b\n1,2\n"
+        assert (tmp_path / "out.csv").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 class TestSnapshotsCsv:
     """snapshots.csv holds one block per configured snapshot step; the
     residual band stays in the in-memory report."""

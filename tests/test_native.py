@@ -195,6 +195,12 @@ SKEW_LOOPS = ("for (j = a; j < b; j++) {",
               "for (long j = j0; j < j1; j++) jumps[j] = fabs(q[j + 1] - q[j]);")
 
 
+# the jumps of a total variation, and of q in a record taken from q itself
+# (step 0 and step k + 2 of a two-step pass)
+RECORD_LOOPS = ("for (long i = 0; i <= m; i++) jumps[i] = fabs(row[i + 1] - row[i]);",
+                "for (long i = 0; i <= n; i++) jumps[i] = fabs(q[i + 1] - q[i]);")
+
+
 def line_of(loop: str) -> int:
     """The number of the one line of steps.c that is ``loop``."""
     lines = native.SOURCE.read_text().splitlines()
@@ -239,6 +245,13 @@ def test_two_step_pass_flux_and_update_loops_are_vectorised(tmp_path):
     # the skew's gain rests on these loops staying vectorised beside the
     # interleaved recursions
     lines = [line_of(loop) for loop in SKEW_LOOPS]
+    reported, report = vectorised_lines(tmp_path)
+    assert set(lines) <= reported, (lines, report)
+
+
+def test_record_jump_loops_are_vectorised(tmp_path):
+    # both run in every two-step pass; a serial loop keeps their bits too
+    lines = [line_of(loop) for loop in RECORD_LOOPS]
     reported, report = vectorised_lines(tmp_path)
     assert set(lines) <= reported, (lines, report)
 
