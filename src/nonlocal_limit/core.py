@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,8 +183,9 @@ _CONSTANTS = {
 @dataclass(frozen=True)
 class VelocityModel:
     """Velocity law V of a family in ``native.VELOCITY_FAMILIES`` and its
-    ``params``: (v_max, s_max) with v_max >= 0, or (value, s_max) for the
-    constant family.  Everything else is derived from these two.
+    ``params``, two real numbers and no bool: (v_max, s_max) with v_max >= 0,
+    or (value, s_max) for the constant family.  Everything else is derived
+    from these two.
 
     The admissible range is [0, s_max].  ``mode`` is V's monotonicity on it:
     "decreasing" (the default modelling assumption, pairs with the
@@ -201,6 +203,12 @@ class VelocityModel:
         if self.family not in native.VELOCITY_FAMILIES:
             raise ValueError(f"velocity family must be one of {native.VELOCITY_FAMILIES}, "
                              f"got {self.family!r}")
+        params = self.params if isinstance(self.params, (tuple, list)) else (self.params,)
+        if len(params) != 2 or not all(isinstance(p, numbers.Real) and not isinstance(p, bool)
+                                       for p in params):
+            raise ValueError("velocity params must be 2 real numbers (v_max or value, s_max), "
+                             f"got {len(params)}: {self.params!r}")
+        object.__setattr__(self, "params", tuple(params))  # a list would be mutable, unhashable
         if self.family != "constant" and self.params[0] < 0:
             raise ValueError(f"velocity.v_max must be >= 0, got {self.params[0]}")
         s_min, s_max = self.admissible_range

@@ -15,21 +15,23 @@
  * the records (mass, total variation) add in the pairwise order of numpy's
  * float64 x.sum() (see `pairwise`).
  *
- * Tiles.  The upwind flux with the exponential kernel makes two steps per
- * pass over tiles of SKEW interfaces, right to left downstream and left to
- * right upstream: step k + 1 closes a tile's cells, then step k + 2 follows
- * one tile behind, so that the W recursions of the two steps run in one
- * loop and neither waits on the other's latency (see nl_advance).  The pass
- * uses two W rows: W^{k+1} goes into the second, and step k + 2's fluxes,
- * then W^{k+2}, into W^k's own row one tile behind step k + 1.  The
- * Godunov flux, the constant kernel and an odd step before a stop go one
- * step at a time over tiles of TILE interfaces, left to right: a tile's
- * fluxes, the update of its cells and its q records (the jumps and the
- * extremes) run while its rows stay in the L1 cache.  Each tile makes the
- * same operations on the same operands as a step over the whole row, so
- * neither tiling changes a bit.  A Godunov tile's flux values sit in
- * scratch until that tile's q jumps overwrite them.  Run states what holds
- * after a failed step.
+ * Tiles.  Every step runs tile by tile through one routine, tile_step: a
+ * tile's interface fluxes and the update of the cells they close.  The
+ * upwind flux with the exponential kernel makes two steps per pass over
+ * tiles of SKEW interfaces, right to left downstream and left to right
+ * upstream: step k + 1 makes a tile, then step k + 2 makes the whole tile
+ * that step k + 1 made one iteration before, so that the W recursions of
+ * the two steps run in one loop and neither waits on the other's latency
+ * (see nl_advance).  The pass uses two W rows: W^{k+1} goes into the
+ * second, and step k + 2's fluxes, then W^{k+2}, into W^k's own row one
+ * tile behind step k + 1.  The Godunov flux, the constant kernel and an
+ * odd step before a stop go one step at a time over tiles of TILE
+ * interfaces, left to right: a tile's step and its q records (the jumps
+ * and the extremes) run while its rows stay in the L1 cache.  Each tile
+ * makes the same operations on the same operands as a step over the whole
+ * row, so neither tiling changes a bit.  A Godunov tile's flux values sit
+ * in scratch until that tile's q jumps overwrite them.  Run states what
+ * holds after a failed step.
  */
 #include <math.h>
 #include <stdint.h>
@@ -130,8 +132,9 @@ void nl_godunov(const Flux *flux, const double *a, const double *b, const double
  * whether a speed V(W) is NaN, and where one has the wrong sign beyond the
  * slack it folds the speeds into *extreme, as np.minimum (downstream) or
  * np.maximum (upstream) does.  A step's wrong-signed extreme speed lies in
- * such a range, so the fold over those ranges alone, from 0.0, gives it
- * with the bits of np.minimum.reduce or np.maximum.reduce over all. */
+ * such a range, so the fold over those ranges alone, from 0.0 and in any
+ * order, gives it with the bits of np.minimum.reduce or np.maximum.reduce
+ * over all. */
 static void nl_flux(const Flux *flux, const double *states, const double *w, double *out,
                     double *scratch, long a, long b, int *nan, double *extreme)
 {
@@ -328,20 +331,28 @@ typedef struct {
     int error;
 } Run;
 
+/* What a step's tiles fold together for `failed`: whether a speed V(W) is
+ * NaN and the extreme speed (see nl_flux), whether every update is finite,
+ * and the fluxes at interfaces 0 and n */
+typedef struct {
+    int nan, finite;
+    double extreme, f_0, f_n;
+} Step;
+
 /* Whether a step failed, and why into the run: error 1 when a speed has
- * the wrong sign and none is NaN (the extreme speed of nl_flux into
- * `extreme`), else error 2 when an update is not finite.  A step that
- * passed adds its boundary term, from its fluxes f_0 and f_n at the ends. */
-static int failed(Run *run, int nan, double extreme, int finite, double f_0, double f_n)
+ * the wrong sign and none is NaN (its extreme speed into `extreme`), else
+ * error 2 when an update is not finite.  A step that passed adds its
+ * boundary term. */
+static int failed(Run *run, const Step *step)
 {
     const Flux *flux = run->flux;
-    if (!nan && (flux->mirrored ? -extreme : extreme) < -flux->slack) {
-        run->extreme = extreme;
+    if (!step->nan && (flux->mirrored ? -step->extreme : step->extreme) < -flux->slack) {
+        run->extreme = step->extreme;
         run->error = 1;
-    } else if (!finite) {
+    } else if (!step->finite) {
         run->error = 2;
     } else {
-        run->boundary += run->dt * (f_n - f_0);
+        run->boundary += run->dt * (step->f_n - step->f_0);
     }
     return run->error;
 }
@@ -382,34 +393,51 @@ enum { TILE = 1024 };
 /* The two-step pass's tiles, cut the same way from SKEW interfaces */
 enum { SKEW = 256 };
 
-/* Make `steps` steps from step k one at a time (see nl_advance).  A step
- * runs tile by tile: the tile's interface fluxes, the update of its cells
- * max(a, 1), ..., b - 1 with the finiteness check, then its q records: the
- * jumps |q[i + 1] - q[i]| for i = a - 1, ..., b - 2 (from 0, and the last
- * tile's to n) and the extremes of its cells, folded into locals.  After
- * the last tile come the checks and the boundary term (`failed`), the
- * average into w and the records (`record`). */
+/* One tile of a step, the routine that every step runs: the interface
+ * fluxes of [a, b) from q and the average w into f, then the update of the
+ * cells [c0, c1) that they close, c0 = max(a + s, 1) and c1 = min(b + s,
+ * n + 1), where s is 0 for tiles taken left to right and 1 for a pass right
+ * to left.  The sign check, the finiteness and the fluxes at interfaces 0
+ * and n fold into *step. */
+static void tile_step(const Run *run, const double *w, double *f, long a, long b, long s,
+                      Step *step)
+{
+    const long n = run->n, c0 = a + s > 1 ? a + s : 1, c1 = b + s < n + 1 ? b + s : n + 1;
+    const double lam = run->dt / run->dx;
+    double *q = run->q;
+    int finite = 1;
+    nl_flux(run->flux, q, w, f, run->scratch, a, b, &step->nan, &step->extreme);
+    for (long i = c0; i < c1; i++) {
+        q[i] -= (f[i] - f[i - 1]) * lam;
+        finite &= isfinite(q[i]) != 0;
+    }
+    step->finite &= finite;
+    if (a == 0) step->f_0 = f[0];
+    if (b == n + 1) step->f_n = f[n];
+}
+
+/* Make `steps` steps from step k one at a time (see nl_advance), each over
+ * its tiles left to right: a tile's step (tile_step), then its q records,
+ * the jumps |q[i + 1] - q[i]| for i = a - 1, ..., b - 2 (from 0, and the
+ * last tile's to n) and the extremes of its cells, folded into locals.
+ * After the last tile come the checks and the boundary term (`failed`),
+ * the average into w and the records (`record`). */
 static long one_at_a_time(Run *run, long k, long steps)
 {
     const long n = run->n;
-    const double lam = run->dt / run->dx;
     const double *w = run->average ? run->w + 1 : 0;
-    double *q = run->q, *fluxes = run->fluxes, *scratch = run->scratch;
+    double *q = run->q, *scratch = run->scratch;
     for (; steps > 0; steps--) {
-        double lo = INFINITY, hi = -INFINITY, extreme = 0.0;
-        int nan = 0, finite = 1;
+        double lo = INFINITY, hi = -INFINITY;
+        Step step = {.finite = 1};
         for (long a = 0, b; a <= n; a = b) {
             b = a + TILE < n ? a + TILE : n + 1;
             const long first = a > 1 ? a : 1, end = b > n ? b : b - 1;
-            nl_flux(run->flux, q, w, fluxes, scratch, a, b, &nan, &extreme);
-            for (long i = first; i < b; i++) {
-                q[i] -= (fluxes[i] - fluxes[i - 1]) * lam;
-                finite &= isfinite(q[i]) != 0;
-            }
+            tile_step(run, w, run->fluxes, a, b, 0, &step);
             for (long i = a > 0 ? a - 1 : 0; i < end; i++) scratch[i] = fabs(q[i + 1] - q[i]);
             extremes(q + first, b - first, &lo, &hi);
         }
-        if (failed(run, nan, extreme, finite, fluxes[0], fluxes[n])) return k;
+        if (failed(run, &step)) return k;
         if (run->average) nl_average(run->average, q + 1, run->w + 1);
         record(run, ++k, q + 1, lo, hi, run->w);
     }
@@ -422,92 +450,57 @@ static long chain_low(long a, long m) { return a > m ? a : m; }
 static long chain_high(long b, long n, long m) { return b < n + m ? b : n + m; }
 
 /* Steps k + 1 and k + 2 in one pass of an exponential kernel's upwind run,
- * from q (step k) and W^k in the row w.  W^{k+1} goes into the row w2, and
- * step k + 2's fluxes, then W^{k+2}, into w's own row, one tile behind
- * step k + 1, which has read W^k there.  W's far-field entry is never
- * written, so W^{k+2} keeps W^k's.  Returns the step whose records the
- * pass reached: k + 2, else k or k + 1, the step before the failed one. */
+ * from q (step k) and W^k in the row w (see nl_advance).  W^{k+1} goes into
+ * the row w2, and step k + 2's fluxes, then W^{k+2}, into w's own row one
+ * tile behind step k + 1, which has read W^k there.  W's far-field entry
+ * is never written, so W^{k+2} keeps W^k's.  Returns the step whose records
+ * the pass reached: k + 2, else k or k + 1, the step before the failed one. */
 static long two_steps(Run *run, long k)
 {
-    const Flux *flux = run->flux;
-    const long n = run->n, m = flux->mirrored, s = 1 - m, d = m ? -1 : 1;
+    const long n = run->n, m = run->flux->mirrored, s = 1 - m, d = m ? -1 : 1;
     const long tiles = (n - 1) / SKEW + 1;
-    const double lam = run->dt / run->dx, left = run->w[0], right = run->w[n + 2];
+    const double left = run->w[0], right = run->w[n + 2];
     double *q = run->q, *f1 = run->fluxes, *jumps = run->scratch;
     double *w = run->w + 1, *w1 = run->w2 + 1, *f2 = run->w + 2 * m;  /* f2 until W^{k+2} */
-    double lo = INFINITY, hi = -INFINITY, f1_0 = 0.0, f1_n = 0.0, f2_0 = 0.0, f2_n = 0.0;
-    double extreme1 = 0.0, extreme2 = 0.0;
-    int nan1 = 0, finite1 = 1, nan2 = 0, finite2 = 1;
-    long pa = 0, pb = 0;  /* the tile before in the pass */
+    double lo = INFINITY, hi = -INFINITY;
+    Step one = {.finite = 1}, two = {.finite = 1};
+    long a = 0, b = 0;  /* step k + 1's tile */
     run->w2[0] = left;
     run->w2[n + 2] = right;
     w1[m ? 0 : n] = run->average->farfield;
-    for (long t = 0; t < tiles; t++) {
-        const long at = m ? t : tiles - 1 - t;  /* tile [a, b) */
-        const long a = at * SKEW, b = at + 1 < tiles ? a + SKEW : n + 1;
-        /* (i) step k + 1: fluxes on [a, b) and the update of the cells
-         * [c0, c1) that they close */
-        const long c0 = a + s > 1 ? a + s : 1, c1 = b + s < n + 1 ? b + s : n + 1;
-        nl_flux(flux, q, w, f1, 0, a, b, &nan1, &extreme1);
-        for (long i = c0; i < c1; i++) {
-            q[i] -= (f1[i] - f1[i - 1]) * lam;
-            finite1 &= isfinite(q[i]) != 0;
+    for (long t = 0; t <= tiles; t++) {
+        const long pa = a, pb = b;  /* step k + 2's tile, step k + 1's one iteration before */
+        if (t < tiles) {
+            const long at = m ? t : tiles - 1 - t;
+            a = at * SKEW;
+            b = at + 1 < tiles ? a + SKEW : n + 1;
+            tile_step(run, w, f1, a, b, s, &one);
+            /* q^{k+1}'s records: its cells copied, in index order for the
+             * mass, where their step k + 1 fluxes are spent; the jumps
+             * whose cells both hold q^{k+1}; the extremes, of equal ones
+             * the leftmost tile's kept, as in a fold in index order */
+            const long c0 = a + s > 1 ? a + s : 1, c1 = b + s < n + 1 ? b + s : n + 1;
+            for (long i = c0; i < c1; i++) f1[i - m] = q[i];
+            const long j0 = c0 - (m || a == 0), j1 = c1 - (m && b <= n);
+            for (long j = j0; j < j1; j++) jumps[j] = fabs(q[j + 1] - q[j]);
+            double tile_lo = INFINITY, tile_hi = -INFINITY;
+            extremes(q + c0, c1 - c0, &tile_lo, &tile_hi);
+            if (tile_lo < lo || (tile_lo == lo && !m)) lo = tile_lo;
+            if (tile_hi > hi || (tile_hi == hi && !m)) hi = tile_hi;
         }
-        if (a == 0) f1_0 = f1[0];
-        if (b == n + 1) f1_n = f1[n];
-        /* (r) q^{k+1}'s records: its cells copied, in index order for the
-         * mass, where their step k + 1 fluxes are spent; the jumps whose
-         * cells both hold q^{k+1}; the extremes, of equal ones the leftmost
-         * tile's kept, as in a fold in index order */
-        for (long i = c0; i < c1; i++) f1[i - m] = q[i];
-        const long j0 = c0 - (m || a == 0), j1 = c1 - (m && b <= n);
-        for (long j = j0; j < j1; j++) jumps[j] = fabs(q[j + 1] - q[j]);
-        double tile_lo = INFINITY, tile_hi = -INFINITY;
-        extremes(q + c0, c1 - c0, &tile_lo, &tile_hi);
-        if (tile_lo < lo || (tile_lo == lo && !m)) lo = tile_lo;
-        if (tile_hi > hi || (tile_hi == hi && !m)) hi = tile_hi;
-        /* (i') step k + 2's flux between this tile and the one before, and
-         * the update of that tile's cell it closes */
-        if (t > 0) {
-            const long j = m ? a - 1 : b, c = j + s;
-            nl_flux(flux, q, w1, f2, 0, j, j + 1, &nan2, &extreme2);
-            q[c] -= (f2[c] - f2[c - 1]) * lam;
-            finite2 &= isfinite(q[c]) != 0;
-        }
-        /* (ii) W^{k+1} on this tile beside W^{k+2} on the one before */
+        if (t > 0) tile_step(run, w1, f2, pa, pb, s, &two);
+        /* W^{k+1} on step k + 1's tile beside W^{k+2} on step k + 2's */
         const long lo1 = chain_low(a, m), hi1 = chain_high(b, n, m);
         const long lo2 = chain_low(pa, m), hi2 = chain_high(pb, n, m);
-        two_chains(run->average, q + s, w1, m ? lo1 : hi1 - 1, hi1 - lo1,
+        two_chains(run->average, q + s, w1, m ? lo1 : hi1 - 1, t < tiles ? hi1 - lo1 : 0,
                    w, m ? lo2 : hi2 - 1, t > 0 ? hi2 - lo2 : 0, d);
-        /* (iii) step k + 2: the tile's fluxes whose cells hold q^{k+1}, and
-         * the update of the cells [e0, e1) they close */
-        const long g0 = a + s, g1 = b - m, e0 = a + 2 * s > 1 ? a + 2 * s : 1;
-        const long e1 = b + s - m < n + 1 ? b + s - m : n + 1;
-        nl_flux(flux, q, w1, f2, 0, g0, g1, &nan2, &extreme2);
-        for (long i = e0; i < e1; i++) {
-            q[i] -= (f2[i] - f2[i - 1]) * lam;
-            finite2 &= isfinite(q[i]) != 0;
-        }
-        if (g0 == 0) f2_0 = f2[0];
-        if (g1 == n + 1) f2_n = f2[n];
-        pa = a;
-        pb = b;
     }
-    /* the drain: step k + 2's flux at the pass's far end, the update of the
-     * cell it closes, and W^{k+2} on the last tile */
-    const long j = m ? n : 0, c = j + s, lo2 = chain_low(pa, m), hi2 = chain_high(pb, n, m);
-    nl_flux(flux, q, w1, f2, 0, j, j + 1, &nan2, &extreme2);
-    q[c] -= (f2[c] - f2[c - 1]) * lam;
-    finite2 &= isfinite(q[c]) != 0;
-    if (m) f2_n = f2[n];
-    else f2_0 = f2[0];
-    two_chains(run->average, q + s, w, m ? lo2 : hi2 - 1, hi2 - lo2, w, 0, 0, d);
     run->w[0] = left;
     run->w[n + 2] = right;
     /* step k + 1's checks and records, then step k + 2's */
-    if (failed(run, nan1, extreme1, finite1, f1_0, f1_n)) return k;
+    if (failed(run, &one)) return k;
     record(run, k + 1, f1 + s, lo, hi, run->w2);
-    if (failed(run, nan2, extreme2, finite2, f2_0, f2_n)) return k + 1;
+    if (failed(run, &two)) return k + 1;
     record_q(run, k + 2, run->w);
     return k + 2;
 }
@@ -521,15 +514,17 @@ static long two_steps(Run *run, long k)
  * (loop and time skewing: M. Wolfe, IJPP 15, 1986; D. Wonnacott, IPDPS
  * 2000), so that the recursions of steps k + 1 and k + 2 interleave; an odd
  * step first, the Godunov flux and the constant kernel go one step at a
- * time.  Downstream, the pass takes the tiles right to left; each does
- * (i) step k + 1's fluxes from W^k and the update of the cells they close,
- * (r) q^{k+1}'s records on those cells, (i') step k + 2's flux at the seam
- * with the tile before and the update of that tile's last open cell,
- * (ii) W^{k+1}'s recursion on the tile beside W^{k+2}'s on the tile before,
- * (iii) step k + 2's fluxes and updates inside the tile; a drain closes the
- * far end and W^{k+2} on the last tile.  Upstream is the mirror image, left
- * to right.  Every value comes from the same operations on the same
- * operands as one step at a time, so no bit changes.
+ * time.  The pass runs over its tiles, right to left downstream and left
+ * to right upstream, one iteration more than it has tiles.  Iteration t
+ * makes step k + 1 on tile t (tile_step, from q^k and W^k) and takes
+ * q^{k+1}'s records there, then makes step k + 2 on tile t - 1, the tile
+ * that step k + 1 made one iteration earlier: every q^{k+1} cell and W^{k+1}
+ * value its fluxes read is then in place, and so is the step k + 2 flux
+ * of tile t - 2 that closes its far cell.  Last, W^{k+1}'s recursion on
+ * tile t runs beside W^{k+2}'s on tile t - 1.  The first iteration has no
+ * step k + 2 tile and the last no step k + 1 tile.  Every value comes from
+ * the same operations on the same operands as one step at a time, so no
+ * bit changes.
  *
  * W^{k+1} fills the row w2, and step k + 2's fluxes and W^{k+2} take over
  * W^k's row w behind step k + 1, so w holds the current W after every

@@ -225,6 +225,24 @@ class TestVelocityModel:
         with pytest.raises(ValueError, match=match):
             build(**params)
 
+    @pytest.mark.parametrize("params, count", [
+        ((1.0,), 1), ((1.0, 1.0, 2.0), 3), ((), 0), (1.0, 1),
+        ((True, 1.0), 2), ((1.0, np.True_), 2), (("1", 1.0), 2), ((None, 1.0), 2),
+    ])
+    def test_params_other_than_two_real_numbers_are_refused(self, params, count):
+        # one parameter failed on an index, three in the library's velocity
+        # call, and a bool passed as a number
+        with pytest.raises(ValueError) as info:
+            VelocityModel("linear", params)
+        assert str(info.value) == ("velocity params must be 2 real numbers (v_max or value, "
+                                   f"s_max), got {count}: {params!r}")
+
+    def test_numpy_and_python_numbers_are_params(self):
+        assert VelocityModel("linear", (np.int64(2), np.float32(0.5))).max_abs_speed == 2
+        assert VelocityModel("constant", (-1, 1.0)).mode == "increasing"
+        # a list is held as a tuple, so that the frozen model hashes
+        assert hash(VelocityModel("linear", [1.0, 1.0])) == hash(linear_velocity())
+
 
 # Every family's closed-form constants for the TestVelocityBitPins parameter
 # sets: name -> (builder, critical density, max |f'|), as functions of

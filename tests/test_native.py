@@ -179,18 +179,19 @@ def test_source_compiles_without_warnings(tmp_path):
 
 
 LANE_LOOP = "for (; i + LANES <= n; i += LANES)"
-# a step tile's update of its cells and its q jumps
-TILE_LOOPS = ("for (long i = first; i < b; i++) {",
+# the update of a step tile's cells, in the one routine every step runs
+UPDATE_LOOP = "for (long i = c0; i < c1; i++) {"
+# a one-step tile's update and its q jumps
+TILE_LOOPS = (UPDATE_LOOP,
               "for (long i = a > 0 ? a - 1 : 0; i < end; i++) scratch[i] = fabs(q[i + 1] - q[i]);")
 
 
 # the constant kernel's windows that end on a piece of a grid cell
 WINDOW_LOOP = "for (j = 0; j < inside; j++)"
-# the two-step pass: the upwind flux's speed check and product, the updates
-# of steps k + 1 and k + 2, and q^{k+1}'s mass copy and jumps
+# the two-step pass: the upwind flux's speed check and product, the update
+# of either step's tile, and q^{k+1}'s mass copy and jumps
 SKEW_LOOPS = ("for (j = a; j < b; j++) {",
-              "for (long i = c0; i < c1; i++) {",
-              "for (long i = e0; i < e1; i++) {",
+              UPDATE_LOOP,
               "for (long i = c0; i < c1; i++) f1[i - m] = q[i];",
               "for (long j = j0; j < j1; j++) jumps[j] = fabs(q[j + 1] - q[j]);")
 
@@ -209,60 +210,85 @@ def line_of(loop: str) -> int:
     return found[0]
 
 
-def vectorised_lines(tmp_path) -> tuple[set[int], str]:
-    """The lines of steps.c at which gcc's -fopt-info-vec-optimized report
-    says a loop was vectorised, and the report; skips where cc is not gcc."""
+@pytest.fixture(scope="module")
+def gcc_report(tmp_path_factory):
+    """gcc's -fopt-info report of the library's build (the loops it
+    vectorised and those it could not, and the calls it inlined) and the
+    library's symbols; skips where cc is not gcc.  No epilogue is
+    vectorised, so that each vectorised copy of a loop is one report."""
     version = subprocess.run(["cc", "--version"], capture_output=True, text=True,
                              timeout=60).stdout
     if "Free Software Foundation" not in version:
-        pytest.skip("cc is not gcc, whose -fopt-info-vec-optimized report this test reads")
-    proc = subprocess.run(["cc", *native.FLAGS, "-fopt-info-vec-optimized",
-                           "-o", str(tmp_path / "steps.so"), str(native.SOURCE)],
+        pytest.skip("cc is not gcc, whose -fopt-info-vec-optimized report these tests read")
+    library = tmp_path_factory.mktemp("report") / "steps.so"
+    proc = subprocess.run(["cc", *native.FLAGS, "--param=vect-epilogues-nomask=0",
+                           "-fopt-info-vec-optimized-missed", "-fopt-info-inline-optimized",
+                           "-o", str(library), str(native.SOURCE)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return {int(m[1]) for m in re.finditer(r"steps\.c:(\d+):\d+: optimized: loop vectorized",
-                                           proc.stderr)}, proc.stderr
+    symbols = subprocess.run(["nm", str(library)], capture_output=True, text=True,
+                             timeout=60, check=True).stdout
+    return proc.stderr, symbols
 
 
-def test_extremes_lane_loop_is_vectorised(tmp_path):
+def vectorised(report: str) -> list[int]:
+    """The line of each loop gcc's report says it vectorised, once per copy."""
+    return [int(m[1]) for m in re.finditer(r"steps\.c:(\d+):\d+: optimized: loop vectorized",
+                                           report)]
+
+
+def test_extremes_lane_loop_is_vectorised(gcc_report):
     # the running q extremes keep their bits on a serial loop too, so only
     # the compiler's report shows that the lanes still vectorise
     at = line_of(LANE_LOOP)
-    reported, report = vectorised_lines(tmp_path)
+    report, _ = gcc_report
     # gcc names the outer loop's line, or the inner one's when it vectorises that
-    assert reported & {at, at + 1}, report
+    assert set(vectorised(report)) & {at, at + 1}, report
 
 
-def test_tile_update_and_jump_loops_are_vectorised(tmp_path):
+def test_tile_update_and_jump_loops_are_vectorised(gcc_report):
     # a serial loop keeps every bit too: only the report shows that a step
     # tile's update and jumps still vectorise
     lines = [line_of(loop) for loop in TILE_LOOPS]
-    reported, report = vectorised_lines(tmp_path)
-    assert set(lines) <= reported, (lines, report)
+    report, _ = gcc_report
+    assert set(lines) <= set(vectorised(report)), (lines, report)
 
 
-def test_two_step_pass_flux_and_update_loops_are_vectorised(tmp_path):
+def test_two_step_pass_flux_and_update_loops_are_vectorised(gcc_report):
     # the skew's gain rests on these loops staying vectorised beside the
     # interleaved recursions
     lines = [line_of(loop) for loop in SKEW_LOOPS]
-    reported, report = vectorised_lines(tmp_path)
-    assert set(lines) <= reported, (lines, report)
+    report, _ = gcc_report
+    assert set(lines) <= set(vectorised(report)), (lines, report)
 
 
-def test_record_jump_loops_are_vectorised(tmp_path):
+def test_every_copy_of_the_tile_update_is_vectorised(gcc_report):
+    # gcc may inline tile_step into some of its callers and keep it out of
+    # line (or a clone of it) for the others: each copy is a loop of its
+    # own, and each must vectorise, unswitched or versioned ones included
+    report, symbols = gcc_report
+    at = line_of(UPDATE_LOOP)
+    inlined = len(re.findall(r"optimized:\s+Inlin(?:ed|ing) tile_step\b", report))
+    out_of_line = len(re.findall(r"^\S+ [tT] tile_step(?:\.\w+)*$", symbols, flags=re.M))
+    assert inlined + out_of_line >= 1, (report, symbols)
+    assert vectorised(report).count(at) == inlined + out_of_line, report
+    assert not re.search(rf"steps\.c:{at}:\d+: missed: couldn't vectorize loop", report), report
+
+
+def test_record_jump_loops_are_vectorised(gcc_report):
     # both run in every two-step pass; a serial loop keeps their bits too
     lines = [line_of(loop) for loop in RECORD_LOOPS]
-    reported, report = vectorised_lines(tmp_path)
-    assert set(lines) <= reported, (lines, report)
+    report, _ = gcc_report
+    assert set(lines) <= set(vectorised(report)), (lines, report)
 
 
-def test_constant_kernel_whole_window_loop_is_vectorised(tmp_path):
+def test_constant_kernel_whole_window_loop_is_vectorised(gcc_report):
     # its prefix sums live in W's own row, which the loop reads ahead of
     # where it writes: gcc versions the loop for that aliasing, and only the
     # report shows that it still vectorises
     at = line_of(WINDOW_LOOP)
-    reported, report = vectorised_lines(tmp_path)
-    assert at in reported, (at, report)
+    report, _ = gcc_report
+    assert at in vectorised(report), (at, report)
 
 
 def test_loaded_library_keeps_subnormals():
@@ -288,7 +314,7 @@ velocities = (linear_velocity(), quadratic_velocity(), constant_velocity(1.0))
 # 32 lanes of q extremes and their tails, the two-step pass's tile edges,
 # then two and three step tiles
 for n in (2, 31, 32, 33, 37, 65, 300, {skew} - 1, {skew}, {skew} + 1, 2 * {skew} + 1,
-          {tile} + 1, 2 * {tile} + 1):
+          2 * {skew} + {skew} // 2, {tile} + 1, 2 * {tile} + 1):
     grid = Grid1D(0.0, 1.0, n, left_farfield=0.25, right_farfield=0.0)
     values = np.linspace(0.0, 0.9, n)
     values[::3] = 0.0   # vacuum cells

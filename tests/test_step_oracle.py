@@ -623,8 +623,10 @@ def test_zero_extremes_across_a_tile_edge_keep_the_first_zeros_sign(n_cells, fir
 
 
 SKEW = int(re.search(r"enum \{ SKEW = (\d+) \};", native.SOURCE.read_text())[1])
-# grids of one two-step tile (SKEW - 1 and SKEW cells), of two and of three
-SKEW_EDGES = [SKEW - 1, SKEW, SKEW + 1, 2 * SKEW + 1]
+# grids of one two-step tile (SKEW - 1 and SKEW cells), of two and of
+# three, the last tile of 2 interfaces, and of three with a last tile of
+# SKEW / 2 + 1
+SKEW_EDGES = [SKEW - 1, SKEW, SKEW + 1, 2 * SKEW + 1, 2 * SKEW + SKEW // 2]
 
 
 def library_run(q0, flux, average, dt, n_steps):
@@ -660,6 +662,57 @@ def test_two_step_passes_across_the_skews_tile_edges_equal_the_oracle(n_cells, v
                                        velocity=v, cfl=0.5, t_end=n_steps * dt,
                                        snapshot_times=np.array(stops) * dt)
             assert_same_bits(solve_nonlocal(q0, cfg), oracle_nonlocal(q0, cfg))
+
+
+def filled_run(q0, flux, average, dt, stops, fill):
+    """The bytes of the q and W rows, the record series, the boundary
+    integral and the q extremes of a library run from step 0 through the
+    steps ``stops``, one call each, with every entry the library must write
+    before it reads (the flux row, scratch, the second W row, W's interior
+    and the record series) first set to ``fill``."""
+    grid, n = q0.grid, q0.grid.n_cells
+    q = np.concatenate([[grid.left_farfield], q0.values, [grid.right_farfield]])
+    w = None if average is None else np.concatenate([[grid.left_farfield], np.full(n + 1, fill),
+                                                     [grid.right_farfield]])
+    size = stops[-1] + 1
+    arrays = (q, w, np.full(size, fill), None if w is None else np.full(size, fill),
+              np.full(size, fill), np.full(n + 1, fill), np.full(n + 2, fill),
+              None if w is None else np.full(n + 3, fill))
+    run = native.Run(ctypes.addressof(flux), None if average is None else ctypes.addressof(average),
+                     n, grid.dx, dt, *(None if a is None else a.ctypes.data for a in arrays),
+                     q_min=np.inf, q_max=-np.inf)
+    step = 0
+    for stop in stops:
+        step = native.lib.nl_advance(ctypes.byref(run), step, stop - step)
+        assert step == stop and run.error == 0
+    return ([a.tobytes() for a in arrays[:5] if a is not None]
+            + [np.float64(x).tobytes() for x in (run.boundary, run.q_min, run.q_max)])
+
+
+# a grid of two cells, of two two-step tiles, the drawn test's largest, of
+# three two-step tiles, and of two one-step tiles
+@pytest.mark.parametrize("n_cells", [2, SKEW + 1, 300, 2 * SKEW + SKEW // 2, TILE + 1])
+@pytest.mark.parametrize("solver", ["exponential", "constant", "local"])
+@pytest.mark.parametrize("velocity", ["linear", "linear_increasing"])
+def test_unwritten_row_entries_are_never_read(n_cells, solver, velocity):
+    # whatever the flux row, scratch, the second W row, W's interior and
+    # the record series hold before a run, it gives a zero-filled run's
+    # bytes: stops 1, 2, 4 and 5 steps apart, then 2 and 11, so that calls
+    # make an odd step alone or only two-step passes
+    v = VELOCITIES[velocity]
+    q0 = rough_field(n_cells)
+    if solver == "local":
+        flux, average = _scheme(FluxModel(velocity=v)), None
+    else:
+        orientation = "downstream" if v.mode == "decreasing" else "upstream"
+        kernel = KernelSpec(solver, 0.05, orientation)
+        cfg = NonlocalSchemeConfig(kernel=kernel, velocity=v, cfl=0.5, t_end=1.0)
+        flux, average = _upwind_flux(cfg), kernel_operator(kernel, q0.grid)
+    dt = q0.grid.dx / 2
+    for stops in ([0, 1, 3, 7, 12], [0, 2, 13]):
+        expected = filled_run(q0, flux, average, dt, stops, 0.0)
+        for fill in (np.nan, 1e300, -7.0):
+            assert filled_run(q0, flux, average, dt, stops, fill) == expected, (stops, fill)
 
 
 def failing_datum(failure, tile, n_cells):
